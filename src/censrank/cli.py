@@ -23,7 +23,7 @@ from . import harness, pipeline
 from .core import Dataset, build_time_grid
 from .errors import CensrankError
 from .estimators import kaplan_meier
-from .metrics import acceptable_pairs, c_index_from_pairs
+from .metrics import c_index
 from .neural import load_checkpoint, save_checkpoint
 
 __all__ = ["main"]
@@ -228,7 +228,7 @@ def _cmd_train(args):
     )
     net, history = harness.train_model(run, train, val)
     scores = harness.eval_scores(run, net.forward(test.features, train=False))
-    test_c = c_index_from_pairs(acceptable_pairs(test, resolution="time"), scores)
+    test_c = c_index(test, scores)
     save_checkpoint(net, args.checkpoint)
     meta = {
         "loss": run.loss,
@@ -276,8 +276,7 @@ def _cmd_evaluate(args):
             raise ValueError(
                 f"{scores.shape[0]} scores for {len(table)} dataset rows"
             )
-        times, observed = table.times, table.observed
-        features = np.zeros((len(table), 1))
+        data = table
     else:
         with open(args.checkpoint + ".meta.json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -289,14 +288,12 @@ def _cmd_evaluate(args):
         net = load_checkpoint(args.checkpoint)
         run = harness.TrainRun(loss=meta["loss"], wm_score=meta["wm_score"])
         scores = harness.eval_scores(run, net.forward(result.features, train=False))
-        times, observed, features = result.times, result.observed, result.features
-    grid = build_time_grid(times, float(max(times.max(), 1.0)))
-    dataset = Dataset(features, times, observed, grid)
-    c = c_index_from_pairs(acceptable_pairs(dataset, resolution="time"), scores)
+        data = result
+    n = len(data.times)
     payload = {
-        "c_index": c,
-        "n": len(dataset),
-        "censored_fraction": dataset.censored_fraction,
+        "c_index": c_index(data, scores),
+        "n": n,
+        "censored_fraction": float(np.count_nonzero(~data.observed)) / n,
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -23,7 +23,7 @@ from .core import Dataset, build_time_grid
 from .errors import ExperimentFailedError, TrainingDivergedError, UndefinedMetricError
 from .estimators import kaplan_meier, target_cdf_matrix
 from .losses import bin_weights, cox_nll_with_grad, ranking_loss_with_grad, wm_batch_with_grad
-from .metrics import AcceptablePairSet, _enumerate_pairs, acceptable_pairs, c_index_from_pairs
+from .metrics import AcceptablePairSet, _enumerate_pairs, c_index
 from .neural import Adam, Network, NetworkConfig
 from .pipeline import RawTable, kfold_split, preprocess
 
@@ -185,8 +185,8 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     """
     if len(train) < 2:
         raise ValueError("training set needs at least 2 records")
-    val_pairs = acceptable_pairs(val, resolution="time")
-    if len(val_pairs) == 0:
+    val_event_times = val.times[val.observed]
+    if val_event_times.size == 0 or val_event_times.min() >= val.times.max():
         raise UndefinedMetricError("validation set has no acceptable pairs")
     _check_trainable(run, train)
 
@@ -259,7 +259,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
         val_out = net.forward(val.features, train=False)
         if not np.all(np.isfinite(val_out)):
             raise TrainingDivergedError("non-finite validation outputs", epoch=epoch)
-        val_c = c_index_from_pairs(val_pairs, eval_scores(run, val_out))
+        val_c = c_index(val, eval_scores(run, val_out))
         history["val_c_index"].append(val_c)
         if val_c > best_c:
             best_c = val_c
@@ -466,7 +466,7 @@ def run_cv(
     fold_results = []
     for sel, (train, val, test) in zip(selections, folds):
         scores = eval_scores(template, sel.network.forward(test.features, train=False))
-        test_c = c_index_from_pairs(acceptable_pairs(test, resolution="time"), scores)
+        test_c = c_index(test, scores)
         fold_results.append(
             FoldResult(
                 fold=sel.fold,

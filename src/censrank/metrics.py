@@ -6,6 +6,11 @@ concordance index is the mean over acceptable pairs of 1 for a concordant
 prediction (score(i) < score(j)), 1/2 for exactly equal scores, 0
 otherwise.  Scores are oriented "higher = later predicted event"; any
 conversion (e.g. negating Cox risk) happens at the caller.
+
+`c_index` counts the pairs exactly in O(n log n) time and O(n) memory,
+without listing them (the sorted-tree count of Harrell et al., 1982).
+`acceptable_pairs` lists them explicitly, for the pairwise ranking losses
+and as the reference the count is checked against.
 """
 
 from dataclasses import dataclass
@@ -60,16 +65,13 @@ def _enumerate_pairs(times, observed):
     return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
 
-def acceptable_pairs(dataset, resolution="time", max_pairs=None, seed=None):
+def acceptable_pairs(dataset, resolution="time"):
     """Enumerate acceptable pairs of `dataset` in lexicographic order.
 
     resolution:
         "time" compares raw record times (evaluation semantics),
         "grid" compares binned times so records sharing a bin are ties
         (the convention every training loss uses).
-    max_pairs:
-        optional subsample size for very large datasets; seeded and
-        order-preserving.  Leave None (off) for reported results.
     """
     if resolution == "time":
         times = dataset.times
@@ -78,10 +80,6 @@ def acceptable_pairs(dataset, resolution="time", max_pairs=None, seed=None):
     else:
         raise ValueError(f"unknown resolution {resolution!r}")
     i_idx, j_idx = _enumerate_pairs(times, dataset.observed)
-    if max_pairs is not None and len(i_idx) > max_pairs:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(i_idx), size=max_pairs, replace=False))
-        i_idx, j_idx = i_idx[keep], j_idx[keep]
     return AcceptablePairSet(i=i_idx, j=j_idx, num_records=len(dataset))
 
 
@@ -107,11 +105,55 @@ def c_index_from_pairs(pairs, scores):
     return (2 * concordant + tied) / (2 * len(pairs))
 
 
-def c_index(dataset, scores, pairs=None, resolution="time"):
-    """Concordance index of `scores` on `dataset` (higher score = later event).
+def c_index(data, scores):
+    """Concordance index of `scores` on `data` (higher score = later event).
 
-    Raises UndefinedMetricError when the dataset admits no acceptable pair.
+    `data` is anything with `times` and `observed` arrays (a Dataset, a
+    RawTable, a PreprocessResult).  Records are laid out by decreasing
+    time, so the records strictly later than an observed record i form a
+    prefix of length h_i.  That prefix splits into at most log2(n) aligned
+    blocks, one per set bit of h_i, and each block's scores are sorted once
+    per level; a binary search in the block counts its later records that
+    score above or equal to i.  Counts are integers, so the result is the
+    same float as counting every pair.
+
+    Raises ValueError on a length mismatch or a non-finite score and
+    UndefinedMetricError when `data` admits no acceptable pair.
     """
-    if pairs is None:
-        pairs = acceptable_pairs(dataset, resolution=resolution)
-    return c_index_from_pairs(pairs, scores)
+    times = np.asarray(data.times, dtype=np.float64)
+    observed = np.asarray(data.observed, dtype=bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(times)
+    if len(scores) != n:
+        raise ValueError(f"scores have length {len(scores)}, data has {n} records")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    # number of records with a strictly later time, per observed record
+    later = n - np.searchsorted(np.sort(times), times[observed], side="right")
+    pairs = int(later.sum())
+    if pairs == 0:
+        raise UndefinedMetricError(
+            "no acceptable pairs: the concordance index is undefined"
+        )
+    values, ranks = np.unique(scores, return_inverse=True)
+    width = len(values)
+    anchor_ranks = ranks[observed]
+    order = np.argsort(-times, kind="stable")
+    position = np.arange(n)
+    # level k: ranks sorted within aligned blocks of 2**k records (in time
+    # order), offset by block * width so the whole array is sorted
+    keys = position * width + ranks[order]
+    concordant = at_least = 0
+    for k in range(n.bit_length()):
+        if k:
+            keys = np.sort((position >> k) * width + keys % width, kind="stable")
+        hit = (later >> k) & 1 == 1
+        block = (later[hit] >> k) - 1
+        probe = block * width + anchor_ranks[hit]
+        stop = (block + 1) << k
+        concordant += int((stop - np.searchsorted(keys, probe, side="right")).sum())
+        at_least += int((stop - np.searchsorted(keys, probe, side="left")).sum())
+    tied = at_least - concordant
+    # Integer counts first, one final division: deterministic under any
+    # partitioned reduction.
+    return (2 * concordant + tied) / (2 * pairs)

@@ -134,11 +134,14 @@ class Network:
                 {"input": a, "z": z, "xhat": xhat, "std": std, "bn": bn, "mask": mask}
             )
             a = out
-        logits = a @ p["W_out"] + p["b_out"]
+        logits = a @ p["W_out"]
+        logits += p["b_out"]
         if self.config.head == "softmax":
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            expd = np.exp(shifted)
-            outputs = expd / expd.sum(axis=1, keepdims=True)
+            # in place: one n x T array instead of four
+            logits -= logits.max(axis=1, keepdims=True)
+            np.exp(logits, out=logits)
+            logits /= logits.sum(axis=1, keepdims=True)
+            outputs = logits
         else:
             outputs = logits[:, 0]
         if cache_for_backward:

@@ -152,11 +152,11 @@ class TestTrainModel:
         queue = [0.6, 0.7, 0.65]
         recorded = []
 
-        def scripted(pairs, scores):
+        def scripted(data, scores):
             recorded.append(np.array(scores, copy=True))
             return queue[len(recorded) - 1]
 
-        monkeypatch.setattr(harness, "c_index_from_pairs", scripted)
+        monkeypatch.setattr(harness, "c_index", scripted)
         run = TrainRun(loss="rank-sigmoid", seed=3, **{**FAST, "patience": 1, "max_epochs": 10})
         net, history = train_model(run, train, val)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,17 +45,6 @@ class TestAcceptablePairs:
             data = make_dataset(times, observed)
             got = set(acceptable_pairs(data).pairs)
             assert got == brute_force_acceptable_pairs(times, observed)
-
-    def test_subsample_is_seeded_subset(self):
-        times, observed = random_survival_dataset(np.random.default_rng(7), max_n=80)
-        data = make_dataset(times, observed)
-        full = set(acceptable_pairs(data).pairs)
-        cap = max(1, len(full) // 2)
-        a = acceptable_pairs(data, max_pairs=cap, seed=5)
-        b = acceptable_pairs(data, max_pairs=cap, seed=5)
-        assert a.pairs == b.pairs
-        assert len(a) == cap
-        assert set(a.pairs) <= full
 
     def test_unknown_resolution_rejected(self):
         data = make_dataset([1.0, 2.0], [True, True])
@@ -133,3 +124,37 @@ class TestCIndex:
             assert c_index(data, scores) == expected
             checked += 1
         assert checked >= 40
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1025])
+    def test_matches_brute_force_across_block_boundaries(self, n):
+        # sizes on either side of powers of two exercise the last, partial
+        # block of every level; few distinct times and scores force ties
+        rng = np.random.default_rng(n)
+        for trial in range(4):
+            times = rng.integers(0, max(2, n // 4), size=n).astype(np.float64)
+            observed = rng.random(n) < 0.7
+            scores = (
+                duplicated_scores(rng, n) if trial % 2 else rng.integers(0, 5, size=n) * 0.5
+            )
+            data = make_dataset(times, observed)
+            try:
+                expected = brute_force_c_index(times, observed, scores)
+            except ZeroDivisionError:
+                with pytest.raises(UndefinedMetricError):
+                    c_index(data, scores)
+                continue
+            assert c_index(data, scores) == expected
+
+    def test_memory_is_linear_in_records(self):
+        # about 3M acceptable pairs: listing them would take tens of MB
+        rng = np.random.default_rng(11)
+        n = 3000
+        data = make_dataset(rng.exponential(100.0, size=n), rng.random(n) < 0.7)
+        scores = duplicated_scores(rng, n)
+        tracemalloc.start()
+        try:
+            c_index(data, scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
