@@ -1,0 +1,122 @@
+"""Paired A/B runs of the benchmark: a base revision against the working tree.
+
+    python3 scripts/bench_ab.py --base REV --workload W --pairs N --seconds S \
+        [--seed 1000] [--out bench_ab.jsonl]
+
+Run from the root of a checkout.  REV is exported with `git archive` into a
+temporary directory, and that tree's `perfbench/run.py` and the working
+tree's run alternately in ABBA order (base, change, change, base, ...),
+pair i with seed SEED + i on both sides, so neither side always runs first
+on a warm or cold machine.  Each run's result is appended to --out as one
+JSON line {"workload", "pair", "side", "seed", "trace", "run"}.  At the end
+each metric's median [Q1, Q3] per side is printed, with the number of pairs
+each side won (direction from BENCHMARK.json; ties count for neither), the
+median gain and the base side's interquartile range.
+"""
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+SIDES = ("parent", "change")
+
+
+def export(rev, dest):
+    """Write the tree of `rev` into `dest`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(root, workload, seed, seconds):
+    """The result object that `perfbench/run.py` prints last, run in `root`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: run.py exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(records, better):
+    """Print per-metric medians, quartiles and pairs won by each side."""
+    pairs = {}
+    for rec in records:
+        pairs.setdefault(rec["pair"], {})[rec["side"]] = rec["run"]
+    complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+    for side in SIDES:
+        failed = sum(p[side]["failed"] for p in complete)
+        attempted = sum(p[side]["attempted"] for p in complete)
+        print(f"{side}: fail_rate {failed}/{attempted}")
+    for name, direction in better.items():
+        values = {side: [p[side]["metrics"][name]["value"] for p in complete] for side in SIDES}
+        if not all(values[side] for side in SIDES):
+            continue
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = {side: 0 for side in SIDES}
+        for base, change in zip(values["parent"], values["change"]):
+            if sign * (change - base) > 0:
+                wins["change"] += 1
+            elif sign * (change - base) < 0:
+                wins["parent"] += 1
+        stats = {side: quartiles(values[side]) for side in SIDES}
+        unit = complete[0]["parent"]["metrics"][name]["unit"]
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = stats["parent"], stats["change"]
+        print(f"{name} ({unit}, {direction} is better, {len(complete)} pairs): "
+              f"parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
+              f"wins parent {wins['parent']} change {wins['change']}  "
+              f"median gain {sign * (cmed - pmed):.6g} vs parent IQR {pq3 - pq1:.6g}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1000, help="seed of pair 0")
+    parser.add_argument("--out", default="bench_ab.jsonl", help="JSON lines, appended")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    here = os.getcwd()
+    with open(os.path.join(here, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    records = []
+    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
+        export(args.base, tmp)
+        roots = {"parent": tmp, "change": here}
+        with open(args.out, "a", encoding="utf-8") as out:
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_once(roots[side], args.workload, seed, args.seconds)
+                    rec = {"workload": args.workload, "pair": i, "side": side,
+                           "seed": seed, "trace": 0, "run": run}
+                    records.append(rec)
+                    out.write(json.dumps(rec) + "\n")
+                    out.flush()
+                    metrics = {k: round(v["value"], 4) for k, v in run["metrics"].items()}
+                    print(f"pair {i} {side} seed {seed}: {metrics}", flush=True)
+    summarize(records, better)
+
+
+if __name__ == "__main__":
+    main()

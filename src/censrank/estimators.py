@@ -10,7 +10,10 @@ Dirac step at its event bin; a censored record is imputed from the curve,
 either conditionally on having survived its censoring bin (default) or by
 literally clamping ``1 - survival`` to zero through the censoring bin
 ("global").  Either way a censored record's target is exactly zero at and
-before its censoring bin.
+before its censoring bin.  A target row depends only on the record's bin,
+its observed flag and the curve, so training builds the rows of each
+batch into one reused buffer (`target_cdf_matrix(rows=, out=)`) and holds
+O(batch_size x T) target memory, not O(n x T).
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, TimeGrid
+from .core import Dataset, TimeGrid, _scratch_rows
 
 __all__ = [
     "KaplanMeierCurve",
@@ -106,20 +109,31 @@ class TargetDistribution:
         object.__setattr__(self, "cdf", arr)
 
 
-def _imputed_cdf(censor_bin, survival, mode):
-    num_bins = len(survival)
-    cdf = np.zeros(num_bins)
-    if censor_bin + 1 >= num_bins:
-        return cdf
-    tail = survival[censor_bin + 1 :]
-    if mode == "conditional":
-        s_at = survival[censor_bin]
-        cdf[censor_bin + 1 :] = 1.0 if s_at <= 0.0 else 1.0 - tail / s_at
-    elif mode == "global":
-        cdf[censor_bin + 1 :] = np.maximum.accumulate(1.0 - tail)
-    else:
+def _fill_target_rows(out, bins, observed, survival, mode):
+    """Write each record's target CDF into the matching row of `out`.
+
+    The one formula for a target row, used by both public entry points.
+    An observed record at bin k is 1 from k on.  A censored record at bin
+    k is 0 through k and, beyond it, 1 - S(t)/S(k) ("conditional", or 1
+    when S(k) = 0) or the running maximum of 1 - S(t) from k + 1 ("global").
+    """
+    if mode not in ("conditional", "global"):
         raise ValueError(f"unknown imputation mode {mode!r}")
-    return cdf
+    for row, k, obs in zip(out, bins.tolist(), observed.tolist()):
+        if obs:
+            row[:k] = 0.0
+            row[k:] = 1.0
+            continue
+        row[: k + 1] = 0.0
+        tail = row[k + 1 :]
+        if mode == "global":
+            np.subtract(1.0, survival[k + 1 :], out=tail)
+            np.maximum.accumulate(tail, out=tail)
+        elif survival[k] <= 0.0:
+            tail[:] = 1.0
+        else:
+            np.divide(survival[k + 1 :], survival[k], out=tail)
+            np.subtract(1.0, tail, out=tail)
 
 
 def impute_target_cdf(record, km: KaplanMeierCurve, mode="conditional") -> TargetDistribution:
@@ -130,26 +144,27 @@ def impute_target_cdf(record, km: KaplanMeierCurve, mode="conditional") -> Targe
     curve 1 - S(t)/S(k) ("conditional") or the clamped raw curve 1 - S(t)
     ("global").
     """
-    k = int(km.grid.bin_indices(np.asarray([record.time]), clamp=False)[0])
-    if record.observed:
-        cdf = np.zeros(km.grid.num_bins)
-        cdf[k:] = 1.0
-        return TargetDistribution(cdf=cdf, is_imputed=False)
-    return TargetDistribution(cdf=_imputed_cdf(k, km.survival, mode), is_imputed=True)
+    bins = km.grid.bin_indices(np.asarray([record.time]), clamp=False)
+    observed = np.asarray([bool(record.observed)])
+    cdf = np.empty((1, km.grid.num_bins))
+    _fill_target_rows(cdf, bins, observed, km.survival, mode)
+    return TargetDistribution(cdf=cdf[0], is_imputed=not record.observed)
 
 
-def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional"):
-    """Stacked target CDFs for a whole dataset, shape (n, num_bins).
+def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional",
+                      rows=None, out=None):
+    """Stacked target CDFs, shape (n, num_bins); row i is record i's target.
 
-    Row order follows the dataset; censored rows are imputed from `km`,
-    which must come from the training fold only.
+    `km` must come from the training fold only.  With `rows` (indices into
+    `dataset`) only those records' targets are built, in that order.  With
+    `out`, a float64 array of shape (at least n, num_bins), the rows are
+    written into its leading n rows and that view is returned, so a
+    training loop can reuse one buffer for every batch.
     """
-    num_bins = km.grid.num_bins
-    bins = km.grid.bin_indices(dataset.times, clamp=False)
-    targets = np.zeros((len(dataset), num_bins))
-    column = np.arange(num_bins)
-    obs = dataset.observed
-    targets[obs] = (column[None, :] >= bins[obs, None]).astype(np.float64)
-    for row in np.nonzero(~obs)[0]:
-        targets[row] = _imputed_cdf(int(bins[row]), km.survival, mode)
-    return targets
+    times, observed = dataset.times, dataset.observed
+    if rows is not None:
+        times, observed = times[rows], observed[rows]
+    out = _scratch_rows(out, len(times), km.grid.num_bins)
+    bins = km.grid.bin_indices(times, clamp=False)
+    _fill_target_rows(out, bins, observed, km.survival, mode)
+    return out

@@ -197,10 +197,17 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
 
     tie_method = _COX_TIES.get(run.loss)
     rank_kind = _RANK_KINDS.get(run.loss)
+    backward_work = None
     if run.loss == "wm":
         km = kaplan_meier(train)
-        targets = target_cdf_matrix(train, km, mode=run.km_impute)
         weights = bin_weights(train, run.wm_smoothing).weights
+        # one set of (batch, T) arrays for the whole run: each batch's target
+        # rows and the loss's scratch; the loss's first array is free again
+        # once it returns, so the softmax backward step reuses it
+        shape = (min(run.batch_size, n), train.grid.num_bins)
+        target_rows = np.empty(shape)
+        wm_work = tuple(np.empty(shape) for _ in range(3))
+        backward_work = wm_work[0]
     if rank_kind is not None:
         train_bins = train.binned_times().astype(np.float64)
 
@@ -241,15 +248,18 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
                     out, batch_pairs, rank_kind, run.rank_sign, run.hinge_clip
                 )
             else:
+                targets = target_cdf_matrix(
+                    train, km, mode=run.km_impute, rows=idx, out=target_rows
+                )
                 value, grad_out = wm_batch_with_grad(
-                    out, targets[idx], weights, run.wm_l
+                    out, targets, weights, run.wm_l, work=wm_work
                 )
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite training loss {value!r}", epoch=epoch
                 )
             try:
-                adam.step(net.params, net.backward(grad_out))
+                adam.step(net.params, net.backward(grad_out, work=backward_work))
             except TrainingDivergedError as err:
                 raise TrainingDivergedError(str(err), epoch=epoch) from None
             batch_losses.append(value)

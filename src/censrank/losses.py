@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, TimeGrid
+from .core import Dataset, TimeGrid, _scratch_rows
 from .metrics import AcceptablePairSet
 
 __all__ = [
@@ -90,7 +90,7 @@ def phi_prime(kind, z, hinge_clip=1.0):
 
 
 def _cox_groups(dataset: Dataset):
-    """Sorted bins, observed flags and per-unique-event-bin bookkeeping."""
+    """Grid bins and observed flags of `dataset`; raises without an event."""
     bins = dataset.binned_times()
     observed = dataset.observed
     if not np.any(observed):
@@ -302,11 +302,19 @@ def wm_loss(pred: PredictedDistribution, target, weights: GroundWeights, l=1.5):
     return float(np.sum(weights.weights * np.abs(pred.cdf - target_cdf) ** l))
 
 
-def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5):
+def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     """Mean CDF-matching loss of a batch and its gradient w.r.t. the pmfs.
 
     pmf: (batch, T) rows from the softmax head; target_cdf: (batch, T);
     weights: (T,).  Returns (value, gradient of the same shape as pmf).
+
+    `work` is an optional sequence of three float64 scratch arrays of shape
+    (at least batch, T).  Every intermediate is written into them, so a
+    training loop allocates no T-wide array per batch; the returned
+    gradient is then a view into `work` that the next call overwrites.
+    The gradient is the same bit for bit either way.  The value is
+    sum_t w[t] * |d_t| * |d_t|^(l-1), so it can differ from the literal
+    |d_t|^l in the last bit of each term.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
     target_cdf = np.asarray(target_cdf, dtype=np.float64)
@@ -316,9 +324,28 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5):
     if l < 1:
         raise ValueError(f"the exponent l must be >= 1, got {l}")
     batch = pmf.shape[0]
-    diff = np.cumsum(pmf, axis=1) - target_cdf
-    value = float(np.sum(weights * np.abs(diff) ** l) / batch)
-    # d|d_t|^l / d d_t = l |d_t|^(l-1) sign(d_t); pmf_s feeds every cdf_t with t >= s
-    inner = weights * l * np.abs(diff) ** (l - 1.0) * np.sign(diff) / batch
-    grad = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
-    return value, grad
+    if work is None:
+        work = (None, None, None)
+    if len(work) != 3:
+        raise ValueError(f"work must hold three scratch arrays, got {len(work)}")
+    diff, mag, inner = (_scratch_rows(w, *pmf.shape) for w in work)
+    np.cumsum(pmf, axis=1, out=diff)
+    np.subtract(diff, target_cdf, out=diff)
+    np.abs(diff, out=mag)
+    # |d|^(l-1); sqrt is what ** itself computes for the default exponent 0.5
+    if l == 1.5:
+        np.sqrt(mag, out=inner)
+    else:
+        np.power(mag, l - 1.0, out=inner)
+    np.multiply(mag, inner, out=mag)
+    np.multiply(weights, mag, out=mag)
+    value = float(np.sum(mag) / batch)
+    # d|d_t|^l / d d_t = l |d_t|^(l-1) sign(d_t); pmf_s feeds every cdf_t with t >= s.
+    # Evaluated as ((w*l) * |d|^(l-1)) * sign(d) / batch, the order that fixes its bits.
+    sign = np.sign(diff, out=diff)
+    np.multiply(weights * l, inner, out=inner)
+    np.multiply(inner, sign, out=inner)
+    np.divide(inner, batch, out=inner)
+    reversed_view = inner[:, ::-1]
+    np.cumsum(reversed_view, axis=1, out=reversed_view)
+    return value, inner

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .core import _scratch_rows
 from .errors import TrainingDivergedError
 
 __all__ = ["NetworkConfig", "Network", "Adam", "save_checkpoint", "load_checkpoint"]
@@ -150,11 +151,14 @@ class Network:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, grad_outputs):
+    def backward(self, grad_outputs, work=None):
         """Gradients of loss + l2 * sum ||W||^2 w.r.t. every parameter.
 
         `grad_outputs` is d(loss)/d(outputs) with the shape `forward`
-        returned.  Requires a cached forward pass.
+        returned; it is never written to.  Requires a cached forward pass.
+        For the softmax head, `work` is an optional float64 scratch array of
+        shape (at least batch, num_outputs) that the softmax step writes
+        into instead of allocating; the gradients are the same bit for bit.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
@@ -167,8 +171,11 @@ class Network:
             pmf = cache["outputs"]
             if grad_outputs.shape != pmf.shape:
                 raise ValueError("gradient shape does not match the softmax outputs")
-            dot = np.sum(grad_outputs * pmf, axis=1, keepdims=True)
-            dlogits = pmf * (grad_outputs - dot)
+            dlogits = _scratch_rows(work, *pmf.shape)
+            np.multiply(grad_outputs, pmf, out=dlogits)
+            dot = np.sum(dlogits, axis=1, keepdims=True)
+            np.subtract(grad_outputs, dot, out=dlogits)
+            np.multiply(pmf, dlogits, out=dlogits)
         else:
             if grad_outputs.shape != cache["outputs"].shape:
                 raise ValueError("gradient shape does not match the scalar outputs")
@@ -196,7 +203,8 @@ class Network:
                 dz = dxhat / layer["std"]
             grads[f"W{i}"] = layer["input"].T @ dz
             grads[f"b{i}"] = dz.sum(axis=0)
-            da = dz @ p[f"W{i}"].T
+            if i > 0:  # nothing consumes the gradient of the network's input
+                da = dz @ p[f"W{i}"].T
 
         if self.config.l2_coefficient > 0.0:
             for name in grads:

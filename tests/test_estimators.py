@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_km, make_dataset, random_survival_dataset
-from censrank.core import SurvivalRecord
+from censrank.core import Dataset, SurvivalRecord, build_time_grid
 from censrank.estimators import impute_target_cdf, kaplan_meier, target_cdf_matrix
 
 
@@ -185,3 +185,71 @@ class TestImputeTargetCdf:
             assert matrix.shape == (len(data), data.grid.num_bins)
             for row, rec in zip(matrix, data.records):
                 assert np.array_equal(row, impute_target_cdf(rec, km, mode=mode).cdf)
+
+
+def _literal_target_row(k, observed, survival, mode):
+    """A record's target CDF as first written: one fresh row, then slices."""
+    num_bins = len(survival)
+    cdf = np.zeros(num_bins)
+    if observed:
+        cdf[k:] = 1.0
+        return cdf
+    if k + 1 >= num_bins:
+        return cdf
+    tail = survival[k + 1 :]
+    if mode == "conditional":
+        s_at = survival[k]
+        cdf[k + 1 :] = 1.0 if s_at <= 0.0 else 1.0 - tail / s_at
+    else:
+        cdf[k + 1 :] = np.maximum.accumulate(1.0 - tail)
+    return cdf
+
+
+def _target_cases():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        data = make_dataset(*random_survival_dataset(rng, max_n=40))
+        yield data, kaplan_meier(data)
+    # a curve that reaches S = 0 at bin 2 of a 6-bin grid, applied to records
+    # censored where S = 0 (the S(k) <= 0 branch) and in the last bin
+    grid = build_time_grid(np.arange(6.0), 1.0)
+    fit = Dataset(np.zeros((3, 1)), [0.0, 1.0, 2.0], [True, True, True], grid)
+    times = [0.5, 2.0, 3.0, 5.0, 1.0, 4.0, 0.0]
+    observed = [True, False, False, False, False, True, False]
+    yield Dataset(np.zeros((7, 1)), times, observed, grid), kaplan_meier(fit)
+
+
+class TestTargetRows:
+    def test_batch_rows_match_full_matrix_and_literal_formula(self):
+        hit_zero_curve = hit_last_bin = False
+        for data, km in _target_cases():
+            num_bins = km.grid.num_bins
+            bins = km.grid.bin_indices(data.times, clamp=False)
+            records = data.records
+            order = np.random.default_rng(len(data)).permutation(len(data))
+            for mode in ("conditional", "global"):
+                full = target_cdf_matrix(data, km, mode=mode)
+                # stale contents would show as NaN
+                buf = np.full((4, num_bins), np.nan)
+                for start in range(0, len(data), 4):  # the last batch may be short
+                    idx = order[start : start + 4]
+                    got = target_cdf_matrix(data, km, mode=mode, rows=idx, out=buf)
+                    assert got.shape == (len(idx), num_bins)
+                    assert np.shares_memory(got, buf)
+                    assert np.array_equal(got, full[idx])
+                    for row, i in zip(got, idx):
+                        k, obs = int(bins[i]), bool(data.observed[i])
+                        literal = _literal_target_row(k, obs, km.survival, mode)
+                        assert np.array_equal(row, literal)
+                        assert np.array_equal(row, impute_target_cdf(records[i], km, mode).cdf)
+                        if not obs:
+                            hit_last_bin |= k == num_bins - 1
+                            hit_zero_curve |= k + 1 < num_bins and km.survival[k] == 0.0
+        assert hit_zero_curve and hit_last_bin
+
+    def test_rejects_a_buffer_of_the_wrong_shape(self):
+        data = make_dataset([0.0, 1.0, 2.0], [True, False, True])
+        km = kaplan_meier(data)
+        for shape in ((2, 3), (3, 4)):
+            with pytest.raises(ValueError):
+                target_cdf_matrix(data, km, out=np.empty(shape))

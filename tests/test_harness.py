@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +167,25 @@ class TestTrainModel:
         assert history["val_c_index"] == [0.6, 0.7, 0.65]
         returned_scores = eval_scores(run, net.forward(val.features, train=False))
         assert np.array_equal(returned_scores, recorded[1])
+
+    def test_wm_target_memory_is_per_batch_not_per_record(self):
+        # n >> batch size: an n x T target matrix alone would be
+        # 4,000 x ~400 x 8 bytes = 12.8 MB; per-batch rows need ~0.2 MB
+        rng = np.random.default_rng(21)
+        n = 4200
+        data = make_dataset(rng.uniform(0.0, 400.0, size=n), rng.random(n) < 0.7,
+                            features=rng.normal(size=(n, 4)))
+        train, val = data.subset(np.arange(4000)), data.subset(np.arange(4000, n))
+        assert data.grid.num_bins >= 390
+        run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=64,
+                       max_epochs=1, patience=1, seed=5)
+        tracemalloc.start()
+        try:
+            train_model(run, train, val)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_returned_network_scores_the_best_recorded_epoch(self, fold):
         train, val, _ = fold

@@ -350,6 +350,43 @@ class TestWmLoss:
             assert max_relative_error(grad, numeric) < 1e-5
 
 
+    def test_work_arrays_give_the_literal_gradient_bit_for_bit(self):
+        def literal(pmf, target, weights, l):
+            # the batch loss as first written, one fresh array per step
+            batch = pmf.shape[0]
+            diff = np.cumsum(pmf, axis=1) - target
+            value = float(np.sum(weights * np.abs(diff) ** l) / batch)
+            inner = weights * l * np.abs(diff) ** (l - 1.0) * np.sign(diff) / batch
+            return value, np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+
+        rng = np.random.default_rng(12)
+        num_bins = 37
+        # stale contents would show as NaN
+        work = [np.full((9, num_bins), np.nan) for _ in range(3)]
+        for l in (1.0, 1.5, 2.0, 3.0):
+            for batch in (9, 5):  # a batch shorter than the scratch arrays
+                pmf = rng.dirichlet(np.ones(num_bins), size=batch)
+                target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
+                target[:, :3] = 0.0
+                target[:, -1] = 1.0
+                target[0] = np.cumsum(pmf[0])  # zero differences: sign 0, 0^(l-1)
+                weights = rng.dirichlet(np.ones(num_bins))
+                expected_value, expected_grad = literal(pmf, target, weights, l)
+                for scratch in (work, None):
+                    value, grad = wm_batch_with_grad(pmf, target, weights, l=l, work=scratch)
+                    assert np.array_equal(grad, expected_grad)
+                    # |d| * |d|^(l-1) may differ from |d|^l in the last bit
+                    assert value == pytest.approx(expected_value, rel=1e-13, abs=0.0)
+
+    def test_rejects_work_arrays_of_the_wrong_shape(self):
+        pmf = np.full((4, 5), 0.2)
+        target = np.cumsum(pmf, axis=1)
+        weights = np.full(5, 0.2)
+        for work in ([np.empty((3, 5))] * 3, [np.empty((4, 6))] * 3, [np.empty((4, 5))] * 2):
+            with pytest.raises(ValueError):
+                wm_batch_with_grad(pmf, target, weights, work=work)
+
+
 class TestPredictedDistribution:
     def test_from_pmf_cumsums(self):
         dist = PredictedDistribution.from_pmf([0.25, 0.25, 0.5])

@@ -179,6 +179,21 @@ class TestBackward:
                 assert np.allclose(diff, 0.0, atol=1e-12)
 
 
+    def test_softmax_work_array_gives_the_same_gradients(self):
+        net = _small_net(seed=13, head="softmax", num_outputs=7, dropout_rate=0.5)
+        rng = np.random.default_rng(13)
+        net.forward(rng.normal(size=(6, 4)), train=True)
+        g_out = rng.normal(size=(6, 7))
+        g_copy = g_out.copy()
+        plain = net.backward(g_out)
+        # stale contents would show as NaN; more rows than the batch
+        reused = net.backward(g_out, work=np.full((8, 7), np.nan))
+        assert np.array_equal(g_out, g_copy)
+        assert plain.keys() == reused.keys()
+        for name in plain:
+            assert np.array_equal(plain[name], reused[name])
+
+
 class TestSnapshotRestore:
     def test_round_trip(self):
         net = _small_net(seed=13)
