@@ -1,7 +1,7 @@
 """Paired A/B runs of the benchmark: a base revision against the working tree.
 
     python3 scripts/bench_ab.py --base REV --workload W --pairs N --seconds S \
-        [--seed 1000] [--out bench_ab.jsonl]
+        [--seed 1000] [--trace 0|1] [--out bench_ab.jsonl]
 
 Run from the root of a checkout.  REV is exported with `git archive` into a
 temporary directory, and that tree's `perfbench/run.py` and the working
@@ -11,7 +11,9 @@ on a warm or cold machine.  Each run's result is appended to --out as one
 JSON line {"workload", "pair", "side", "seed", "trace", "run"}.  At the end
 each metric's median [Q1, Q3] per side is printed, with the number of pairs
 each side won (direction from BENCHMARK.json; ties count for neither), the
-median gain and the base side's interquartile range.
+median gain and the base side's interquartile range.  With --trace 1 every
+run is a traced run, and the metrics compared are BENCHMARK.json's per-layer
+ones, so a per-layer difference rests on several pairs rather than one.
 """
 
 import argparse
@@ -35,11 +37,11 @@ def export(rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed, seconds, trace):
     """The result object that `perfbench/run.py` prints last, run in `root`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -65,9 +67,10 @@ def summarize(records, better):
         attempted = sum(p[side]["attempted"] for p in complete)
         print(f"{side}: fail_rate {failed}/{attempted}")
     for name, direction in better.items():
-        values = {side: [p[side]["metrics"][name]["value"] for p in complete] for side in SIDES}
-        if not all(values[side] for side in SIDES):
+        # a metric absent from any run (a traced function that is gone) is skipped
+        if not complete or any(name not in p[side]["metrics"] for p in complete for side in SIDES):
             continue
+        values = {side: [p[side]["metrics"][name]["value"] for p in complete] for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
         wins = {side: 0 for side in SIDES}
         for base, change in zip(values["parent"], values["change"]):
@@ -81,7 +84,7 @@ def summarize(records, better):
         print(f"{name} ({unit}, {direction} is better, {len(complete)} pairs): "
               f"parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
               f"wins parent {wins['parent']} change {wins['change']}  "
-              f"median gain {sign * (cmed - pmed):.6g} vs parent IQR {pq3 - pq1:.6g}")
+              f"median gain {sign * (cmed - pmed) + 0.0:.6g} vs parent IQR {pq3 - pq1:.6g}")
 
 
 def main(argv=None):
@@ -91,13 +94,16 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1000, help="seed of pair 0")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: traced runs, compared on the per-layer metrics")
     parser.add_argument("--out", default="bench_ab.jsonl", help="JSON lines, appended")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     here = os.getcwd()
     with open(os.path.join(here, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        declared = json.load(fh)["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in declared}
     records = []
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         export(args.base, tmp)
@@ -107,14 +113,16 @@ def main(argv=None):
                 seed = args.seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = run_once(roots[side], args.workload, seed, args.seconds)
+                    run = run_once(roots[side], args.workload, seed, args.seconds, args.trace)
                     rec = {"workload": args.workload, "pair": i, "side": side,
-                           "seed": seed, "trace": 0, "run": run}
+                           "seed": seed, "trace": args.trace, "run": run}
                     records.append(rec)
                     out.write(json.dumps(rec) + "\n")
                     out.flush()
-                    metrics = {k: round(v["value"], 4) for k, v in run["metrics"].items()}
-                    print(f"pair {i} {side} seed {seed}: {metrics}", flush=True)
+                    metrics = {k: round(v["value"], 4) for k, v in run["metrics"].items()
+                               if k in better}
+                    shown = metrics if not args.trace else f"{len(metrics)} per-layer metrics"
+                    print(f"pair {i} {side} seed {seed}: {shown}", flush=True)
     summarize(records, better)
 
 

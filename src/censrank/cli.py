@@ -16,11 +16,11 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import harness, pipeline
-from .core import Dataset, build_time_grid
 from .errors import CensrankError
 from .estimators import kaplan_meier
 from .metrics import c_index
@@ -183,49 +183,12 @@ def _cmd_km(args):
     return 0
 
 
-def _stats_to_doc(stats):
-    return {
-        "continuous": {k: [lo, hi] for k, (lo, hi) in stats.continuous.items()},
-        "categorical": {k: list(v) for k, v in stats.categorical.items()},
-        "has_missing": dict(stats.has_missing),
-    }
-
-
-def _stats_from_doc(doc):
-    return pipeline.PreprocessStats(
-        continuous={k: (float(lo), float(hi)) for k, (lo, hi) in doc["continuous"].items()},
-        categorical={k: tuple(v) for k, v in doc["categorical"].items()},
-        has_missing={k: bool(v) for k, v in doc["has_missing"].items()},
-    )
-
-
 def _cmd_train(args):
     table = _load_table(args)
-    tr, va, te = harness.cv_splits(len(table), args.k, args.val_fraction, args.seed)[0]
-    grid = build_time_grid(table.times, args.bin_width)
-    fit = pipeline.preprocess(table, rows=tr)
-    va_res = pipeline.preprocess(table, stats=fit.stats, rows=va)
-    te_res = pipeline.preprocess(table, stats=fit.stats, rows=te)
-    train = Dataset(fit.features, fit.times, fit.observed, grid)
-    val = Dataset(va_res.features, va_res.times, va_res.observed, grid)
-    test = Dataset(te_res.features, te_res.times, te_res.observed, grid)
-    run = harness.TrainRun(
-        loss=args.loss,
-        learning_rate=args.learning_rate,
-        l2=args.l2,
-        hidden_dims=args.hidden_dims,
-        dropout=args.dropout,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        wm_smoothing=args.wm_smoothing,
-        wm_l=args.wm_l,
-        wm_score=args.wm_score,
-        km_impute=args.km_impute,
-        rank_sign=args.rank_sign,
-        hinge_clip=args.hinge_clip,
-        seed=args.seed,
-    )
+    splits = harness.cv_splits(len(table), args.k, args.val_fraction, args.seed)
+    fits = []
+    [(train, val, test)] = harness._fold_datasets(table, splits[:1], args.bin_width, fits)
+    run = replace(_template_from(args, args.loss), learning_rate=args.learning_rate, l2=args.l2)
     net, history = harness.train_model(run, train, val)
     scores = harness.eval_scores(run, net.forward(test.features, train=False))
     test_c = c_index(test, scores)
@@ -233,8 +196,8 @@ def _cmd_train(args):
     meta = {
         "loss": run.loss,
         "wm_score": run.wm_score,
-        "feature_names": list(fit.feature_names),
-        "stats": _stats_to_doc(fit.stats),
+        "feature_names": list(fits[0].feature_names),
+        "stats": fits[0].stats.to_doc(),
     }
     with open(args.checkpoint + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
@@ -280,7 +243,10 @@ def _cmd_evaluate(args):
     else:
         with open(args.checkpoint + ".meta.json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        result = pipeline.preprocess(table, stats=_stats_from_doc(meta["stats"]))
+        for key in ("loss", "wm_score", "feature_names", "stats"):
+            if not isinstance(meta, dict) or key not in meta:
+                raise ValueError(f"{args.checkpoint}.meta.json: missing key {key!r}")
+        result = pipeline.preprocess(table, stats=pipeline.PreprocessStats.from_doc(meta["stats"]))
         if list(result.feature_names) != meta["feature_names"]:
             raise ValueError(
                 "dataset columns encode differently from the checkpoint's training data"

@@ -407,13 +407,14 @@ class ExperimentReport:
             raise ValueError("mean lies outside the fold range")
 
 
-def _fold_datasets(data, splits, bin_width):
+def _fold_datasets(data, splits, bin_width, fits=None):
     """Materialize (train, val, test) Dataset triples for every split.
 
     RawTable input is re-encoded per fold with training-fold statistics;
     Dataset input is subset as-is (its features must already be fold-free,
     e.g. synthetic draws).  All folds share one grid over the full table's
-    time range so bin semantics stay comparable.
+    time range so bin semantics stay comparable.  A `fits` list receives
+    each raw fold's training PreprocessResult (stats and feature names).
     """
     if isinstance(data, Dataset):
         return [(data.subset(tr), data.subset(va), data.subset(te)) for tr, va, te in splits]
@@ -425,15 +426,11 @@ def _fold_datasets(data, splits, bin_width):
     folds = []
     for tr, va, te in splits:
         fit = preprocess(data, rows=tr)
-        va_res = preprocess(data, stats=fit.stats, rows=va)
-        te_res = preprocess(data, stats=fit.stats, rows=te)
-        folds.append(
-            (
-                Dataset(fit.features, fit.times, fit.observed, grid),
-                Dataset(va_res.features, va_res.times, va_res.observed, grid),
-                Dataset(te_res.features, te_res.times, te_res.observed, grid),
-            )
-        )
+        if fits is not None:
+            fits.append(fit)
+        parts = (fit, preprocess(data, stats=fit.stats, rows=va),
+                 preprocess(data, stats=fit.stats, rows=te))
+        folds.append(tuple(Dataset(p.features, p.times, p.observed, grid) for p in parts))
     return folds
 
 

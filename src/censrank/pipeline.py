@@ -21,12 +21,18 @@ and missing-value sentinels:
 Exactly one column must be declared "time" and one "event_indicator".
 CSV columns not named in the schema are ignored.  Per-column "missing"
 overrides the file-level sentinel list.
+
+Feature cells stay strings until first encoded; then each column is parsed
+once per table (`RawTable.parsed_columns`, where an unparseable numeric cell
+anywhere raises CsvParseError naming its column), and every fold's stats and
+encoding are array gathers of its rows.
 """
 
 import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +157,37 @@ class RawTable:
     def __len__(self):
         return len(self.times)
 
+    @cached_property
+    def parsed_columns(self):
+        """name -> (values, is_missing, vocabulary), parsed once per table:
+        float64 values (0.0 where missing) and no vocabulary for a continuous
+        column, int64 codes into its sorted vocabulary (-1 where missing) for
+        a categorical one."""
+        return {spec.name: _parse_column(spec, self.columns[spec.name])
+                for spec in self.schema.feature_columns}
+
+
+def _parse_column(spec, cells):
+    cells = list(cells)
+    missing = set(spec.missing)
+    is_missing = np.array([cell in missing for cell in cells], dtype=bool)
+    # first-seen order, so a parse error names the first bad cell of the column
+    distinct = [cell for cell in dict.fromkeys(cells) if cell not in missing]
+    if spec.kind == "categorical":
+        vocabulary = tuple(sorted(distinct))
+        code = {level: k for k, level in enumerate(vocabulary)}
+        codes = np.array([code.get(cell, -1) for cell in cells], dtype=np.int64)
+        return codes, is_missing, vocabulary
+    number = {}
+    for cell in distinct:
+        try:
+            number[cell] = float(cell)
+        except ValueError:
+            raise CsvParseError(
+                f"column {spec.name!r}: unparseable numeric value {cell!r}"
+            ) from None
+    return np.array([number.get(cell, 0.0) for cell in cells], dtype=np.float64), is_missing, None
+
 
 def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
     """Read a delimited file against `schema`.
@@ -241,6 +278,37 @@ class PreprocessStats:
             if not levels:
                 raise ValueError(f"column {name!r}: empty level vocabulary")
 
+    def to_doc(self):
+        """JSON-ready form, read back by `from_doc`."""
+        return {
+            "continuous": {k: [lo, hi] for k, (lo, hi) in self.continuous.items()},
+            "categorical": {k: list(v) for k, v in self.categorical.items()},
+            "has_missing": dict(self.has_missing),
+        }
+
+    @classmethod
+    def from_doc(cls, doc):
+        """Stats from a `to_doc` document; a missing or malformed key raises
+        ValueError naming it."""
+        sections = {}
+        for key, valid, convert in _STATS_DOC:
+            if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
+                raise ValueError(f"stats: missing or malformed key {key!r}")
+            bad = [name for name, value in doc[key].items() if not valid(value)]
+            if bad:
+                raise ValueError(f"stats: malformed key {key}.{bad[0]}")
+            sections[key] = {name: convert(value) for name, value in doc[key].items()}
+        return cls(**sections)
+
+
+# (to_doc key, check of one column's value, conversion back)
+_STATS_DOC = (
+    ("continuous", lambda v: isinstance(v, list) and len(v) == 2
+     and all(isinstance(x, (int, float)) for x in v), lambda v: (float(v[0]), float(v[1]))),
+    ("categorical", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), tuple),
+    ("has_missing", lambda v: isinstance(v, bool), bool),
+)
+
 
 @dataclass(frozen=True)
 class PreprocessResult:
@@ -251,43 +319,21 @@ class PreprocessResult:
     stats: PreprocessStats
 
 
-def _parse_continuous(name, cells, rows, missing):
-    values = np.zeros(len(rows))
-    is_missing = np.zeros(len(rows), dtype=bool)
-    for out_i, r in enumerate(rows):
-        cell = cells[r]
-        if cell in missing:
-            is_missing[out_i] = True
-            continue
-        try:
-            values[out_i] = float(cell)
-        except ValueError:
-            raise CsvParseError(
-                f"column {name!r}: unparseable numeric value {cell!r}"
-            ) from None
-    return values, is_missing
-
-
 def _fit_stats(table: RawTable, rows) -> PreprocessStats:
     continuous, categorical, has_missing = {}, {}, {}
     for spec in table.schema.feature_columns:
-        cells = table.columns[spec.name]
+        values, is_missing, vocabulary = table.parsed_columns[spec.name]
+        is_missing = is_missing[rows]
+        present = values[rows][~is_missing]
         if spec.kind == "continuous":
-            values, is_missing = _parse_continuous(spec.name, cells, rows, spec.missing)
-            present = values[~is_missing]
-            if len(present):
-                continuous[spec.name] = (float(present.min()), float(present.max()))
-            else:
-                continuous[spec.name] = (0.0, 0.0)
-            has_missing[spec.name] = bool(is_missing.any())
+            continuous[spec.name] = (
+                (float(present.min()), float(present.max())) if len(present) else (0.0, 0.0)
+            )
+        elif len(present):
+            categorical[spec.name] = tuple(vocabulary[k] for k in np.unique(present))
         else:
-            levels = sorted({cells[r] for r in rows} - set(spec.missing))
-            if not levels:
-                raise ValueError(
-                    f"column {spec.name!r}: no levels observed in the training fold"
-                )
-            categorical[spec.name] = tuple(levels)
-            has_missing[spec.name] = any(cells[r] in spec.missing for r in rows)
+            raise ValueError(f"column {spec.name!r}: no levels observed in the training fold")
+        has_missing[spec.name] = bool(is_missing.any())
     return PreprocessStats(continuous, categorical, has_missing)
 
 
@@ -301,37 +347,28 @@ def preprocess(table: RawTable, stats: PreprocessStats = None, rows=None) -> Pre
     training vocabulary (unseen levels encode all-zero), and any column
     with training-fold missing cells gains one 0/1 indicator column;
     missing entries themselves encode as 0 after scaling (all-zero for
-    categorical).
+    categorical).  Every call only gathers `rows` from `table.parsed_columns`.
     """
     rows = np.arange(len(table)) if rows is None else np.asarray(rows, dtype=np.int64)
     if stats is None:
         stats = _fit_stats(table, rows)
     blocks, names = [], []
     for spec in table.schema.feature_columns:
-        cells = table.columns[spec.name]
+        values, is_missing, vocabulary = table.parsed_columns[spec.name]
+        values, is_missing = values[rows], is_missing[rows]
+        if spec.name not in (stats.continuous if spec.kind == "continuous" else stats.categorical):
+            raise ValueError(f"stats do not cover {spec.kind} column {spec.name!r}")
         if spec.kind == "continuous":
-            if spec.name not in stats.continuous:
-                raise ValueError(f"stats do not cover continuous column {spec.name!r}")
             lo, hi = stats.continuous[spec.name]
-            values, is_missing = _parse_continuous(spec.name, cells, rows, spec.missing)
             scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros(len(rows))
-            scaled = np.where(is_missing, 0.0, scaled)
-            blocks.append(scaled[:, None])
+            blocks.append(np.where(is_missing, 0.0, scaled)[:, None])
             names.append(spec.name)
         else:
-            if spec.name not in stats.categorical:
-                raise ValueError(f"stats do not cover categorical column {spec.name!r}")
             levels = stats.categorical[spec.name]
-            onehot = np.zeros((len(rows), len(levels)))
-            index = {level: k for k, level in enumerate(levels)}
-            is_missing = np.zeros(len(rows), dtype=bool)
-            for out_i, r in enumerate(rows):
-                cell = cells[r]
-                if cell in spec.missing:
-                    is_missing[out_i] = True
-                elif cell in index:  # unseen levels stay all-zero
-                    onehot[out_i, index[cell]] = 1.0
-            blocks.append(onehot)
+            column = {level: k for k, level in enumerate(levels)}
+            # vocabulary code -> one-hot column; -1 (missing, unseen) stays all-zero
+            hot = np.array([column.get(level, -1) for level in vocabulary] + [-1])[values]
+            blocks.append((hot[:, None] == np.arange(len(levels))).astype(np.float64))
             names.extend(f"{spec.name}={level}" for level in levels)
         if stats.has_missing.get(spec.name, False):
             blocks.append(is_missing.astype(np.float64)[:, None])

@@ -185,6 +185,60 @@ class TestTrainEvaluate:
                 json.dump(meta, fh)
 
 
+def _sidecar_copy(checkpoint, tmp_path):
+    """A copy of the checkpoint and its parsed sidecar, for damaging."""
+    path = tmp_path / "model.bin"
+    path.write_bytes(open(checkpoint, "rb").read())
+    return str(path), json.loads(open(checkpoint + ".meta.json", encoding="utf-8").read())
+
+
+@pytest.mark.parametrize("key", [
+    "loss", "wm_score", "feature_names", "stats",
+    "stats.continuous", "stats.categorical", "stats.has_missing",
+])
+def test_evaluate_names_a_missing_sidecar_key(capsys, toy, checkpoint, tmp_path, key):
+    path, meta = _sidecar_copy(checkpoint, tmp_path)
+    *parents, last = key.split(".")
+    doc = meta
+    for part in parents:
+        doc = doc[part]
+    del doc[last]
+    (tmp_path / "model.bin.meta.json").write_text(json.dumps(meta))
+    code = main(["evaluate", *data_args(toy), "--checkpoint", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ValueError" and repr(last) in err["message"]
+
+
+@pytest.mark.parametrize("section, value, shown", [
+    ("continuous", [0.0], "continuous.f0"),
+    ("continuous", "01", "continuous.f0"),
+    ("categorical", "abc", "categorical.grp"),
+    ("has_missing", "yes", "has_missing.f0"),
+])
+def test_evaluate_names_a_malformed_stats_key(capsys, toy, checkpoint, tmp_path,
+                                               section, value, shown):
+    path, meta = _sidecar_copy(checkpoint, tmp_path)
+    meta["stats"][section]["grp" if section == "categorical" else "f0"] = value
+    (tmp_path / "model.bin.meta.json").write_text(json.dumps(meta))
+    code, _, err = run_cli(capsys, ["evaluate", *data_args(toy), "--checkpoint", path])
+    assert code == 2
+    assert err["error"] == "ValueError" and shown in err["message"]
+
+
+def test_evaluate_scores_never_parses_feature_columns(capsys, toy, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("feature columns parsed")
+
+    monkeypatch.setattr(pipeline, "_parse_column", refuse)
+    scores = tmp_path / "s.csv"
+    scores.write_text("".join(f"{k}\n" for k in range(120)))
+    code, lines, _ = run_cli(capsys, ["evaluate", *data_args(toy), "--scores", str(scores)])
+    assert code == 0 and lines[-1]["n"] == 120
+
+
 class TestCv:
     def test_report_file_and_summary_line(self, capsys, toy, tmp_path):
         out = tmp_path / "report.csv"

@@ -1,13 +1,17 @@
 import json
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
 from censrank.errors import CsvParseError
+from censrank.harness import _fold_datasets, cv_splits
 from censrank.metrics import c_index
 from censrank.pipeline import (
     ColumnSpec,
     DatasetSchema,
+    PreprocessStats,
+    RawTable,
     generate_synthetic,
     kfold_split,
     load_csv,
@@ -227,6 +231,188 @@ class TestPreprocess:
         assert dataset.grid.num_bins == 3
         assert np.array_equal(dataset.binned_times(), [1, 2])
         assert dataset.features.shape == (2, len(result.feature_names))
+
+
+# The per-cell parse and per-row one-hot that preprocess used before columns
+# were parsed once per table, kept literally as the oracle for the array path.
+
+
+def _oracle_parse_continuous(name, cells, rows, missing):
+    values = np.zeros(len(rows))
+    is_missing = np.zeros(len(rows), dtype=bool)
+    for out_i, r in enumerate(rows):
+        cell = cells[r]
+        if cell in missing:
+            is_missing[out_i] = True
+            continue
+        try:
+            values[out_i] = float(cell)
+        except ValueError:
+            raise CsvParseError(f"column {name!r}: unparseable numeric value {cell!r}") from None
+    return values, is_missing
+
+
+def _oracle_fit_stats(table, rows):
+    continuous, categorical, has_missing = {}, {}, {}
+    for spec in table.schema.feature_columns:
+        cells = table.columns[spec.name]
+        if spec.kind == "continuous":
+            values, is_missing = _oracle_parse_continuous(spec.name, cells, rows, spec.missing)
+            present = values[~is_missing]
+            if len(present):
+                continuous[spec.name] = (float(present.min()), float(present.max()))
+            else:
+                continuous[spec.name] = (0.0, 0.0)
+            has_missing[spec.name] = bool(is_missing.any())
+        else:
+            levels = sorted({cells[r] for r in rows} - set(spec.missing))
+            if not levels:
+                raise ValueError(f"column {spec.name!r}: no levels observed in the training fold")
+            categorical[spec.name] = tuple(levels)
+            has_missing[spec.name] = any(cells[r] in spec.missing for r in rows)
+    return PreprocessStats(continuous, categorical, has_missing)
+
+
+def _oracle_preprocess(table, stats=None, rows=None):
+    rows = np.arange(len(table)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if stats is None:
+        stats = _oracle_fit_stats(table, rows)
+    blocks, names = [], []
+    for spec in table.schema.feature_columns:
+        cells = table.columns[spec.name]
+        if spec.kind == "continuous":
+            lo, hi = stats.continuous[spec.name]
+            values, is_missing = _oracle_parse_continuous(spec.name, cells, rows, spec.missing)
+            scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros(len(rows))
+            scaled = np.where(is_missing, 0.0, scaled)
+            blocks.append(scaled[:, None])
+            names.append(spec.name)
+        else:
+            levels = stats.categorical[spec.name]
+            onehot = np.zeros((len(rows), len(levels)))
+            index = {level: k for k, level in enumerate(levels)}
+            is_missing = np.zeros(len(rows), dtype=bool)
+            for out_i, r in enumerate(rows):
+                cell = cells[r]
+                if cell in spec.missing:
+                    is_missing[out_i] = True
+                elif cell in index:
+                    onehot[out_i, index[cell]] = 1.0
+            blocks.append(onehot)
+            names.extend(f"{spec.name}={level}" for level in levels)
+        if stats.has_missing.get(spec.name, False):
+            blocks.append(is_missing.astype(np.float64)[:, None])
+            names.append(f"{spec.name}__missing")
+    features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
+    return features, tuple(names), stats
+
+
+def _mixed_table(n=80, seed=0):
+    """Every case the encoder must handle: missing cells of two sentinels,
+    a degenerate column, a column present only in rows 0-4, a rare level
+    only in rows 5-6, and levels first seen in non-sorted order."""
+    rng = np.random.default_rng(seed)
+    schema = DatasetSchema(columns=(
+        ColumnSpec("x", "continuous", missing=("", "NA")),
+        ColumnSpec("const", "continuous"),
+        ColumnSpec("sparse", "continuous"),
+        ColumnSpec("grp", "categorical", missing=("", "?")),
+        ColumnSpec("t", "time"),
+        ColumnSpec("e", "event_indicator"),
+    ))
+    x = [repr(float(v)) for v in np.round(rng.normal(50.0, 20.0, n), 3)]
+    for r in rng.choice(n, n // 6, replace=False):
+        x[r] = ("", "NA")[r % 2]
+    x[10], x[11], x[12] = "-0", "1e2", "0.1"
+    sparse = [repr(float(v)) if r < 5 else "" for r, v in enumerate(rng.uniform(size=n))]
+    levels = ["zeta", "alpha", "Mid", "beta", "", "?"]
+    grp = [levels[k] for k in rng.integers(0, len(levels), n)]
+    grp[:4] = ["zeta", "alpha", "Mid", "beta"]
+    grp[5] = grp[6] = "omega"
+    columns = {"x": x, "const": ["7"] * n, "sparse": sparse, "grp": grp}
+    times = rng.uniform(0.0, 30.0, n)
+    return RawTable(schema, columns, times, rng.uniform(size=n) < 0.7)
+
+
+def _assert_matches_oracle(table, rows, test_rows):
+    fit = preprocess(table, rows=rows)
+    features, names, stats = _oracle_preprocess(table, rows=rows)
+    assert fit.stats == stats
+    assert fit.feature_names == names
+    assert fit.features.dtype == features.dtype and fit.features.shape == features.shape
+    assert fit.features.tobytes() == features.tobytes()
+    encoded = preprocess(table, stats=fit.stats, rows=test_rows)
+    features, names, _ = _oracle_preprocess(table, stats=stats, rows=test_rows)
+    assert encoded.feature_names == names
+    assert encoded.features.tobytes() == features.tobytes()
+    assert np.array_equal(encoded.times, table.times[test_rows])
+    assert np.array_equal(encoded.observed, table.observed[test_rows])
+
+
+class CountingColumn(Sequence):
+    """A column of cells that counts every cell read from it."""
+
+    def __init__(self, cells):
+        self.cells = list(cells)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __getitem__(self, index):
+        cell = self.cells[index]
+        self.reads += len(cell) if isinstance(index, slice) else 1
+        return cell
+
+
+class TestParseOnce:
+    def test_random_row_subsets_match_the_per_row_oracle_bitwise(self):
+        table = _mixed_table()
+        rng = np.random.default_rng(1)
+        for _ in range(25):
+            perm = rng.permutation(len(table))
+            cut = int(rng.integers(20, 70))
+            _assert_matches_oracle(table, perm[:cut], perm[cut:])
+        # sorted rows, as kfold_split gives them
+        _assert_matches_oracle(table, np.arange(0, 80, 2), np.arange(1, 80, 2))
+
+    def test_unseen_levels_and_all_missing_training_column(self):
+        table = _mixed_table()
+        train = np.arange(7, len(table))  # no "omega", and "sparse" all missing
+        fit = preprocess(table, rows=train)
+        assert "omega" not in fit.stats.categorical["grp"]
+        assert fit.stats.continuous["sparse"] == (0.0, 0.0)
+        assert fit.stats.continuous["const"] == (7.0, 7.0)
+        assert fit.stats.categorical["grp"] == ("Mid", "alpha", "beta", "zeta")
+        _assert_matches_oracle(table, train, np.arange(7))
+        encoded = preprocess(table, stats=fit.stats, rows=[5, 6])
+        grp = [i for i, name in enumerate(encoded.feature_names) if name.startswith("grp=")]
+        assert not encoded.features[:, grp].any()
+
+    def test_categorical_column_all_missing_in_training_is_rejected(self):
+        table = _mixed_table()
+        rows = [r for r, g in enumerate(table.columns["grp"]) if g in ("", "?")]
+        with pytest.raises(ValueError, match="grp"):
+            preprocess(table, rows=rows)
+        with pytest.raises(ValueError, match="grp"):
+            _oracle_preprocess(table, rows=rows)
+
+    def test_building_every_fold_parses_each_cell_once(self):
+        table = _mixed_table()
+        table.columns = {name: CountingColumn(cells) for name, cells in table.columns.items()}
+        splits = cv_splits(len(table), 5, 0.2, 3)
+        _fold_datasets(table, splits, 1.0)
+        _fold_datasets(table, splits, 1.0)
+        preprocess(table)
+        assert {name: col.reads for name, col in table.columns.items()} == {
+            name: len(table) for name in table.columns
+        }
+
+    def test_unparseable_numeric_cell_outside_rows_is_rejected(self, tmp_path):
+        path = _write(tmp_path, "age,group,days,dead\n1,a,1,1\n2,b,2,1\nbad,a,3,1\n")
+        table = load_csv(path, _toy_schema())
+        with pytest.raises(CsvParseError, match="column 'age': unparseable numeric value 'bad'"):
+            preprocess(table, rows=[0, 1])
 
 
 class TestKfoldSplit:
