@@ -8,7 +8,7 @@ analytic gradients (`losses`), a from-scratch feed-forward network
 experiment harness plus CLI (`harness`, `cli`).
 """
 
-from .core import Dataset, SurvivalRecord, TimeGrid, bin_index, build_time_grid
+from .core import Dataset, TimeGrid, build_time_grid
 from .errors import (
     CensrankError,
     CsvParseError,
@@ -16,13 +16,7 @@ from .errors import (
     TrainingDivergedError,
     UndefinedMetricError,
 )
-from .estimators import (
-    KaplanMeierCurve,
-    TargetDistribution,
-    impute_target_cdf,
-    kaplan_meier,
-    target_cdf_matrix,
-)
+from .estimators import KaplanMeierCurve, kaplan_meier, target_cdf_matrix
 from .harness import (
     CENSORING_MODES,
     LOSSES,
@@ -37,17 +31,12 @@ from .harness import (
     train_model,
 )
 from .losses import (
-    GroundWeights,
-    PredictedDistribution,
     bin_weights,
-    cox_nll,
     cox_nll_with_grad,
     phi,
     phi_prime,
-    ranking_loss,
     ranking_loss_with_grad,
     wm_batch_with_grad,
-    wm_loss,
 )
 from .metrics import AcceptablePairSet, acceptable_pairs, c_index, c_index_from_pairs
 from .neural import Adam, Network, NetworkConfig, load_checkpoint, save_checkpoint
@@ -61,7 +50,6 @@ from .pipeline import (
     load_schema,
     oracle_scores,
     preprocess,
-    table_to_dataset,
 )
 
 __version__ = "0.1.0"

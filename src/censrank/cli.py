@@ -15,12 +15,14 @@ Every failure exits nonzero after printing one JSON object
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import harness, pipeline
+from .core import Dataset, build_time_grid
 from .errors import CensrankError
 from .estimators import kaplan_meier
 from .metrics import c_index
@@ -109,12 +111,21 @@ def _template_from(args, loss):
 
 def load_grid(path):
     """Grid file: either {"learning_rate": [...], "l2": [...]} (cross
-    product, in listed order) or an explicit list of [lr, l2] pairs."""
+    product, in listed order) or an explicit list of [lr, l2] pairs.
+
+    Raises ValueError naming a missing key or a non-finite value."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
-        return [(lr, l2) for lr in doc["learning_rate"] for l2 in doc["l2"]]
-    return [(float(lr), float(l2)) for lr, l2 in doc]
+        for key in ("learning_rate", "l2"):
+            if not isinstance(doc.get(key), list):
+                raise ValueError(f"{path}: grid key {key!r} is missing or not a list")
+        doc = [(lr, l2) for lr in doc["learning_rate"] for l2 in doc["l2"]]
+    grid = [(float(lr), float(l2)) for lr, l2 in doc]
+    for point in grid:
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"{path}: grid point {list(point)} is not finite")
+    return grid
 
 
 def _load_table(args):
@@ -149,8 +160,8 @@ def _cmd_synth(args):
 
 def _cmd_km(args):
     table = _load_table(args)
-    dataset, _ = pipeline.table_to_dataset(table, args.bin_width)
-    km = kaplan_meier(dataset)
+    grid = build_time_grid(table.times, args.bin_width)
+    km = kaplan_meier(Dataset(np.empty((len(table), 0)), table.times, table.observed, grid))
     edges = km.grid.left_edges()
     if args.format == "json":
         doc = {

@@ -1,4 +1,4 @@
-"""Survival data model: records, the discrete time grid, and binning.
+"""Survival data model: columnar datasets, the discrete time grid, and binning.
 
 Times live on a uniform grid of left-closed/right-open bins
 ``[k*w, (k+1)*w)``; a time at an exact bin boundary belongs to the higher
@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SurvivalRecord",
-    "TimeGrid",
-    "Dataset",
-    "build_time_grid",
-    "bin_index",
-]
+__all__ = ["TimeGrid", "Dataset", "build_time_grid"]
 
 
 def _frozen_array(values, dtype):
@@ -37,27 +31,6 @@ def _scratch_rows(work, rows, cols):
             f"got {work.dtype} {work.shape}"
         )
     return work[:rows]
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: preprocessed features, event-or-censoring time (days),
-    and whether the event was observed (False = right-censored)."""
-
-    features: np.ndarray
-    time: float
-    observed: bool
-
-    def __post_init__(self):
-        features = _frozen_array(self.features, np.float64)
-        if features.ndim != 1:
-            raise ValueError("features must be a 1-D vector")
-        object.__setattr__(self, "features", features)
-        time = float(self.time)
-        if not np.isfinite(time) or time < 0:
-            raise ValueError(f"time must be finite and >= 0, got {time}")
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "observed", bool(self.observed))
 
 
 @dataclass(frozen=True)
@@ -130,21 +103,10 @@ def build_time_grid(times, bin_width):
     return TimeGrid(bin_width=float(bin_width), num_bins=num_bins, origin=0.0)
 
 
-def bin_index(grid, time):
-    """Bin of a single time: floor((time - origin)/width), clamped to the
-    last bin for out-of-range times.  Negative times are an error."""
-    time = float(time)
-    if not np.isfinite(time) or time < grid.origin:
-        raise ValueError(f"time must be finite and >= grid origin, got {time}")
-    return int(grid.bin_indices(np.asarray([time]), clamp=True)[0])
-
-
 class Dataset:
-    """An ordered collection of survival records sharing one time grid.
-
-    Stores columnar arrays (features matrix, times, observed flags) for
-    vectorized work; `records` materializes row views on demand.
-    """
+    """Survival records sharing one time grid, stored as columnar arrays:
+    a features matrix, event-or-censoring times (days) and observed flags
+    (False = right-censored)."""
 
     def __init__(self, features, times, observed, grid):
         features = np.asarray(features, dtype=np.float64)
@@ -163,31 +125,12 @@ class Dataset:
         self.observed = _frozen_array(observed, bool)
         self.grid = grid
 
-    @classmethod
-    def from_records(cls, records, grid):
-        if not records:
-            raise ValueError("a dataset must contain at least one record")
-        widths = {len(r.features) for r in records}
-        if len(widths) != 1:
-            raise ValueError(f"records disagree on feature length: {sorted(widths)}")
-        features = np.stack([r.features for r in records])
-        times = np.array([r.time for r in records])
-        observed = np.array([r.observed for r in records])
-        return cls(features, times, observed, grid)
-
     def __len__(self):
         return len(self.times)
 
     @property
     def n_features(self):
         return self.features.shape[1]
-
-    @property
-    def records(self):
-        return [
-            SurvivalRecord(self.features[i], self.times[i], self.observed[i])
-            for i in range(len(self))
-        ]
 
     def binned_times(self, clamp=True):
         """Bin index of every record; see TimeGrid.bin_indices for clamping."""
@@ -209,5 +152,3 @@ class Dataset:
             self.features[indices], self.times[indices], self.observed[indices], self.grid
         )
 
-    def with_grid(self, grid):
-        return Dataset(self.features, self.times, self.observed, grid)

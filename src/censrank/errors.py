@@ -5,6 +5,14 @@ here exist where callers need to distinguish the failure mode (the CLI
 maps each to a machine-readable error line).
 """
 
+__all__ = [
+    "CensrankError",
+    "UndefinedMetricError",
+    "CsvParseError",
+    "TrainingDivergedError",
+    "ExperimentFailedError",
+]
+
 
 class CensrankError(Exception):
     """Base class for library-specific failures."""

@@ -1,4 +1,4 @@
-"""Kaplan-Meier estimation and per-record target CDFs over the time grid.
+"""Kaplan-Meier estimation and CDF-matching target rows over the time grid.
 
 The product-limit estimate is computed on grid bins: every record leaves
 the risk set after its own bin, all events inside one bin share a single
@@ -23,13 +23,7 @@ import numpy as np
 
 from .core import Dataset, TimeGrid, _scratch_rows
 
-__all__ = [
-    "KaplanMeierCurve",
-    "TargetDistribution",
-    "kaplan_meier",
-    "impute_target_cdf",
-    "target_cdf_matrix",
-]
+__all__ = ["KaplanMeierCurve", "kaplan_meier", "target_cdf_matrix"]
 
 
 @dataclass(frozen=True)
@@ -96,23 +90,9 @@ def kaplan_meier(dataset: Dataset) -> KaplanMeierCurve:
     )
 
 
-@dataclass(frozen=True)
-class TargetDistribution:
-    """Target CDF over the grid for one record; is_imputed marks censored records."""
-
-    cdf: np.ndarray
-    is_imputed: bool
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.cdf, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "cdf", arr)
-
-
 def _fill_target_rows(out, bins, observed, survival, mode):
     """Write each record's target CDF into the matching row of `out`.
 
-    The one formula for a target row, used by both public entry points.
     An observed record at bin k is 1 from k on.  A censored record at bin
     k is 0 through k and, beyond it, 1 - S(t)/S(k) ("conditional", or 1
     when S(k) = 0) or the running maximum of 1 - S(t) from k + 1 ("global").
@@ -134,21 +114,6 @@ def _fill_target_rows(out, bins, observed, survival, mode):
         else:
             np.divide(survival[k + 1 :], survival[k], out=tail)
             np.subtract(1.0, tail, out=tail)
-
-
-def impute_target_cdf(record, km: KaplanMeierCurve, mode="conditional") -> TargetDistribution:
-    """Target CDF for one record.
-
-    Observed records get a Dirac step at the event bin.  Censored records
-    at bin k get zero mass through bin k and, beyond it, the renormalized
-    curve 1 - S(t)/S(k) ("conditional") or the clamped raw curve 1 - S(t)
-    ("global").
-    """
-    bins = km.grid.bin_indices(np.asarray([record.time]), clamp=False)
-    observed = np.asarray([bool(record.observed)])
-    cdf = np.empty((1, km.grid.num_bins))
-    _fill_target_rows(cdf, bins, observed, km.survival, mode)
-    return TargetDistribution(cdf=cdf[0], is_imputed=not record.observed)
 
 
 def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional",

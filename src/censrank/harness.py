@@ -117,8 +117,8 @@ class TrainRun:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not (self.l2 >= 0):  # also rejects NaN
+            raise ValueError(f"l2 must be >= 0, got {self.l2}")
         if self.wm_score not in ("mean", "median"):
             raise ValueError(f"wm_score must be 'mean' or 'median', got {self.wm_score!r}")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -200,7 +200,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     backward_work = None
     if run.loss == "wm":
         km = kaplan_meier(train)
-        weights = bin_weights(train, run.wm_smoothing).weights
+        weights = bin_weights(train, run.wm_smoothing)
         # one set of (batch, T) arrays for the whole run: each batch's target
         # rows and the loss's scratch; the loss's first array is free again
         # once it returns, so the softmax backward step reuses it
@@ -208,8 +208,8 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
         target_rows = np.empty(shape)
         wm_work = tuple(np.empty(shape) for _ in range(3))
         backward_work = wm_work[0]
-    if rank_kind is not None:
-        train_bins = train.binned_times().astype(np.float64)
+    else:
+        train_bins = train.binned_times()
 
     history = {"train_loss": [], "val_c_index": []}
     best_c = -np.inf
@@ -224,12 +224,12 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
             idx = perm[start : start + run.batch_size]
             if len(idx) < 2:  # batch norm cannot standardize a single row
                 continue
-            if tie_method is not None:
-                sub = train.subset(idx)
-                if not sub.observed.any():
-                    continue
-            elif rank_kind is not None:
-                bi, bj = _enumerate_pairs(train_bins[idx], train.observed[idx])
+            if run.loss != "wm":
+                batch_bins, batch_observed = train_bins[idx], train.observed[idx]
+            if tie_method is not None and not batch_observed.any():
+                continue
+            if rank_kind is not None:
+                bi, bj = _enumerate_pairs(batch_bins, batch_observed)
                 if len(bi) == 0:
                     continue
                 batch_pairs = AcceptablePairSet(i=bi, j=bj, num_records=len(idx))
@@ -237,8 +237,10 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
             if not np.all(np.isfinite(out)):
                 raise TrainingDivergedError("non-finite network outputs", epoch=epoch)
             if tie_method is not None:
-                value, grad_out = cox_nll_with_grad(out, sub, tie_method)
-                events = int(sub.observed.sum())
+                value, grad_out = cox_nll_with_grad(
+                    out, batch_bins, batch_observed, tie_method
+                )
+                events = int(batch_observed.sum())
                 # per-event scaling keeps the learning-rate grid comparable
                 # across batch compositions; the optimum is unchanged
                 value /= events

@@ -7,25 +7,18 @@ network can backpropagate without an autodiff engine.  Risk sets and
 ranking ties follow grid-binned times: records sharing a bin are tied.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Dataset, TimeGrid, _scratch_rows
+from .core import Dataset, _scratch_rows
 from .metrics import AcceptablePairSet
 
 __all__ = [
     "PHI_KINDS",
     "phi",
     "phi_prime",
-    "cox_nll",
     "cox_nll_with_grad",
-    "ranking_loss",
     "ranking_loss_with_grad",
-    "GroundWeights",
     "bin_weights",
-    "PredictedDistribution",
-    "wm_loss",
     "wm_batch_with_grad",
 ]
 
@@ -89,24 +82,27 @@ def phi_prime(kind, z, hinge_clip=1.0):
 # Cox partial likelihood
 
 
-def _cox_groups(dataset: Dataset):
-    """Grid bins and observed flags of `dataset`; raises without an event."""
-    bins = dataset.binned_times()
-    observed = dataset.observed
-    if not np.any(observed):
-        raise ValueError("Cox partial likelihood needs at least one observed event")
-    return bins, observed
+def cox_nll_with_grad(scores, bins, observed, tie_method="breslow"):
+    """Negative Cox partial log-likelihood of `scores` (f = exp(score)) and
+    its gradient with respect to the scores.
 
-
-def _cox_core(scores, dataset, tie_method, want_grad):
+    `bins` holds each record's grid bin and `observed` its event flag.
+    Risk sets are taken over the bins, so records in one bin are tied;
+    "breslow" evaluates the plain formula on ties, "efron" applies the
+    averaged tie correction.  The value is a sum over observed events and
+    is invariant to adding a constant to all scores.
+    """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if len(scores) != len(dataset):
-        raise ValueError("one score per record is required")
+    bins = np.asarray(bins).reshape(-1)
+    observed = np.asarray(observed, dtype=bool).reshape(-1)
+    if not (len(scores) == len(bins) == len(observed)):
+        raise ValueError("one score, bin and observed flag per record is required")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     if tie_method not in ("breslow", "efron"):
         raise ValueError(f"tie_method must be 'breslow' or 'efron', got {tie_method!r}")
-    bins, observed = _cox_groups(dataset)
+    if not np.any(observed):
+        raise ValueError("Cox partial likelihood needs at least one observed event")
 
     shift = scores.max()
     w = np.exp(scores - shift)  # shift cancels in every log-ratio below
@@ -121,8 +117,7 @@ def _cox_core(scores, dataset, tie_method, want_grad):
 
     event_bins = np.unique(bins[observed])
     loglik = float(np.sum(scores[observed] - shift))
-    grad_factor = np.zeros(len(scores)) if want_grad else None  # sum of 1/denominator terms
-    tied_extra = np.zeros(len(scores)) if want_grad else None
+    tied_extra = np.zeros(len(scores))
 
     running = 0.0  # cumulative d_g/S_g (or Efron analogue) over event bins so far
     per_bin_running = {}
@@ -132,54 +127,29 @@ def _cox_core(scores, dataset, tie_method, want_grad):
         risk = risk_sum_at[int(b)]
         if tie_method == "breslow":
             loglik -= m * np.log(risk)
-            if want_grad:
-                running += m / risk
+            running += m / risk
         else:
             tied_sum = float(w[tied_idx].sum())
             ranks = np.arange(m) / m
             denoms = risk - ranks * tied_sum
             loglik -= float(np.log(denoms).sum())
-            if want_grad:
-                inv = 1.0 / denoms
-                running += float(inv.sum())
-                tied_extra[tied_idx] = float((ranks * inv).sum())
-        if want_grad:
-            per_bin_running[int(b)] = running
-
-    nll = -loglik
-    if not want_grad:
-        return nll, None
+            inv = 1.0 / denoms
+            running += float(inv.sum())
+            tied_extra[tied_idx] = float((ranks * inv).sum())
+        per_bin_running[int(b)] = running
 
     # grad of loglik: obs_k - w_k * (sum over event bins <= bin_k of inverse
     # denominators) + w_k * tied-correction (Efron only, own event bin).
+    keys = np.array(sorted(per_bin_running))
+    vals = np.array([per_bin_running[int(k)] for k in keys])
+    pos = np.searchsorted(keys, bins, side="right")
+    has_any = pos > 0
     cum_at_bin = np.zeros(len(scores))
-    if len(event_bins) > 0:
-        keys = np.array(sorted(per_bin_running))
-        vals = np.array([per_bin_running[int(k)] for k in keys])
-        pos = np.searchsorted(keys, bins, side="right")
-        has_any = pos > 0
-        cum_at_bin[has_any] = vals[pos[has_any] - 1]
+    cum_at_bin[has_any] = vals[pos[has_any] - 1]
     grad_loglik = observed.astype(np.float64) - w * cum_at_bin
     if tie_method == "efron":
         grad_loglik += w * tied_extra
-    return nll, -grad_loglik
-
-
-def cox_nll(scores, dataset: Dataset, tie_method="breslow"):
-    """Negative Cox partial log-likelihood of `scores` (f = exp(score)).
-
-    Risk sets are taken over grid-binned times, so records in one bin are
-    tied; "breslow" evaluates the plain formula on ties, "efron" applies
-    the averaged tie correction.  The value is a sum over observed events
-    and is invariant to adding a constant to all scores.
-    """
-    value, _ = _cox_core(scores, dataset, tie_method, want_grad=False)
-    return value
-
-
-def cox_nll_with_grad(scores, dataset: Dataset, tie_method="breslow"):
-    """(value, d value/d scores) of `cox_nll`."""
-    return _cox_core(scores, dataset, tie_method, want_grad=True)
+    return -loglik, -grad_loglik
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +164,15 @@ def _pair_margins(scores, pairs, sign):
     raise ValueError(f"rank sign must be 'concordant' or 'literal', got {sign!r}")
 
 
-def ranking_loss(scores, pairs: AcceptablePairSet, kind, sign="concordant", hinge_clip=1.0):
-    """Negated mean surrogate over acceptable pairs.
+def ranking_loss_with_grad(scores, pairs: AcceptablePairSet, kind, sign="concordant",
+                           hinge_clip=1.0):
+    """Negated mean surrogate over acceptable pairs and its gradient with
+    respect to the scores.
 
-    Returns -(1/|A|) sum phi(score(j) - score(i)); with sign="literal" the
-    margin is score(i) - score(j) instead, which anti-ranks and exists only
-    for comparison.
+    The value is -(1/|A|) sum phi(score(j) - score(i)); with sign="literal"
+    the margin is score(i) - score(j) instead, which anti-ranks and exists
+    only for comparison.
     """
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if len(pairs) == 0:
-        raise ValueError("ranking loss is undefined on an empty pair set")
-    z, _ = _pair_margins(scores, pairs, sign)
-    return float(-np.mean(phi(kind, z, hinge_clip)))
-
-
-def ranking_loss_with_grad(scores, pairs, kind, sign="concordant", hinge_clip=1.0):
-    """(value, d value/d scores) of `ranking_loss`."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if len(pairs) == 0:
         raise ValueError("ranking loss is undefined on an empty pair set")
@@ -226,84 +189,26 @@ def ranking_loss_with_grad(scores, pairs, kind, sign="concordant", hinge_clip=1.
 # CDF-matching (discrete Wasserstein) loss
 
 
-@dataclass(frozen=True)
-class GroundWeights:
-    """Per-bin weights of the CDF-difference norm: smoothed, normalized
-    training-fold event counts (the transport ground distance)."""
-
-    weights: np.ndarray
-    smoothing: float
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.weights, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise ValueError("ground weights must sum to 1")
-        if np.any(arr < 0):
-            raise ValueError("ground weights must be non-negative")
-
-    @classmethod
-    def uniform(cls, num_bins):
-        """Plain 1/T weighting (the smoothing -> infinity limit)."""
-        return cls(weights=np.full(num_bins, 1.0 / num_bins), smoothing=np.inf)
-
-
-def bin_weights(train: Dataset, smoothing) -> GroundWeights:
-    """Observed-event counts per bin plus `smoothing`, normalized to sum 1."""
+def bin_weights(train: Dataset, smoothing):
+    """Per-bin weights of the CDF-difference norm (the transport ground
+    distance): observed-event counts per bin of the training fold plus
+    `smoothing`, normalized to sum 1, shape (num_bins,)."""
     if not (smoothing > 0):
         raise ValueError(f"smoothing must be positive, got {smoothing}")
     counts = np.bincount(
         train.binned_times()[train.observed], minlength=train.grid.num_bins
     ).astype(np.float64)
     counts += smoothing
-    return GroundWeights(weights=counts / counts.sum(), smoothing=float(smoothing))
-
-
-@dataclass(frozen=True)
-class PredictedDistribution:
-    """Softmax output (pmf) and its running sum (cdf) for one record."""
-
-    pmf: np.ndarray
-    cdf: np.ndarray
-
-    def __post_init__(self):
-        pmf = np.ascontiguousarray(self.pmf, dtype=np.float64)
-        cdf = np.ascontiguousarray(self.cdf, dtype=np.float64)
-        if pmf.shape != cdf.shape:
-            raise ValueError("pmf and cdf must have equal length")
-        if np.any(pmf < 0) or abs(float(pmf.sum()) - 1.0) > 1e-6:
-            raise ValueError("pmf entries must be >= 0 and sum to 1")
-        if np.any(np.diff(cdf) < -1e-12) or abs(float(cdf[-1]) - 1.0) > 1e-6:
-            raise ValueError("cdf must be non-decreasing with final entry 1")
-        pmf.flags.writeable = False
-        cdf.flags.writeable = False
-        object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "cdf", cdf)
-
-    @classmethod
-    def from_pmf(cls, pmf):
-        pmf = np.asarray(pmf, dtype=np.float64)
-        return cls(pmf=pmf, cdf=np.cumsum(pmf))
-
-
-def wm_loss(pred: PredictedDistribution, target, weights: GroundWeights, l=1.5):
-    """Weighted l-th power CDF mismatch: sum_t w[t] * |pred_cdf - target_cdf|^l.
-
-    With uniform weights this is the plain (1/T) * sum |diff|^l objective.
-    Symmetric, non-negative, zero iff the CDFs agree on every positively
-    weighted bin.
-    """
-    if l < 1:
-        raise ValueError(f"the exponent l must be >= 1, got {l}")
-    target_cdf = target.cdf if hasattr(target, "cdf") else np.asarray(target, np.float64)
-    if not (len(pred.cdf) == len(target_cdf) == len(weights.weights)):
-        raise ValueError("pred, target and weights must share one grid length")
-    return float(np.sum(weights.weights * np.abs(pred.cdf - target_cdf) ** l))
+    return counts / counts.sum()
 
 
 def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     """Mean CDF-matching loss of a batch and its gradient w.r.t. the pmfs.
+
+    Per record the loss is the weighted l-th power CDF mismatch
+    sum_t w[t] * |cdf_t - target_t|^l, where cdf is the running sum of the
+    pmf: symmetric, non-negative, and zero iff the CDFs agree on every
+    positively weighted bin.
 
     pmf: (batch, T) rows from the softmax head; target_cdf: (batch, T);
     weights: (T,).  Returns (value, gradient of the same shape as pmf).

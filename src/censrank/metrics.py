@@ -9,8 +9,10 @@ conversion (e.g. negating Cox risk) happens at the caller.
 
 `c_index` counts the pairs exactly in O(n log n) time and O(n) memory,
 without listing them (the sorted-tree count of Harrell et al., 1982).
-`acceptable_pairs` lists them explicitly, for the pairwise ranking losses
-and as the reference the count is checked against.
+`acceptable_pairs` lists them and `c_index_from_pairs` scores that list;
+no training or evaluation path calls them, they are the reference the
+count is checked against.  Training batches list their pairs with
+`_enumerate_pairs`.
 """
 
 from dataclasses import dataclass

@@ -55,8 +55,8 @@ class NetworkConfig:
             raise ValueError("the scalar head has exactly one output")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.l2_coefficient < 0:
-            raise ValueError("l2_coefficient must be >= 0")
+        if not (self.l2_coefficient >= 0):  # also rejects NaN
+            raise ValueError(f"l2_coefficient must be >= 0, got {self.l2_coefficient}")
 
 
 def _he_uniform(rng, fan_in, fan_out):
@@ -281,26 +281,46 @@ def save_checkpoint(network: Network, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a Network."""
+    """Read a checkpoint back into a Network.
+
+    The header must list exactly the arrays that a Network of its config
+    holds, each with that array's shape, and the file must end with the
+    last of them; anything else raises ValueError.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a censrank checkpoint")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError(f"{path}: the file ends inside the header")
+        version, header_len = struct.unpack("<II", prefix)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        if not isinstance(header, dict) or not {"config", "arrays"} <= header.keys():
+            raise ValueError(f"{path}: the header needs 'config' and 'arrays'")
         cfg = dict(header["config"])
         cfg["hidden_dims"] = tuple(cfg["hidden_dims"])
         network = Network(NetworkConfig(**cfg))
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
-            if entry["name"] in network.params:
-                network.params[entry["name"]] = data
-            elif entry["name"] in network.running:
-                network.running[entry["name"]] = data
-            else:
-                raise ValueError(f"unknown array {entry['name']!r} in checkpoint")
+        expected = {**network.params, **network.running}
+        try:
+            layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: every header array needs a 'name' and a 'shape'") from None
+        names = sorted(name for name, _ in layout)
+        if names != sorted(expected):
+            raise ValueError(f"{path}: holds arrays {names}, the config implies {sorted(expected)}")
+        for name, shape in layout:
+            want = expected[name]
+            if shape != want.shape:
+                raise ValueError(
+                    f"{path}: array {name!r} has shape {shape}, the config implies {want.shape}"
+                )
+            raw = fh.read(want.size * 8)
+            if len(raw) != want.size * 8:
+                raise ValueError(f"{path}: the file ends inside array {name!r}")
+            data = np.frombuffer(raw, dtype="<f8").reshape(want.shape).copy()
+            (network.params if name in network.params else network.running)[name] = data
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
     return network

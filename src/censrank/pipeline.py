@@ -49,7 +49,6 @@ __all__ = [
     "save_schema",
     "load_csv",
     "preprocess",
-    "table_to_dataset",
     "kfold_split",
     "generate_synthetic",
     "oracle_scores",
@@ -108,13 +107,18 @@ class DatasetSchema:
 
 
 def load_schema(path) -> DatasetSchema:
+    """Read a schema file; raises ValueError naming a missing or malformed key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
+        raise ValueError(f"{path}: 'columns' must be an object of column declarations")
     default_missing = tuple(doc.get("missing", [""]))
     columns = []
     for name, decl in doc["columns"].items():
         if isinstance(decl, str):
             decl = {"kind": decl}
+        if not isinstance(decl, dict) or "kind" not in decl:
+            raise ValueError(f"{path}: column {name!r} has no 'kind'")
         columns.append(
             ColumnSpec(
                 name=name,
@@ -381,14 +385,6 @@ def preprocess(table: RawTable, stats: PreprocessStats = None, rows=None) -> Pre
         feature_names=tuple(names),
         stats=stats,
     )
-
-
-def table_to_dataset(table: RawTable, bin_width, rows=None, stats=None):
-    """(Dataset, PreprocessResult) for `rows`; the grid spans the whole
-    table's time range so fold subsets share one binning."""
-    result = preprocess(table, stats=stats, rows=rows)
-    grid = build_time_grid(table.times, bin_width)
-    return Dataset(result.features, result.times, result.observed, grid), result
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from conftest import cli_launch
 from censrank import pipeline
 from censrank.cli import load_grid, main
+from censrank.core import Dataset, build_time_grid
 from censrank.estimators import kaplan_meier
 
 # knobs that keep every training command in this file under a second
@@ -77,8 +78,8 @@ class TestKm:
 
         schema = pipeline.load_schema(toy["schema"])
         table = pipeline.load_csv(toy["csv"], schema)
-        dataset, _ = pipeline.table_to_dataset(table, 5.0)
-        km = kaplan_meier(dataset)
+        grid = build_time_grid(table.times, 5.0)
+        km = kaplan_meier(Dataset(np.empty((len(table), 0)), table.times, table.observed, grid))
 
         lines = out.read_text().splitlines()
         assert lines[0] == "bin,left_edge,events,at_risk,survival"
@@ -95,6 +96,27 @@ class TestKm:
         survival = [b["survival"] for b in doc["bins"]]
         assert all(0.0 <= s <= 1.0 for s in survival)
         assert survival == sorted(survival, reverse=True)
+
+
+    def test_reads_only_times_and_events(self, capsys, tmp_path):
+        # an unparseable feature cell cannot matter to Kaplan-Meier
+        schema = tmp_path / "km.schema.json"
+        schema.write_text(json.dumps(
+            {"columns": {"time": "time", "event": "event_indicator", "age": "continuous"}}
+        ))
+        curves = []
+        for age in ("bad", "40"):
+            table = tmp_path / f"km-{age}.csv"
+            table.write_text(f"time,event,age\n1,1,{age}\n3,0,50\n4,1,60\n")
+            out = tmp_path / f"km-{age}.out.csv"
+            code, _, err = run_cli(capsys, [
+                "km", "--dataset", str(table), "--schema", str(schema),
+                "--bin-width", "1", "--out", str(out),
+            ])
+            assert code == 0, err
+            curves.append(out.read_bytes())
+        assert curves[0] == curves[1]
+        assert curves[0].count(b"\n") == 1 + 5
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +370,20 @@ class TestErrorSurface:
         assert err["error"] == "CsvParseError"
         assert "time" in err["message"]
 
+    @pytest.mark.parametrize("columns, named", [
+        (["time", "event"], "columns"),
+        ({"time": "time", "event": "event_indicator", "age": {"missing": ["NA"]}}, "age"),
+    ])
+    def test_malformed_schema_is_reported_by_name(self, capsys, toy, tmp_path,
+                                                  columns, named):
+        schema = tmp_path / "broken.schema.json"
+        schema.write_text(json.dumps({"columns": columns}))
+        code, _, err = run_cli(capsys, [
+            "km", "--dataset", toy["csv"], "--schema", str(schema), "--bin-width", "5",
+        ])
+        assert code == 2
+        assert err["error"] == "ValueError" and named in err["message"]
+
 
 class TestGridFiles:
     def test_dict_form_is_a_cross_product_in_listed_order(self, tmp_path):
@@ -359,6 +395,35 @@ class TestGridFiles:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps([[0.01, 0.0001], [0.001, 0.0]]))
         assert load_grid(path) == [(0.01, 0.0001), (0.001, 0.0)]
+
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"learning_rate": [0.01]}, "l2"),
+        ({"l2": [0.0]}, "learning_rate"),
+        ({"learning_rate": [0.01], "l2": 0.001}, "l2"),
+    ])
+    def test_missing_key_is_named(self, capsys, toy, tmp_path, doc, key):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{key}' is missing or not a list"):
+            load_grid(path)
+        code, _, err = run_cli(capsys, [
+            "cv", *data_args(toy), "--loss", "cox", "--bin-width", "5",
+            "--grid", str(path), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+        assert err["error"] == "ValueError" and repr(key) in err["message"]
+
+    @pytest.mark.parametrize("text", [
+        "[[0.01, NaN]]",
+        "[[Infinity, 0.0]]",
+        '{"learning_rate": [0.01], "l2": [0.0, NaN]}',
+    ])
+    def test_non_finite_value_is_named(self, tmp_path, text):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not finite"):
+            load_grid(path)
 
 
 def test_installed_entry_point_runs(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from censrank.core import Dataset, SurvivalRecord, TimeGrid, bin_index, build_time_grid
+from censrank.core import Dataset, TimeGrid, build_time_grid
 
 
 class TestBuildTimeGrid:
@@ -46,6 +46,10 @@ class TestBuildTimeGrid:
         assert np.array_equal(grid.left_edges(), [0.0, 2.0, 4.0])
 
 
+def bin_index(grid, time):
+    return int(grid.bin_indices([time])[0])
+
+
 class TestBinIndex:
     def test_floor_semantics(self):
         grid = TimeGrid(bin_width=1.0, num_bins=4)
@@ -68,29 +72,14 @@ class TestBinIndex:
         grid = TimeGrid(bin_width=0.7, num_bins=30)
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0.0, 40.0, size=200))
-        idx = [bin_index(grid, t) for t in times]
-        assert all(a <= b for a, b in zip(idx, idx[1:]))
+        idx = grid.bin_indices(times)
+        assert np.all(np.diff(idx) >= 0)
+        assert np.array_equal(idx, [bin_index(grid, t) for t in times])
 
     def test_unclamped_lookup_rejects_overflow(self):
         grid = TimeGrid(bin_width=1.0, num_bins=4)
         with pytest.raises(ValueError):
             grid.bin_indices([9.0], clamp=False)
-
-
-class TestSurvivalRecord:
-    def test_basic(self):
-        rec = SurvivalRecord(np.asarray([1.0, 2.0]), 3.5, True)
-        assert rec.time == 3.5 and rec.observed is True
-
-    def test_rejects_bad_time(self):
-        for time in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                SurvivalRecord(np.asarray([1.0]), time, True)
-
-    def test_features_frozen(self):
-        rec = SurvivalRecord(np.asarray([1.0, 2.0]), 1.0, False)
-        with pytest.raises(ValueError):
-            rec.features[0] = 9.0
 
 
 class TestDataset:
@@ -131,12 +120,11 @@ class TestDataset:
         assert np.array_equal(sub.times, [4.0, 0.5])
         assert np.array_equal(sub.observed, [True, True])
 
-    def test_from_records_round_trip(self):
-        data = self._small()
-        rebuilt = Dataset.from_records(data.records, data.grid)
-        assert np.array_equal(rebuilt.features, data.features)
-        assert np.array_equal(rebuilt.times, data.times)
-        assert np.array_equal(rebuilt.observed, data.observed)
+    def test_rejects_bad_time(self):
+        grid = TimeGrid(bin_width=1.0, num_bins=5)
+        for time in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Dataset(np.zeros((2, 1)), [1.0, time], [True, True], grid)
 
     def test_mismatched_lengths_rejected(self):
         grid = TimeGrid(bin_width=1.0, num_bins=5)
@@ -149,4 +137,4 @@ class TestDataset:
         data = self._small()
         assert data.fits_grid
         tight = TimeGrid(bin_width=1.0, num_bins=2)
-        assert not data.with_grid(tight).fits_grid
+        assert not Dataset(data.features, data.times, data.observed, tight).fits_grid

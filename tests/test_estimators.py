@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_km, make_dataset, random_survival_dataset
-from censrank.core import Dataset, SurvivalRecord, build_time_grid
-from censrank.estimators import impute_target_cdf, kaplan_meier, target_cdf_matrix
+from censrank.core import Dataset, build_time_grid
+from censrank.estimators import kaplan_meier, target_cdf_matrix
 
 
 class TestKaplanMeier:
@@ -99,35 +99,35 @@ def _three_bin_km():
     return kaplan_meier(make_dataset([0.0, 1.0, 2.0], [True, True, True]))
 
 
+def _target_row(data, i, km, mode="conditional"):
+    """Record i's target CDF, built on its own."""
+    return target_cdf_matrix(data, km, mode=mode, rows=[i])[0]
+
+
+def _record_target(km, time, observed, mode="conditional"):
+    record = Dataset(np.zeros((1, 1)), [time], [observed], km.grid)
+    return _target_row(record, 0, km, mode)
+
+
 class TestImputeTargetCdf:
     def test_observed_record_is_dirac_step(self):
         km = _three_bin_km()
-        target = impute_target_cdf(SurvivalRecord(np.zeros(1), 1.0, True), km)
-        assert np.array_equal(target.cdf, [0.0, 1.0, 1.0])
-        assert target.is_imputed is False
+        assert np.array_equal(_record_target(km, 1.0, True), [0.0, 1.0, 1.0])
 
     def test_conditional_imputation(self):
         km = _three_bin_km()
-        target = impute_target_cdf(
-            SurvivalRecord(np.zeros(1), 0.5, False), km, mode="conditional"
-        )
-        assert target.is_imputed is True
-        assert np.allclose(target.cdf, [0.0, 0.5, 1.0], atol=1e-15)
+        target = _record_target(km, 0.5, False, mode="conditional")
+        assert np.allclose(target, [0.0, 0.5, 1.0], atol=1e-15)
 
     def test_global_imputation(self):
         km = _three_bin_km()
-        target = impute_target_cdf(
-            SurvivalRecord(np.zeros(1), 0.5, False), km, mode="global"
-        )
-        assert np.allclose(target.cdf, [0.0, 2.0 / 3.0, 1.0], atol=1e-15)
+        target = _record_target(km, 0.5, False, mode="global")
+        assert np.allclose(target, [0.0, 2.0 / 3.0, 1.0], atol=1e-15)
 
     def test_censored_in_last_bin_gets_no_mass(self):
         km = _three_bin_km()
         for mode in ("conditional", "global"):
-            target = impute_target_cdf(
-                SurvivalRecord(np.zeros(1), 2.0, False), km, mode=mode
-            )
-            assert np.array_equal(target.cdf, np.zeros(3))
+            assert np.array_equal(_record_target(km, 2.0, False, mode=mode), np.zeros(3))
 
     def test_zero_mass_at_or_before_censoring_bin(self):
         rng = np.random.default_rng(13)
@@ -136,11 +136,11 @@ class TestImputeTargetCdf:
             data = make_dataset(times, observed)
             km = kaplan_meier(data)
             bins = data.binned_times()
-            for rec, k in zip(data.records, bins):
-                if rec.observed:
+            for i, k in enumerate(bins):
+                if data.observed[i]:
                     continue
                 for mode in ("conditional", "global"):
-                    cdf = impute_target_cdf(rec, km, mode=mode).cdf
+                    cdf = _target_row(data, i, km, mode=mode)
                     assert np.all(cdf[: k + 1] == 0.0)
 
     def test_every_target_is_a_valid_cdf(self):
@@ -150,11 +150,11 @@ class TestImputeTargetCdf:
             data = make_dataset(times, observed)
             km = kaplan_meier(data)
             for mode in ("conditional", "global"):
-                for rec in data.records:
-                    cdf = impute_target_cdf(rec, km, mode=mode).cdf
+                for i in range(len(data)):
+                    cdf = _target_row(data, i, km, mode=mode)
                     assert np.all(np.diff(cdf) >= 0.0)
                     assert np.all(cdf >= 0.0) and np.all(cdf <= 1.0)
-                    if rec.observed:
+                    if data.observed[i]:
                         assert cdf[-1] == 1.0
 
     def test_conditional_final_value_follows_renormalization(self):
@@ -165,10 +165,10 @@ class TestImputeTargetCdf:
             data = make_dataset(times, observed)
             km = kaplan_meier(data)
             bins = data.binned_times()
-            for rec, k in zip(data.records, bins):
-                if rec.observed or k + 1 >= km.grid.num_bins:
+            for i, k in enumerate(bins):
+                if data.observed[i] or k + 1 >= km.grid.num_bins:
                     continue
-                cdf = impute_target_cdf(rec, km, mode="conditional").cdf
+                cdf = _target_row(data, i, km, mode="conditional")
                 s_k = km.survival[k]
                 s_end = km.survival[-1]
                 expected = 1.0 if s_k <= 0.0 else 1.0 - s_end / s_k
@@ -183,8 +183,8 @@ class TestImputeTargetCdf:
         for mode in ("conditional", "global"):
             matrix = target_cdf_matrix(data, km, mode=mode)
             assert matrix.shape == (len(data), data.grid.num_bins)
-            for row, rec in zip(matrix, data.records):
-                assert np.array_equal(row, impute_target_cdf(rec, km, mode=mode).cdf)
+            for i, row in enumerate(matrix):
+                assert np.array_equal(row, _target_row(data, i, km, mode=mode))
 
 
 def _literal_target_row(k, observed, survival, mode):
@@ -225,7 +225,6 @@ class TestTargetRows:
         for data, km in _target_cases():
             num_bins = km.grid.num_bins
             bins = km.grid.bin_indices(data.times, clamp=False)
-            records = data.records
             order = np.random.default_rng(len(data)).permutation(len(data))
             for mode in ("conditional", "global"):
                 full = target_cdf_matrix(data, km, mode=mode)
@@ -241,7 +240,7 @@ class TestTargetRows:
                         k, obs = int(bins[i]), bool(data.observed[i])
                         literal = _literal_target_row(k, obs, km.survival, mode)
                         assert np.array_equal(row, literal)
-                        assert np.array_equal(row, impute_target_cdf(records[i], km, mode).cdf)
+                        assert np.array_equal(row, _target_row(data, i, km, mode))
                         if not obs:
                             hit_last_bin |= k == num_bins - 1
                             hit_zero_curve |= k + 1 < num_bins and km.survival[k] == 0.0

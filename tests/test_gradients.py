@@ -9,9 +9,7 @@ import numpy as np
 from conftest import make_dataset, max_relative_error
 from censrank.losses import (
     bin_weights,
-    cox_nll,
     cox_nll_with_grad,
-    ranking_loss,
     ranking_loss_with_grad,
     wm_batch_with_grad,
 )
@@ -53,25 +51,21 @@ def _context(rng):
 def _wm_targets(data):
     km = kaplan_meier(data)
     targets = target_cdf_matrix(data, km, mode="conditional")
-    weights = bin_weights(data, smoothing=1.0).weights
+    weights = bin_weights(data, smoothing=1.0)
     return targets, weights
 
 
 def _loss_and_outgrad(name, outputs, data, pairs, targets, weights):
     if name in ("cox", "cox-efron"):
         ties = "breslow" if name == "cox" else "efron"
-        return cox_nll_with_grad(outputs, data, ties)
+        return cox_nll_with_grad(outputs, data.binned_times(), data.observed, ties)
     if name in _RANK_KIND:
         return ranking_loss_with_grad(outputs, pairs, _RANK_KIND[name])
     return wm_batch_with_grad(outputs, targets, weights)
 
 
 def _loss_value(name, outputs, data, pairs, targets, weights):
-    if name in ("cox", "cox-efron"):
-        return cox_nll(outputs, data, "breslow" if name == "cox" else "efron")
-    if name in _RANK_KIND:
-        return ranking_loss(outputs, pairs, _RANK_KIND[name])
-    return wm_batch_with_grad(outputs, targets, weights)[0]
+    return _loss_and_outgrad(name, outputs, data, pairs, targets, weights)[0]
 
 
 def _build_network(name, data, seed):
@@ -226,7 +220,7 @@ class TestFullNetworkGradients:
                 for nm in net.params
                 if nm.startswith("W")
             )
-            return ranking_loss(out, pairs, "sigmoid") + l2 * penalty
+            return ranking_loss_with_grad(out, pairs, "sigmoid")[0] + l2 * penalty
 
         numeric = _numeric_param_grads(net, f)
         worst = max(

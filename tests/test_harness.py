@@ -118,6 +118,10 @@ class TestTrainRunValidation:
         with pytest.raises(ValueError, match="l2"):
             TrainRun(loss="wm", l2=-1e-4)
 
+    def test_nan_l2(self):
+        with pytest.raises(ValueError, match="l2"):
+            TrainRun(loss="wm", l2=float("nan"))
+
     def test_bad_wm_score(self):
         with pytest.raises(ValueError, match="wm_score"):
             TrainRun(loss="wm", wm_score="mode")

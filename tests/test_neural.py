@@ -1,4 +1,7 @@
 import copy
+import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,6 +45,10 @@ class TestNetworkConfig:
     def test_rejects_negative_l2(self):
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=3, l2_coefficient=-1e-4)
+
+    def test_rejects_nan_l2(self):
+        with pytest.raises(ValueError, match="l2_coefficient"):
+            NetworkConfig(input_dim=3, l2_coefficient=float("nan"))
 
 
 class TestForward:
@@ -283,4 +290,78 @@ class TestCheckpoints:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+
+    def _write(self, path, config, arrays, tail=b""):
+        """A version-1 file written literally: magic, version, header length,
+        JSON header, then each array's float64 bytes."""
+        header = {"config": asdict(config),
+                  "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays]}
+        head = json.dumps(header).encode("utf-8")
+        body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
+        path.write_bytes(b"CENSRANK" + struct.pack("<II", 1, len(head)) + head + body + tail)
+
+    def _arrays(self, net):
+        return [*net.params.items(), *net.running.items()]
+
+    def test_literal_file_loads(self, tmp_path):
+        net = _small_net(seed=4)
+        net.running["var0"] = np.full(6, 2.5)
+        path = tmp_path / "model.ckpt"
+        self._write(path, net.config, self._arrays(net))
+        assert np.array_equal(load_checkpoint(str(path)).running["var0"], net.running["var0"])
+
+    def test_rejects_a_missing_array(self, tmp_path):
+        net = _small_net()
+        path = tmp_path / "model.ckpt"
+        self._write(path, net.config, [(n, a) for n, a in self._arrays(net) if n != "var0"])
+        with pytest.raises(ValueError, match="var0"):
+            load_checkpoint(str(path))
+
+    def test_rejects_an_unknown_or_repeated_array(self, tmp_path):
+        net = _small_net()
+        path = tmp_path / "model.ckpt"
+        for extra in (("extra", np.zeros(3)), ("b0", net.params["b0"])):
+            self._write(path, net.config, [*self._arrays(net), extra])
+            with pytest.raises(ValueError, match="config implies"):
+                load_checkpoint(str(path))
+
+    def test_rejects_a_shape_the_config_does_not_imply(self, tmp_path):
+        net = _small_net()
+        arrays = [(n, a[:-1] if n == "b1" else a) for n, a in self._arrays(net)]
+        path = tmp_path / "model.ckpt"
+        self._write(path, net.config, arrays)
+        with pytest.raises(ValueError, match="'b1' has shape"):
+            load_checkpoint(str(path))
+
+    def test_rejects_a_malformed_header(self, tmp_path):
+        net = _small_net()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, str(path))
+        whole = path.read_bytes()
+        (header_len,) = struct.unpack("<I", whole[12:16])
+        header = json.loads(whole[16 : 16 + header_len])
+        for broken in ({"config": header["config"]}, [header],
+                       {**header, "arrays": [{"name": "W0"}, *header["arrays"][1:]]}):
+            head = json.dumps(broken).encode("utf-8")
+            path.write_bytes(whole[:12] + struct.pack("<I", len(head)) + head
+                             + whole[16 + header_len :])
+            with pytest.raises(ValueError):
+                load_checkpoint(str(path))
+
+    def test_rejects_truncated_files(self, tmp_path):
+        net = _small_net()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, str(path))
+        whole = path.read_bytes()
+        for cut in (len(whole) - 1, len(whole) - 8 * 5 - 3, 12, 30):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError):
+                load_checkpoint(str(path))
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        net = _small_net()
+        path = tmp_path / "model.ckpt"
+        self._write(path, net.config, self._arrays(net), tail=b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(str(path))

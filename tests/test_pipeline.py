@@ -21,7 +21,6 @@ from censrank.pipeline import (
     save_csv,
     save_schema,
     schema_for_features,
-    table_to_dataset,
 )
 
 
@@ -79,6 +78,19 @@ class TestSchema:
         save_schema(schema, str(path))
         loaded = load_schema(str(path))
         assert loaded == schema
+
+    def test_columns_must_be_an_object(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"columns": ["days", "dead"]}))
+        with pytest.raises(ValueError, match="'columns'"):
+            load_schema(str(path))
+
+    def test_column_without_kind_is_named(self, tmp_path):
+        path = tmp_path / "schema.json"
+        columns = {"days": "time", "dead": "event_indicator", "age": {"missing": ["NA"]}}
+        path.write_text(json.dumps({"columns": columns}))
+        with pytest.raises(ValueError, match="column 'age' has no 'kind'"):
+            load_schema(str(path))
 
     def test_json_shape_is_documented_format(self, tmp_path):
         path = tmp_path / "schema.json"
@@ -225,12 +237,16 @@ class TestPreprocess:
         with pytest.raises(CsvParseError, match="age"):
             preprocess(table)
 
-    def test_table_to_dataset_bins_all_times(self, tmp_path):
+    def test_fold_datasets_bin_all_times(self, tmp_path):
+        # every fold shares one grid over the whole table's time range
         table = self._table(tmp_path, "1,a,10,1\n2,b,25,0\n")
-        dataset, result = table_to_dataset(table, bin_width=10.0)
-        assert dataset.grid.num_bins == 3
-        assert np.array_equal(dataset.binned_times(), [1, 2])
-        assert dataset.features.shape == (2, len(result.feature_names))
+        fits = []
+        [(train, val, test)] = _fold_datasets(table, [([0], [1], [1])], 10.0, fits)
+        assert train.grid is val.grid is test.grid
+        assert train.grid.num_bins == 3
+        assert np.array_equal(train.binned_times(), [1])
+        assert np.array_equal(test.binned_times(), [2])
+        assert train.features.shape == (1, len(fits[0].feature_names))
 
 
 # The per-cell parse and per-row one-hot that preprocess used before columns
