@@ -14,11 +14,18 @@ each side won (direction from BENCHMARK.json; ties count for neither), the
 median gain and the base side's interquartile range.  With --trace 1 every
 run is a traced run, and the metrics compared are BENCHMARK.json's per-layer
 ones, so a per-layer difference rests on several pairs rather than one.
+
+A run whose result lacks a metric BENCHMARK.json declares for the mode, or
+holds a value that is not a finite number (NaN or Infinity included), stops
+the comparison with a nonzero exit that names the metric, side, pair and
+seed: a metric that silently drops out of a run is a broken benchmark, not
+a tie.
 """
 
 import argparse
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -38,7 +45,7 @@ def export(rev, dest):
 
 
 def run_once(root, workload, seed, seconds, trace):
-    """The result object that `perfbench/run.py` prints last, run in `root`."""
+    """The last line `perfbench/run.py` prints, run in `root`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -46,7 +53,31 @@ def run_once(root, workload, seed, seconds, trace):
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: run.py exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class NonFinite(str):
+    """A NaN or Infinity literal of a result line, kept as its text so that
+    it is never taken for a number and the metric holding it is named."""
+
+
+def parse_run(line, names, where):
+    """The result object in `line`, or exit naming the first of `names`
+    that it lacks or whose value is not a finite number; `where` names the run."""
+    try:
+        run = json.loads(line, parse_constant=NonFinite)
+    except ValueError as err:
+        sys.exit(f"{where}: the result line is not JSON ({err}): {line[:200]}")
+    metrics = run.get("metrics") if isinstance(run, dict) else None
+    if not isinstance(metrics, dict):
+        sys.exit(f"{where}: the result has no metrics object: {line[:200]}")
+    for name in names:
+        if not isinstance(metrics.get(name), dict) or "value" not in metrics[name]:
+            sys.exit(f"{where}: metric {name} is absent")
+        value = metrics[name]["value"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            sys.exit(f"{where}: metric {name} is not a finite number: {value!r}")
+    return run
 
 
 def quartiles(values):
@@ -67,9 +98,6 @@ def summarize(records, better):
         attempted = sum(p[side]["attempted"] for p in complete)
         print(f"{side}: fail_rate {failed}/{attempted}")
     for name, direction in better.items():
-        # a metric absent from any run (a traced function that is gone) is skipped
-        if not complete or any(name not in p[side]["metrics"] for p in complete for side in SIDES):
-            continue
         values = {side: [p[side]["metrics"][name]["value"] for p in complete] for side in SIDES}
         sign = 1.0 if direction == "higher" else -1.0
         wins = {side: 0 for side in SIDES}
@@ -113,7 +141,8 @@ def main(argv=None):
                 seed = args.seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = run_once(roots[side], args.workload, seed, args.seconds, args.trace)
+                    line = run_once(roots[side], args.workload, seed, args.seconds, args.trace)
+                    run = parse_run(line, better, f"{side} pair {i} seed {seed}")
                     rec = {"workload": args.workload, "pair": i, "side": side,
                            "seed": seed, "trace": args.trace, "run": run}
                     records.append(rec)

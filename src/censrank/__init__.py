@@ -33,8 +33,7 @@ from .harness import (
 from .losses import (
     bin_weights,
     cox_nll_with_grad,
-    phi,
-    phi_prime,
+    phi_with_grad,
     ranking_loss_with_grad,
     wm_batch_with_grad,
 )

@@ -14,8 +14,7 @@ from .metrics import AcceptablePairSet
 
 __all__ = [
     "PHI_KINDS",
-    "phi",
-    "phi_prime",
+    "phi_with_grad",
     "cox_nll_with_grad",
     "ranking_loss_with_grad",
     "bin_weights",
@@ -25,56 +24,35 @@ __all__ = [
 PHI_KINDS = ("sigmoid", "log_sigmoid", "hinge", "exponential")
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _log_sigmoid(z):
-    # -softplus(-z), split for stability at both tails
-    out = np.where(z > 0, -np.log1p(np.exp(-np.abs(z))), z - np.log1p(np.exp(-np.abs(z))))
-    return out
-
-
-def phi(kind, z, hinge_clip=1.0):
-    """Pairwise concordance surrogate phi(z), elementwise.
+def phi_with_grad(kind, z, hinge_clip=1.0):
+    """Pairwise concordance surrogate phi(z) and d phi/dz, elementwise.
 
     kinds: "sigmoid" sigma(z); "log_sigmoid" log sigma(z); "hinge"
     max(0, z-1), optionally clipped at `hinge_clip` so the maximization
     target stays bounded (None disables); "exponential" 1 - exp(-z).
+    The derivative is the subgradient 0 at the hinge kinks.
     """
     z = np.asarray(z, dtype=np.float64)
-    if kind == "sigmoid":
-        return _sigmoid(z)
-    if kind == "log_sigmoid":
-        return _log_sigmoid(z)
+    if kind in ("sigmoid", "log_sigmoid"):
+        # stable at both tails through e = exp(-|z|): sigma(z) = 1/(1+e) for
+        # z > 0, else e/(1+e), and log sigma(z) = -log1p(e), else z - log1p(e)
+        e = np.exp(-np.abs(z))
+        pos = z > 0
+        if kind == "sigmoid":
+            s = np.where(pos, 1.0, e) / (1.0 + e)
+            return s, s * (1.0 - s)
+        lp = np.log1p(e)
+        return np.where(pos, -lp, z - lp), np.where(pos, e, 1.0) / (1.0 + e)
     if kind == "hinge":
         raw = np.maximum(0.0, z - 1.0)
-        return raw if hinge_clip is None else np.minimum(raw, hinge_clip)
-    if kind == "exponential":
-        return 1.0 - np.exp(-z)
-    raise ValueError(f"unknown phi kind {kind!r}; choose from {PHI_KINDS}")
-
-
-def phi_prime(kind, z, hinge_clip=1.0):
-    """d phi/dz, elementwise (subgradient 0 at hinge kinks)."""
-    z = np.asarray(z, dtype=np.float64)
-    if kind == "sigmoid":
-        s = _sigmoid(z)
-        return s * (1.0 - s)
-    if kind == "log_sigmoid":
-        return _sigmoid(-z)
-    if kind == "hinge":
         active = z > 1.0
         if hinge_clip is not None:
+            raw = np.minimum(raw, hinge_clip)
             active &= z - 1.0 < hinge_clip
-        return active.astype(np.float64)
+        return raw, active.astype(np.float64)
     if kind == "exponential":
-        return np.exp(-z)
+        e = np.exp(-z)
+        return 1.0 - e, e
     raise ValueError(f"unknown phi kind {kind!r}; choose from {PHI_KINDS}")
 
 
@@ -87,10 +65,13 @@ def cox_nll_with_grad(scores, bins, observed, tie_method="breslow"):
     its gradient with respect to the scores.
 
     `bins` holds each record's grid bin and `observed` its event flag.
-    Risk sets are taken over the bins, so records in one bin are tied;
-    "breslow" evaluates the plain formula on ties, "efron" applies the
-    averaged tie correction.  The value is a sum over observed events and
-    is invariant to adding a constant to all scores.
+    Risk sets are taken over the bins, so records in one bin are tied.
+    A bin with m events and tied event weight D contributes one
+    denominator per event, risk - (r/m) D: "efron" averages over the ties
+    with r = 0, ..., m-1, and "breslow" is the same formula with every r
+    set to 0.  Both run as one array pass whose only sort is the one that
+    groups the bins.  The value is a sum over observed events and is
+    invariant to adding a constant to all scores.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     bins = np.asarray(bins).reshape(-1)
@@ -107,48 +88,26 @@ def cox_nll_with_grad(scores, bins, observed, tie_method="breslow"):
     shift = scores.max()
     w = np.exp(scores - shift)  # shift cancels in every log-ratio below
 
-    order = np.argsort(bins, kind="stable")
-    sorted_bins = bins[order]
-    sorted_w = w[order]
-    # suffix_w[p] = sum of w over positions p.. in sorted order
-    suffix_w = np.concatenate((np.cumsum(sorted_w[::-1])[::-1], [0.0]))
-    unique_bins, first_pos = np.unique(sorted_bins, return_index=True)
-    risk_sum_at = {int(b): suffix_w[p] for b, p in zip(unique_bins, first_pos)}
-
-    event_bins = np.unique(bins[observed])
-    loglik = float(np.sum(scores[observed] - shift))
-    tied_extra = np.zeros(len(scores))
-
-    running = 0.0  # cumulative d_g/S_g (or Efron analogue) over event bins so far
-    per_bin_running = {}
-    for b in event_bins:
-        tied_idx = np.nonzero(observed & (bins == b))[0]
-        m = len(tied_idx)
-        risk = risk_sum_at[int(b)]
-        if tie_method == "breslow":
-            loglik -= m * np.log(risk)
-            running += m / risk
-        else:
-            tied_sum = float(w[tied_idx].sum())
-            ranks = np.arange(m) / m
-            denoms = risk - ranks * tied_sum
-            loglik -= float(np.log(denoms).sum())
-            inv = 1.0 / denoms
-            running += float(inv.sum())
-            tied_extra[tied_idx] = float((ranks * inv).sum())
-        per_bin_running[int(b)] = running
-
-    # grad of loglik: obs_k - w_k * (sum over event bins <= bin_k of inverse
-    # denominators) + w_k * tied-correction (Efron only, own event bin).
-    keys = np.array(sorted(per_bin_running))
-    vals = np.array([per_bin_running[int(k)] for k in keys])
-    pos = np.searchsorted(keys, bins, side="right")
-    has_any = pos > 0
-    cum_at_bin = np.zeros(len(scores))
-    cum_at_bin[has_any] = vals[pos[has_any] - 1]
-    grad_loglik = observed.astype(np.float64) - w * cum_at_bin
+    keys, slot = np.unique(bins, return_inverse=True)
+    num = len(keys)
+    risk = np.cumsum(np.bincount(slot, weights=w, minlength=num)[::-1])[::-1]
+    m = np.bincount(slot[observed], minlength=num)
+    tied_w = np.bincount(slot[observed], weights=w[observed], minlength=num)
+    # one entry per event, grouped by bin: its bin and its tie rank r/m
+    event_slot = np.repeat(np.arange(num), m)
     if tie_method == "efron":
-        grad_loglik += w * tied_extra
+        ranks = (np.arange(len(event_slot)) - np.repeat(np.cumsum(m) - m, m)) / m[event_slot]
+    else:
+        ranks = 0.0
+    denoms = risk[event_slot] - ranks * tied_w[event_slot]
+    loglik = float(np.sum(scores[observed] - shift)) - float(np.sum(np.log(denoms)))
+
+    # d loglik/d score_k = obs_k - w_k * (sum of 1/denominator over event
+    # bins <= bin_k) + obs_k * w_k * (own bin's sum of (r/m)/denominator).
+    inv = 1.0 / denoms
+    running = np.cumsum(np.bincount(event_slot, weights=inv, minlength=num))
+    own = np.bincount(event_slot, weights=ranks * inv, minlength=num)
+    grad_loglik = observed - w * (running[slot] - observed * own[slot])
     return -loglik, -grad_loglik
 
 
@@ -177,8 +136,9 @@ def ranking_loss_with_grad(scores, pairs: AcceptablePairSet, kind, sign="concord
     if len(pairs) == 0:
         raise ValueError("ranking loss is undefined on an empty pair set")
     z, direction = _pair_margins(scores, pairs, sign)
-    value = float(-np.mean(phi(kind, z, hinge_clip)))
-    per_pair = -phi_prime(kind, z, hinge_clip) / len(pairs)
+    phi, dphi = phi_with_grad(kind, z, hinge_clip)
+    value = float(-np.mean(phi))
+    per_pair = -dphi / len(pairs)
     grad = np.zeros_like(scores)
     np.add.at(grad, pairs.j, direction * per_pair)
     np.add.at(grad, pairs.i, -direction * per_pair)

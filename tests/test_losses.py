@@ -13,8 +13,7 @@ from conftest import (
 from censrank.losses import (
     bin_weights,
     cox_nll_with_grad,
-    phi,
-    phi_prime,
+    phi_with_grad,
     ranking_loss_with_grad,
     wm_batch_with_grad,
 )
@@ -33,6 +32,14 @@ def ranking_loss(scores, pairs, kind, **options):
     return ranking_loss_with_grad(scores, pairs, kind, **options)[0]
 
 
+def phi(kind, z, hinge_clip=1.0):
+    return phi_with_grad(kind, z, hinge_clip)[0]
+
+
+def phi_prime(kind, z, hinge_clip=1.0):
+    return phi_with_grad(kind, z, hinge_clip)[1]
+
+
 class TestPhi:
     def test_values_at_zero(self):
         assert phi("sigmoid", 0.0) == 0.5
@@ -47,9 +54,7 @@ class TestPhi:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            phi("relu", 1.0)
-        with pytest.raises(ValueError):
-            phi_prime("relu", 1.0)
+            phi_with_grad("relu", 1.0)
 
     def test_phi_prime_matches_finite_differences_on_smooth_kinds(self):
         rng = np.random.default_rng(0)
@@ -62,6 +67,124 @@ class TestPhi:
         z = np.asarray([0.5, 1.5, 2.5])
         assert np.array_equal(phi_prime("hinge", z, hinge_clip=1.0), [0.0, 1.0, 0.0])
         assert np.array_equal(phi_prime("hinge", z, hinge_clip=None), [0.0, 1.0, 1.0])
+
+
+# The event-bin loop that computed the Cox loss before the one-pass
+# form, kept literally as a reference at batch scale (brute_force_cox is
+# exact but stops at about 10 records).
+def cox_loop_reference(scores, bins, observed, tie_method="breslow"):
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    bins = np.asarray(bins).reshape(-1)
+    observed = np.asarray(observed, dtype=bool).reshape(-1)
+
+    shift = scores.max()
+    w = np.exp(scores - shift)  # shift cancels in every log-ratio below
+
+    order = np.argsort(bins, kind="stable")
+    sorted_bins = bins[order]
+    sorted_w = w[order]
+    # suffix_w[p] = sum of w over positions p.. in sorted order
+    suffix_w = np.concatenate((np.cumsum(sorted_w[::-1])[::-1], [0.0]))
+    unique_bins, first_pos = np.unique(sorted_bins, return_index=True)
+    risk_sum_at = {int(b): suffix_w[p] for b, p in zip(unique_bins, first_pos)}
+
+    event_bins = np.unique(bins[observed])
+    loglik = float(np.sum(scores[observed] - shift))
+    tied_extra = np.zeros(len(scores))
+
+    running = 0.0  # cumulative d_g/S_g (or Efron analogue) over event bins so far
+    per_bin_running = {}
+    for b in event_bins:
+        tied_idx = np.nonzero(observed & (bins == b))[0]
+        m = len(tied_idx)
+        risk = risk_sum_at[int(b)]
+        if tie_method == "breslow":
+            loglik -= m * np.log(risk)
+            running += m / risk
+        else:
+            tied_sum = float(w[tied_idx].sum())
+            ranks = np.arange(m) / m
+            denoms = risk - ranks * tied_sum
+            loglik -= float(np.log(denoms).sum())
+            inv = 1.0 / denoms
+            running += float(inv.sum())
+            tied_extra[tied_idx] = float((ranks * inv).sum())
+        per_bin_running[int(b)] = running
+
+    # grad of loglik: obs_k - w_k * (sum over event bins <= bin_k of inverse
+    # denominators) + w_k * tied-correction (Efron only, own event bin).
+    keys = np.array(sorted(per_bin_running))
+    vals = np.array([per_bin_running[int(k)] for k in keys])
+    pos = np.searchsorted(keys, bins, side="right")
+    has_any = pos > 0
+    cum_at_bin = np.zeros(len(scores))
+    cum_at_bin[has_any] = vals[pos[has_any] - 1]
+    grad_loglik = observed.astype(np.float64) - w * cum_at_bin
+    if tie_method == "efron":
+        grad_loglik += w * tied_extra
+    return -loglik, -grad_loglik
+
+
+# The two-call ranking loss (phi, then phi') as it stood before
+# phi_with_grad, kept literally: the one-call form must match it bitwise.
+def _sigmoid_reference(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _log_sigmoid_reference(z):
+    # -softplus(-z), split for stability at both tails
+    out = np.where(z > 0, -np.log1p(np.exp(-np.abs(z))), z - np.log1p(np.exp(-np.abs(z))))
+    return out
+
+
+def _phi_reference(kind, z, hinge_clip=1.0):
+    z = np.asarray(z, dtype=np.float64)
+    if kind == "sigmoid":
+        return _sigmoid_reference(z)
+    if kind == "log_sigmoid":
+        return _log_sigmoid_reference(z)
+    if kind == "hinge":
+        raw = np.maximum(0.0, z - 1.0)
+        return raw if hinge_clip is None else np.minimum(raw, hinge_clip)
+    if kind == "exponential":
+        return 1.0 - np.exp(-z)
+    raise ValueError(kind)
+
+
+def _phi_prime_reference(kind, z, hinge_clip=1.0):
+    z = np.asarray(z, dtype=np.float64)
+    if kind == "sigmoid":
+        s = _sigmoid_reference(z)
+        return s * (1.0 - s)
+    if kind == "log_sigmoid":
+        return _sigmoid_reference(-z)
+    if kind == "hinge":
+        active = z > 1.0
+        if hinge_clip is not None:
+            active &= z - 1.0 < hinge_clip
+        return active.astype(np.float64)
+    if kind == "exponential":
+        return np.exp(-z)
+    raise ValueError(kind)
+
+
+def ranking_two_call_reference(scores, pairs, kind, sign="concordant", hinge_clip=1.0):
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if sign == "concordant":
+        z, direction = scores[pairs.j] - scores[pairs.i], +1.0
+    else:
+        z, direction = scores[pairs.i] - scores[pairs.j], -1.0
+    value = float(-np.mean(_phi_reference(kind, z, hinge_clip)))
+    per_pair = -_phi_prime_reference(kind, z, hinge_clip) / len(pairs)
+    grad = np.zeros_like(scores)
+    np.add.at(grad, pairs.j, direction * per_pair)
+    np.add.at(grad, pairs.i, -direction * per_pair)
+    return value, grad
 
 
 class TestCoxNll:
@@ -136,6 +259,59 @@ class TestCoxNll:
         data = make_dataset([1.0], [True])
         with pytest.raises(ValueError):
             cox_nll([0.0], data, "exact")
+
+    @staticmethod
+    def _batch(rng, n=256, num_bins=2030):
+        bins = rng.integers(0, num_bins, size=n)
+        observed = rng.random(n) < 0.68
+        observed[0] = True
+        return rng.normal(0.0, 2.0, size=n), bins, observed
+
+    @staticmethod
+    def _assert_close(got, expected):
+        assert got[0] == pytest.approx(expected[0], rel=1e-12, abs=0.0)
+        assert np.max(np.abs(got[1] - expected[1])) <= 1e-12 * np.max(np.abs(expected[1]))
+
+    def test_matches_the_loop_reference_at_batch_scale(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            scores, bins, observed = self._batch(rng)
+            for ties in ("breslow", "efron"):
+                self._assert_close(cox_nll_with_grad(scores, bins, observed, ties),
+                                   cox_loop_reference(scores, bins, observed, ties))
+
+    def test_matches_the_loop_reference_on_a_large_tie(self):
+        # one bin with 20 tied events: the loop's per-bin np.sum goes pairwise
+        rng = np.random.default_rng(14)
+        scores, bins, observed = self._batch(rng)
+        bins[:30] = 7
+        observed[:20] = True
+        assert np.sum(observed & (bins == 7)) >= 12
+        for ties in ("breslow", "efron"):
+            self._assert_close(cox_nll_with_grad(scores, bins, observed, ties),
+                               cox_loop_reference(scores, bins, observed, ties))
+
+    def test_gradient_sums_to_zero(self):
+        # the value is shift-invariant, so its directional derivative along
+        # (1, ..., 1) vanishes
+        rng = np.random.default_rng(15)
+        for num_bins in (5, 2030):
+            scores, bins, observed = self._batch(rng, num_bins=num_bins)
+            for ties in ("breslow", "efron"):
+                _, grad = cox_nll_with_grad(scores, bins, observed, ties)
+                assert abs(grad.sum()) <= 1e-12 * np.abs(grad).sum()
+
+    def test_permuting_records_permutes_the_gradient(self):
+        rng = np.random.default_rng(16)
+        for num_bins in (5, 2030):
+            scores, bins, observed = self._batch(rng, num_bins=num_bins)
+            perm = rng.permutation(len(scores))
+            for ties in ("breslow", "efron"):
+                value, grad = cox_nll_with_grad(scores, bins, observed, ties)
+                self._assert_close(
+                    cox_nll_with_grad(scores[perm], bins[perm], observed[perm], ties),
+                    (value, grad[perm]),
+                )
 
 
 class TestRankingLoss:
@@ -222,6 +398,21 @@ class TestRankingLoss:
                         lambda s: ranking_loss(s, pairs, kind, sign=sign), scores
                     )
                     assert max_relative_error(grad, numeric) < 1e-5
+
+    def test_one_call_equals_the_two_call_formula_bitwise(self):
+        rng = np.random.default_rng(17)
+        times, observed = random_survival_dataset(rng, max_n=80)
+        pairs = acceptable_pairs(make_dataset(times, observed))
+        assert len(pairs) > 0
+        scores = rng.normal(0.0, 3.0, size=len(times))
+        scores[:4] = [1.0, 2.0, 0.0, 3.0]  # margins on the hinge kinks
+        for kind in ("sigmoid", "log_sigmoid", "exponential", "hinge"):
+            for sign in ("concordant", "literal"):
+                for hinge_clip in (1.0, None):
+                    value, grad = ranking_loss_with_grad(scores, pairs, kind, sign, hinge_clip)
+                    expected = ranking_two_call_reference(scores, pairs, kind, sign, hinge_clip)
+                    assert value == expected[0]
+                    assert np.array_equal(grad, expected[1])
 
 
 class TestBinWeights:
