@@ -1,9 +1,10 @@
 """Survival data model: columnar datasets, the discrete time grid, and binning.
 
 Times live on a uniform grid of left-closed/right-open bins
-``[k*w, (k+1)*w)``; a time at an exact bin boundary belongs to the higher
-bin.  All types are immutable after construction and safe to share across
-workers.
+``[k*w, (k+1)*w)`` from 0; a time at an exact bin boundary belongs to the
+higher bin.  A Dataset bins its records once, when it is built, and a time
+outside its grid is an error there, never moved into the last bin.  All
+types are immutable after construction and safe to share across workers.
 """
 
 from dataclasses import dataclass
@@ -35,12 +36,11 @@ def _scratch_rows(work, rows, cols):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform discrete time axis with `num_bins` bins of width `bin_width`
-    days, starting at `origin`."""
+    """Uniform discrete time axis from 0: `num_bins` bins of width
+    `bin_width` days."""
 
     bin_width: float
     num_bins: int
-    origin: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.bin_width) and self.bin_width > 0):
@@ -49,41 +49,26 @@ class TimeGrid:
             raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
         object.__setattr__(self, "bin_width", float(self.bin_width))
         object.__setattr__(self, "num_bins", int(self.num_bins))
-        object.__setattr__(self, "origin", float(self.origin))
 
     def left_edges(self):
         """Left edge of every bin, shape (num_bins,)."""
-        return self.origin + self.bin_width * np.arange(self.num_bins)
+        return self.bin_width * np.arange(self.num_bins)
 
-    def bin_indices(self, times, clamp=True):
-        """Vectorized bin lookup.
+    def bin_indices(self, times):
+        """Bin of every time, ``floor(t / bin_width)``.
 
-        With ``clamp=False`` raises if any time falls outside the grid;
-        clamping to the last bin is meant for inference on unseen data only,
-        training-fold times must fit the grid exactly.
+        Raises ValueError naming the first time that falls outside
+        [0, num_bins * bin_width); no time is moved into an edge bin.
         """
         times = np.asarray(times, dtype=np.float64)
-        if np.any(times < self.origin):
-            raise ValueError("times before the grid origin are not representable")
-        raw = np.floor((times - self.origin) / self.bin_width).astype(np.int64)
-        if clamp:
-            return np.minimum(raw, self.num_bins - 1)
-        if np.any(raw > self.num_bins - 1):
-            worst = float(times.reshape(-1)[int(np.argmax(raw))])
+        scaled = times / self.bin_width
+        outside = ~((scaled >= 0) & (scaled < self.num_bins))  # NaN is outside too
+        if outside.any():
             raise ValueError(
-                f"time {worst} falls past the last bin of a {self.num_bins}-bin grid"
+                f"time {times.reshape(-1)[np.argmax(outside)]} falls outside the "
+                f"{self.num_bins}-bin grid of width {self.bin_width}"
             )
-        return raw
-
-    def covers(self, times):
-        """True when every time maps inside [0, num_bins-1] without clamping."""
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            return True
-        return bool(
-            times.min() >= self.origin
-            and np.floor((times.max() - self.origin) / self.bin_width) <= self.num_bins - 1
-        )
+        return np.floor(scaled).astype(np.int64)
 
 
 def build_time_grid(times, bin_width):
@@ -100,13 +85,17 @@ def build_time_grid(times, bin_width):
     if not (np.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     num_bins = int(np.floor(times.max() / bin_width)) + 1
-    return TimeGrid(bin_width=float(bin_width), num_bins=num_bins, origin=0.0)
+    return TimeGrid(bin_width=float(bin_width), num_bins=num_bins)
 
 
 class Dataset:
     """Survival records sharing one time grid, stored as columnar arrays:
-    a features matrix, event-or-censoring times (days) and observed flags
-    (False = right-censored)."""
+    a features matrix, event-or-censoring times (days), observed flags
+    (False = right-censored) and each record's grid bin.
+
+    Every time must fall inside `grid`; building the Dataset raises a
+    ValueError naming the first one that does not.
+    """
 
     def __init__(self, features, times, observed, grid):
         features = np.asarray(features, dtype=np.float64)
@@ -118,12 +107,11 @@ class Dataset:
             raise ValueError("features, times and observed must have equal length")
         if len(times) == 0:
             raise ValueError("a dataset must contain at least one record")
-        if not np.all(np.isfinite(times)) or np.any(times < 0):
-            raise ValueError("record times must be finite and >= 0")
         self.features = _frozen_array(features, np.float64)
         self.times = _frozen_array(times, np.float64)
         self.observed = _frozen_array(observed, bool)
         self.grid = grid
+        self.bins = _frozen_array(grid.bin_indices(times), np.int64)
 
     def __len__(self):
         return len(self.times)
@@ -131,15 +119,6 @@ class Dataset:
     @property
     def n_features(self):
         return self.features.shape[1]
-
-    def binned_times(self, clamp=True):
-        """Bin index of every record; see TimeGrid.bin_indices for clamping."""
-        return self.grid.bin_indices(self.times, clamp=clamp)
-
-    @property
-    def fits_grid(self):
-        """True when no record time would need clamping."""
-        return self.grid.covers(self.times)
 
     @property
     def censored_fraction(self):

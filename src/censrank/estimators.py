@@ -7,13 +7,13 @@ any of them leave.
 
 Targets for training the CDF-matching loss: an observed record becomes a
 Dirac step at its event bin; a censored record is imputed from the curve,
-either conditionally on having survived its censoring bin (default) or by
-literally clamping ``1 - survival`` to zero through the censoring bin
-("global").  Either way a censored record's target is exactly zero at and
-before its censoring bin.  A target row depends only on the record's bin,
-its observed flag and the curve, so training builds the rows of each
-batch into one reused buffer (`target_cdf_matrix(rows=, out=)`) and holds
-O(batch_size x T) target memory, not O(n x T).
+either conditionally on having survived its censoring bin (default) or as
+``1 - survival`` set to zero through the censoring bin ("global").  Either
+way a censored record's target is exactly zero at and before its censoring
+bin.  A target row depends only on the record's bin, its observed flag and
+the curve, so training builds the rows of each batch into one reused
+buffer (`target_cdf_matrix(rows=, out=)`) and holds O(batch_size x T)
+target memory, not O(n x T).
 """
 
 import math
@@ -52,17 +52,9 @@ class KaplanMeierCurve:
 
 def kaplan_meier(dataset: Dataset) -> KaplanMeierCurve:
     """Product-limit survival estimate of `dataset` over its grid bins."""
-    if len(dataset) == 0:
-        raise ValueError("cannot estimate a survival curve from an empty dataset")
-    if not dataset.fits_grid:
-        raise ValueError(
-            "dataset times exceed the grid; Kaplan-Meier must be fit on data "
-            "that maps into the grid without clamping"
-        )
     num_bins = dataset.grid.num_bins
-    bins = dataset.binned_times(clamp=False)
-    events = np.bincount(bins[dataset.observed], minlength=num_bins)
-    leaving = np.bincount(bins, minlength=num_bins)
+    events = np.bincount(dataset.bins[dataset.observed], minlength=num_bins)
+    leaving = np.bincount(dataset.bins, minlength=num_bins)
     # n_k = records still present just before bin k.
     at_risk = len(dataset) - np.concatenate(([0], np.cumsum(leaving)[:-1]))
     # The running product is kept as an exact integer ratio (gcd-reduced so
@@ -120,16 +112,18 @@ def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional"
                       rows=None, out=None):
     """Stacked target CDFs, shape (n, num_bins); row i is record i's target.
 
-    `km` must come from the training fold only.  With `rows` (indices into
-    `dataset`) only those records' targets are built, in that order.  With
-    `out`, a float64 array of shape (at least n, num_bins), the rows are
-    written into its leading n rows and that view is returned, so a
-    training loop can reuse one buffer for every batch.
+    `km` must come from the training fold only, on `dataset`'s grid (a
+    ValueError otherwise).  With `rows` (indices into `dataset`) only those
+    records' targets are built, in that order.  With `out`, a float64 array
+    of shape (at least n, num_bins), the rows are written into its leading
+    n rows and that view is returned, so a training loop can reuse one
+    buffer for every batch.
     """
-    times, observed = dataset.times, dataset.observed
+    if km.grid != dataset.grid:
+        raise ValueError(f"the curve's grid {km.grid} is not the dataset's {dataset.grid}")
+    bins, observed = dataset.bins, dataset.observed
     if rows is not None:
-        times, observed = times[rows], observed[rows]
-    out = _scratch_rows(out, len(times), km.grid.num_bins)
-    bins = km.grid.bin_indices(times, clamp=False)
+        bins, observed = bins[rows], observed[rows]
+    out = _scratch_rows(out, len(bins), km.grid.num_bins)
     _fill_target_rows(out, bins, observed, km.survival, mode)
     return out

@@ -119,6 +119,10 @@ class TrainRun:
             raise ValueError("learning_rate must be positive")
         if not (self.l2 >= 0):  # also rejects NaN
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not (self.wm_l >= 1):  # also rejects NaN
+            raise ValueError(f"wm_l must be >= 1, got {self.wm_l}")
+        if not (self.hinge_clip is None or self.hinge_clip > 0):
+            raise ValueError(f"hinge_clip must be positive or None, got {self.hinge_clip}")
         if self.wm_score not in ("mean", "median"):
             raise ValueError(f"wm_score must be 'mean' or 'median', got {self.wm_score!r}")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -165,9 +169,8 @@ def _check_trainable(run: TrainRun, train: Dataset):
             f"{run.loss}: the training set has no observed events"
         )
     if run.loss in _RANK_KINDS:
-        bins = train.binned_times()
-        obs_bins = bins[train.observed]
-        if obs_bins.size == 0 or obs_bins.min() >= bins.max():
+        obs_bins = train.bins[train.observed]
+        if obs_bins.size == 0 or obs_bins.min() >= train.bins.max():
             raise UndefinedMetricError(
                 f"{run.loss}: the training set admits no acceptable pairs"
             )
@@ -209,7 +212,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
         wm_work = tuple(np.empty(shape) for _ in range(3))
         backward_work = wm_work[0]
     else:
-        train_bins = train.binned_times()
+        train_bins = train.bins
 
     history = {"train_loss": [], "val_c_index": []}
     best_c = -np.inf
@@ -333,6 +336,8 @@ def grid_search(folds, grid, template: TrainRun, n_jobs=1):
     grid = [(float(lr), float(l2)) for lr, l2 in grid]
     if not grid:
         raise ValueError("the grid must contain at least one point")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     jobs = []
     for fi, fold in enumerate(folds):
         train, val = fold[0], fold[1]
@@ -659,46 +664,67 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _report_rows(report: ExperimentReport, include_timing):
-    header = ["row", "fold", "learning_rate", "l2", "val_c_index", "test_c_index", "stderr"]
-    if include_timing:
-        header.append("seconds")
-    rows = [header]
-    for f in report.folds:
-        row = ["fold", str(f.fold), _fmt(f.learning_rate), _fmt(f.l2),
-               _fmt(f.val_c_index), _fmt(f.test_c_index), ""]
+def _report_doc(report, include_timing):
+    """(document, key of its row list, that list's columns) of a report.
+
+    JSON writes the document as it is; the CSV is rendered from it."""
+    if isinstance(report, ExperimentReport):
+        columns = ["fold", "learning_rate", "l2", "val_c_index", "test_c_index"]
         if include_timing:
-            row.append(_fmt(f.seconds))
-        rows.append(row)
-    agg = ["aggregate", "", "", "", "", _fmt(report.mean_test_c_index),
-           _fmt(report.stderr_test_c_index)]
-    if include_timing:
-        agg.append("")
-    rows.append(agg)
-    return rows
-
-
-def _report_json(report: ExperimentReport, include_timing):
-    folds = []
-    for f in report.folds:
-        entry = {
-            "fold": f.fold,
-            "learning_rate": f.learning_rate,
-            "l2": f.l2,
-            "val_c_index": f.val_c_index,
-            "test_c_index": f.test_c_index,
+            columns.append("seconds")
+        doc = {
+            "loss": report.loss,
+            "k": report.k,
+            "seed": report.seed,
+            "folds": [{c: getattr(f, c) for c in columns} for f in report.folds],
+            "mean_test_c_index": report.mean_test_c_index,
+            "stderr_test_c_index": report.stderr_test_c_index,
         }
-        if include_timing:
-            entry["seconds"] = f.seconds
-        folds.append(entry)
-    return {
-        "loss": report.loss,
-        "k": report.k,
-        "seed": report.seed,
-        "folds": folds,
-        "mean_test_c_index": report.mean_test_c_index,
-        "stderr_test_c_index": report.stderr_test_c_index,
-    }
+        return doc, "folds", columns
+    if isinstance(report, SweepResult):
+        points = [
+            {
+                "fraction": p.fraction,
+                "mean": p.report.mean_test_c_index,
+                "stderr": p.report.stderr_test_c_index,
+            }
+            for p in report.points
+        ]
+        doc = {"loss": report.loss, "seed": report.seed, "points": points}
+        return doc, "points", ["fraction", "mean", "stderr"]
+    if isinstance(report, AblationResult):
+        cells = [
+            {
+                "loss": c.loss,
+                "mode": c.mode,
+                "mean": c.report.mean_test_c_index,
+                "stderr": c.report.stderr_test_c_index,
+            }
+            for c in report.cells
+        ]
+        return {"cells": cells}, "cells", ["loss", "mode", "mean", "stderr"]
+    raise TypeError(f"cannot emit a report of type {type(report).__name__}")
+
+
+def _csv_rows(doc, key, columns):
+    """Header plus one row per entry of doc[key].  A cv report's rows also
+    get a leading row kind, a stderr column ahead of any timing column and
+    one aggregate row; a cell an entry lacks is empty."""
+    entries = doc[key]
+    if key == "folds":
+        columns = ["row", *columns[:5], "stderr", *columns[5:]]
+        entries = [{"row": "fold", **entry} for entry in entries] + [{
+            "row": "aggregate",
+            "test_c_index": doc["mean_test_c_index"],
+            "stderr": doc["stderr_test_c_index"],
+        }]
+    return [columns] + [[_csv_cell(entry.get(c, "")) for c in columns] for entry in entries]
+
+
+def _csv_cell(value):
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, int) else _fmt(value)
 
 
 def emit_report(report, path, format="csv", include_timing=False):
@@ -712,47 +738,10 @@ def emit_report(report, path, format="csv", include_timing=False):
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    if isinstance(report, ExperimentReport):
-        rows = _report_rows(report, include_timing)
-        doc = _report_json(report, include_timing)
-    elif isinstance(report, SweepResult):
-        rows = [["fraction", "mean", "stderr"]] + [
-            [_fmt(p.fraction), _fmt(p.report.mean_test_c_index), _fmt(p.report.stderr_test_c_index)]
-            for p in report.points
-        ]
-        doc = {
-            "loss": report.loss,
-            "seed": report.seed,
-            "points": [
-                {
-                    "fraction": p.fraction,
-                    "mean": p.report.mean_test_c_index,
-                    "stderr": p.report.stderr_test_c_index,
-                }
-                for p in report.points
-            ],
-        }
-    elif isinstance(report, AblationResult):
-        rows = [["loss", "mode", "mean", "stderr"]] + [
-            [c.loss, c.mode, _fmt(c.report.mean_test_c_index), _fmt(c.report.stderr_test_c_index)]
-            for c in report.cells
-        ]
-        doc = {
-            "cells": [
-                {
-                    "loss": c.loss,
-                    "mode": c.mode,
-                    "mean": c.report.mean_test_c_index,
-                    "stderr": c.report.stderr_test_c_index,
-                }
-                for c in report.cells
-            ]
-        }
-    else:
-        raise TypeError(f"cannot emit a report of type {type(report).__name__}")
+    doc, key, columns = _report_doc(report, include_timing)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if format == "csv":
-            fh.write("\n".join(",".join(row) for row in rows) + "\n")
+            fh.write("\n".join(",".join(row) for row in _csv_rows(doc, key, columns)) + "\n")
         else:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

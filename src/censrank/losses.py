@@ -155,9 +155,8 @@ def bin_weights(train: Dataset, smoothing):
     `smoothing`, normalized to sum 1, shape (num_bins,)."""
     if not (smoothing > 0):
         raise ValueError(f"smoothing must be positive, got {smoothing}")
-    counts = np.bincount(
-        train.binned_times()[train.observed], minlength=train.grid.num_bins
-    ).astype(np.float64)
+    counts = np.bincount(train.bins[train.observed], minlength=train.grid.num_bins)
+    counts = counts.astype(np.float64)
     counts += smoothing
     return counts / counts.sum()
 
@@ -186,7 +185,7 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     weights = np.asarray(weights, dtype=np.float64)
     if pmf.ndim != 2 or pmf.shape != target_cdf.shape or pmf.shape[1] != len(weights):
         raise ValueError("pmf and target_cdf must be (batch, T) with T matching weights")
-    if l < 1:
+    if not (l >= 1):  # also rejects NaN
         raise ValueError(f"the exponent l must be >= 1, got {l}")
     batch = pmf.shape[0]
     if work is None:

@@ -78,7 +78,7 @@ def acceptable_pairs(dataset, resolution="time"):
     if resolution == "time":
         times = dataset.times
     elif resolution == "grid":
-        times = dataset.binned_times().astype(np.float64)
+        times = dataset.bins.astype(np.float64)
     else:
         raise ValueError(f"unknown resolution {resolution!r}")
     i_idx, j_idx = _enumerate_pairs(times, dataset.observed)

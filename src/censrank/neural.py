@@ -18,7 +18,7 @@ array's raw float64 data in the listed order.
 import copy
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,11 @@ class NetworkConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if not self.hidden_dims:
             raise ValueError("at least one hidden layer is required")
+        if self.input_dim < 1 or min(self.hidden_dims) < 1:
+            raise ValueError(
+                f"input_dim and every hidden width must be >= 1, got input_dim "
+                f"{self.input_dim} and hidden_dims {self.hidden_dims}"
+            )
         if self.head not in ("scalar_linear", "softmax"):
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "softmax" and self.num_outputs < 1:
@@ -283,7 +288,8 @@ def save_checkpoint(network: Network, path):
 def load_checkpoint(path):
     """Read a checkpoint back into a Network.
 
-    The header must list exactly the arrays that a Network of its config
+    The header's config must hold exactly NetworkConfig's fields, the
+    header must list exactly the arrays that a Network of that config
     holds, each with that array's shape, and the file must end with the
     last of them; anything else raises ValueError.
     """
@@ -297,10 +303,16 @@ def load_checkpoint(path):
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
-        if not isinstance(header, dict) or not {"config", "arrays"} <= header.keys():
-            raise ValueError(f"{path}: the header needs 'config' and 'arrays'")
-        cfg = dict(header["config"])
-        cfg["hidden_dims"] = tuple(cfg["hidden_dims"])
+        if not (isinstance(header, dict) and {"config", "arrays"} <= header.keys()
+                and isinstance(header["config"], dict)):
+            raise ValueError(f"{path}: the header needs a 'config' object and 'arrays'")
+        cfg = header["config"]
+        keys = {f.name for f in fields(NetworkConfig)}
+        if cfg.keys() != keys:
+            raise ValueError(
+                f"{path}: config keys missing {sorted(keys - cfg.keys())}, "
+                f"unknown {sorted(cfg.keys() - keys)}"
+            )
         network = Network(NetworkConfig(**cfg))
         expected = {**network.params, **network.running}
         try:

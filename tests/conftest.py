@@ -83,7 +83,7 @@ def brute_force_acceptable_pairs(times, observed):
 
 def brute_force_km(dataset):
     """Product-limit estimator, one float multiply per bin."""
-    bins = dataset.binned_times()
+    bins = dataset.bins
     n = len(dataset)
     survival = []
     s = 1.0

@@ -108,7 +108,7 @@ class TestKaplanMeierOracle:
             # same times fully observed: the curve must be the empirical
             # survival function, bit for bit
             full = make_dataset(times, np.ones(times.shape[0], dtype=bool))
-            bins = full.binned_times()
+            bins = full.bins
             empirical = np.array(
                 [np.mean(bins > k) for k in range(full.grid.num_bins)]
             )
@@ -137,7 +137,7 @@ class TestTieHandlingOracle:
             observed[int(rng.integers(0, n))] = True
             data = make_dataset(times, observed)
             scores = rng.normal(size=n)
-            bins = data.binned_times()
+            bins = data.bins
             breslow = cox_nll_with_grad(scores, bins, observed, "breslow")[0]
             if breslow != cox_nll_with_grad(scores, bins, observed, "efron")[0]:
                 tie_free_bad += 1
@@ -149,7 +149,7 @@ class TestTieHandlingOracle:
             observed[int(rng.integers(0, n))] = True
             data = make_dataset(times, observed)
             scores = rng.normal(size=n)
-            bins = data.binned_times()
+            bins = data.bins
             for ties in ("breslow", "efron"):
                 got = cox_nll_with_grad(scores, bins, observed, ties)[0]
                 expect = brute_force_cox(scores, bins, observed, ties=ties)

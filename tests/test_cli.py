@@ -261,6 +261,69 @@ def test_evaluate_scores_never_parses_feature_columns(capsys, toy, tmp_path, mon
     assert code == 0 and lines[-1]["n"] == 120
 
 
+def _error_line(capsys, argv):
+    """Exit code and the one JSON error line of a failing command."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    return code, json.loads(line)
+
+
+def test_train_rejects_a_zero_width_hidden_layer(capsys, toy, tmp_path):
+    code, err = _error_line(capsys, [
+        "train", *data_args(toy), "--loss", "cox", "--bin-width", "5",
+        *KNOBS, "--hidden-dims", "8,0", "--checkpoint", str(tmp_path / "m.bin"),
+    ])
+    assert code == 2
+    assert err["error"] == "ValueError" and "hidden width must be >= 1" in err["message"]
+    assert not (tmp_path / "m.bin").exists()
+
+
+def _with_config(checkpoint, tmp_path, edit):
+    """A copy of the checkpoint (and its sidecar) whose header config
+    `edit` has changed."""
+    raw = open(checkpoint, "rb").read()
+    header_len = int.from_bytes(raw[12:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header["config"])
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    path = tmp_path / "model.bin"
+    path.write_bytes(raw[:12] + len(body).to_bytes(4, "little") + body + raw[16 + header_len :])
+    (tmp_path / "model.bin.meta.json").write_bytes(open(checkpoint + ".meta.json", "rb").read())
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg: cfg.pop("hidden_dims"), "missing ['hidden_dims']"),
+    (lambda cfg: cfg.update(momentum=0.9), "unknown ['momentum']"),
+    (lambda cfg: cfg.update(input_dim=0), "input_dim 0"),
+])
+def test_evaluate_names_a_damaged_checkpoint_config(capsys, toy, checkpoint, tmp_path,
+                                                    edit, named):
+    path = _with_config(checkpoint, tmp_path, edit)
+    code, err = _error_line(capsys, ["evaluate", *data_args(toy), "--checkpoint", path])
+    assert code == 2
+    assert err["error"] == "ValueError" and named in err["message"]
+
+
+@pytest.mark.parametrize("option, value, named", [
+    ("--wm-l", "nan", "wm_l"),
+    ("--hinge-clip", "nan", "hinge_clip"),
+    ("--hinge-clip", "-1", "hinge_clip"),
+    ("--n-jobs", "0", "n_jobs"),
+    ("--n-jobs", "-2", "n_jobs"),
+])
+def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, option, value, named):
+    code, err = _error_line(capsys, [
+        "cv", *data_args(toy), "--loss", "rank-hinge", "--bin-width", "5",
+        "--k", "2", "--grid", toy["grid"], *KNOBS, option, value,
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 2
+    assert err["error"] == "ValueError" and named in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
 class TestCv:
     def test_report_file_and_summary_line(self, capsys, toy, tmp_path):
         out = tmp_path / "report.csv"

@@ -9,7 +9,6 @@ class TestBuildTimeGrid:
         grid = build_time_grid([0.0, 1.0, 2.0, 3.0], 1.0)
         assert grid.num_bins == 4
         assert grid.bin_width == 1.0
-        assert grid.origin == 0.0
 
     def test_width_two(self):
         # max time 5 with width 2: floor(5/2)+1 = 3 bins
@@ -37,9 +36,8 @@ class TestBuildTimeGrid:
             times = rng.exponential(20.0, size=int(rng.integers(1, 40)))
             width = float(rng.uniform(0.1, 5.0))
             grid = build_time_grid(times, width)
-            assert grid.covers(times)
-            raw = grid.bin_indices(times, clamp=False)
-            assert np.array_equal(raw, grid.bin_indices(times, clamp=True))
+            bins = grid.bin_indices(times)
+            assert bins.min() >= 0 and bins.max() == grid.num_bins - 1
 
     def test_left_edges(self):
         grid = TimeGrid(bin_width=2.0, num_bins=3)
@@ -59,17 +57,13 @@ class TestBinIndex:
         grid = TimeGrid(bin_width=2.0, num_bins=3)
         assert bin_index(grid, 5.0) == 2
 
-    def test_clamps_past_the_end(self):
-        grid = TimeGrid(bin_width=1.0, num_bins=4)
-        assert bin_index(grid, 9.0) == 3
-
     def test_negative_time_rejected(self):
         grid = TimeGrid(bin_width=1.0, num_bins=4)
         with pytest.raises(ValueError):
             bin_index(grid, -0.1)
 
     def test_monotone_in_time(self):
-        grid = TimeGrid(bin_width=0.7, num_bins=30)
+        grid = TimeGrid(bin_width=0.7, num_bins=58)  # covers [0, 40.6)
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0.0, 40.0, size=200))
         idx = grid.bin_indices(times)
@@ -78,8 +72,10 @@ class TestBinIndex:
 
     def test_unclamped_lookup_rejects_overflow(self):
         grid = TimeGrid(bin_width=1.0, num_bins=4)
-        with pytest.raises(ValueError):
-            grid.bin_indices([9.0], clamp=False)
+        assert bin_index(grid, 3.999) == 3
+        for time in (4.0, 9.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"time {time} falls outside the 4-bin grid"):
+                grid.bin_indices([1.0, time, 2.0])
 
 
 class TestDataset:
@@ -107,7 +103,11 @@ class TestDataset:
             data.observed[0] = False
 
     def test_binned_times(self):
-        assert np.array_equal(self._small().binned_times(), [0, 2, 4])
+        data = self._small()
+        assert np.array_equal(data.bins, [0, 2, 4])
+        assert data.bins.dtype == np.int64
+        with pytest.raises(ValueError):
+            data.bins[0] = 1
 
     def test_censored_fraction(self):
         assert self._small().censored_fraction == pytest.approx(1.0 / 3.0)
@@ -119,6 +119,7 @@ class TestDataset:
         assert sub.grid is data.grid
         assert np.array_equal(sub.times, [4.0, 0.5])
         assert np.array_equal(sub.observed, [True, True])
+        assert np.array_equal(sub.bins, [4, 0])
 
     def test_rejects_bad_time(self):
         grid = TimeGrid(bin_width=1.0, num_bins=5)
@@ -133,8 +134,8 @@ class TestDataset:
                 np.zeros((3, 2)), np.asarray([1.0, 2.0]), np.asarray([True, True]), grid
             )
 
-    def test_fits_grid(self):
+    def test_times_past_the_grid_rejected(self):
         data = self._small()
-        assert data.fits_grid
         tight = TimeGrid(bin_width=1.0, num_bins=2)
-        assert not Dataset(data.features, data.times, data.observed, tight).fits_grid
+        with pytest.raises(ValueError, match="time 2.5 falls outside the 2-bin grid"):
+            Dataset(data.features, data.times, data.observed, tight)

@@ -38,7 +38,7 @@ class TestKaplanMeier:
             times, _ = random_survival_dataset(rng, max_n=120)
             data = make_dataset(times, np.ones(len(times), dtype=bool))
             km = kaplan_meier(data)
-            bins = data.binned_times()
+            bins = data.bins
             empirical = np.asarray(
                 [np.count_nonzero(bins > k) / len(data) for k in range(data.grid.num_bins)]
             )
@@ -135,7 +135,7 @@ class TestImputeTargetCdf:
             times, observed = random_survival_dataset(rng, max_n=60)
             data = make_dataset(times, observed)
             km = kaplan_meier(data)
-            bins = data.binned_times()
+            bins = data.bins
             for i, k in enumerate(bins):
                 if data.observed[i]:
                     continue
@@ -164,7 +164,7 @@ class TestImputeTargetCdf:
             times, observed = random_survival_dataset(rng, max_n=60)
             data = make_dataset(times, observed)
             km = kaplan_meier(data)
-            bins = data.binned_times()
+            bins = data.bins
             for i, k in enumerate(bins):
                 if data.observed[i] or k + 1 >= km.grid.num_bins:
                     continue
@@ -224,7 +224,7 @@ class TestTargetRows:
         hit_zero_curve = hit_last_bin = False
         for data, km in _target_cases():
             num_bins = km.grid.num_bins
-            bins = km.grid.bin_indices(data.times, clamp=False)
+            bins = km.grid.bin_indices(data.times)
             order = np.random.default_rng(len(data)).permutation(len(data))
             for mode in ("conditional", "global"):
                 full = target_cdf_matrix(data, km, mode=mode)
@@ -252,3 +252,9 @@ class TestTargetRows:
         for shape in ((2, 3), (3, 4)):
             with pytest.raises(ValueError):
                 target_cdf_matrix(data, km, out=np.empty(shape))
+
+    def test_rejects_a_curve_on_another_grid(self):
+        data = make_dataset([0.0, 1.0, 2.0], [True, False, True])
+        wider = Dataset(data.features, data.times, data.observed, build_time_grid([5.0], 1.0))
+        with pytest.raises(ValueError, match="is not the dataset's"):
+            target_cdf_matrix(data, kaplan_meier(wider))

@@ -58,7 +58,7 @@ def _wm_targets(data):
 def _loss_and_outgrad(name, outputs, data, pairs, targets, weights):
     if name in ("cox", "cox-efron"):
         ties = "breslow" if name == "cox" else "efron"
-        return cox_nll_with_grad(outputs, data.binned_times(), data.observed, ties)
+        return cox_nll_with_grad(outputs, data.bins, data.observed, ties)
     if name in _RANK_KIND:
         return ranking_loss_with_grad(outputs, pairs, _RANK_KIND[name])
     return wm_batch_with_grad(outputs, targets, weights)

@@ -126,6 +126,17 @@ class TestTrainRunValidation:
         with pytest.raises(ValueError, match="wm_score"):
             TrainRun(loss="wm", wm_score="mode")
 
+    def test_wm_exponent_below_one_or_nan(self):
+        for l in (0.5, float("nan")):
+            with pytest.raises(ValueError, match="wm_l"):
+                TrainRun(loss="wm", wm_l=l)
+
+    def test_hinge_clip_not_positive_or_nan(self):
+        for clip in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="hinge_clip"):
+                TrainRun(loss="rank-hinge", hinge_clip=clip)
+        assert TrainRun(loss="rank-hinge", hinge_clip=None).hinge_clip is None
+
     def test_hidden_dims_coerced_to_tuple(self):
         assert TrainRun(loss="wm", hidden_dims=[32, 16]).hidden_dims == (32, 16)
 
@@ -293,6 +304,13 @@ class TestGridSearch:
         train, val, _ = fold
         with pytest.raises(ValueError, match="at least one point"):
             grid_search([(train, val)], [], TrainRun(loss="wm", **FAST))
+
+    def test_fewer_than_one_job_rejected(self, fold):
+        train, val, _ = fold
+        for n_jobs in (0, -2):
+            with pytest.raises(ValueError, match="n_jobs"):
+                grid_search([(train, val)], [(1e-2, 0.0)], TrainRun(loss="wm", **FAST),
+                            n_jobs=n_jobs)
 
     def test_diverged_point_is_skipped_and_recorded(self, fold):
         train, val, _ = fold

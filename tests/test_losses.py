@@ -25,7 +25,7 @@ def _sigma(z):
 
 
 def cox_nll(scores, data, tie_method="breslow"):
-    return cox_nll_with_grad(scores, data.binned_times(), data.observed, tie_method)[0]
+    return cox_nll_with_grad(scores, data.bins, data.observed, tie_method)[0]
 
 
 def ranking_loss(scores, pairs, kind, **options):
@@ -226,7 +226,7 @@ class TestCoxNll:
             observed[int(rng.integers(0, n))] = True
             data = make_dataset(times, observed)
             scores = rng.uniform(-1.5, 1.5, size=n)
-            bins = data.binned_times()
+            bins = data.bins
             for ties in ("breslow", "efron"):
                 expected = brute_force_cox(scores, bins, observed, ties=ties)
                 assert cox_nll(scores, data, ties) == pytest.approx(expected, abs=1e-10)
@@ -251,7 +251,7 @@ class TestCoxNll:
                 observed[int(rng.integers(0, n))] = True
                 data = make_dataset(times, observed)
                 scores = rng.uniform(-1.0, 1.0, size=n)
-                _, grad = cox_nll_with_grad(scores, data.binned_times(), observed, ties)
+                _, grad = cox_nll_with_grad(scores, data.bins, observed, ties)
                 numeric = central_difference(lambda s: cox_nll(s, data, ties), scores)
                 assert max_relative_error(grad, numeric) < 1e-6
 
@@ -517,6 +517,8 @@ class TestWmLoss:
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ValueError):
             wm_loss(_dirac(0, 3), np.cumsum(_dirac(1, 3)), _uniform(3), l=0.5)
+        with pytest.raises(ValueError, match="exponent"):
+            wm_loss(_dirac(0, 3), np.cumsum(_dirac(1, 3)), _uniform(3), l=float("nan"))
 
     def test_batch_value_is_mean_of_per_record_losses(self):
         rng = np.random.default_rng(10)

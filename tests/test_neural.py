@@ -29,6 +29,11 @@ class TestNetworkConfig:
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=3, hidden_dims=())
 
+    def test_rejects_a_zero_width_layer(self):
+        for input_dim, hidden_dims in ((0, (4,)), (3, (0,)), (3, (4, 0, 4)), (3, (-1,))):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                NetworkConfig(input_dim=input_dim, hidden_dims=hidden_dims)
+
     def test_rejects_unknown_head(self):
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=3, head="linear")

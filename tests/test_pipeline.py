@@ -244,8 +244,8 @@ class TestPreprocess:
         [(train, val, test)] = _fold_datasets(table, [([0], [1], [1])], 10.0, fits)
         assert train.grid is val.grid is test.grid
         assert train.grid.num_bins == 3
-        assert np.array_equal(train.binned_times(), [1])
-        assert np.array_equal(test.binned_times(), [2])
+        assert np.array_equal(train.bins, [1])
+        assert np.array_equal(test.bins, [2])
         assert train.features.shape == (1, len(fits[0].feature_names))
 
 
@@ -489,7 +489,7 @@ class TestGenerateSynthetic:
 
     def test_maximal_tie_density_collapses_bins(self):
         data = generate_synthetic(2000, 5, censor_fraction=0.2, tie_density=1.0, seed=2)
-        unique_bins = len(np.unique(data.binned_times()))
+        unique_bins = len(np.unique(data.bins))
         assert unique_bins * 10 < len(data)
 
     def test_deterministic(self):
