@@ -201,8 +201,7 @@ def _cmd_train(args):
     [(train, val, test)] = harness._fold_datasets(table, splits[:1], args.bin_width, fits)
     run = replace(_template_from(args, args.loss), learning_rate=args.learning_rate, l2=args.l2)
     net, history = harness.train_model(run, train, val)
-    scores = harness.eval_scores(run, net.forward(test.features, train=False))
-    test_c = c_index(test, scores)
+    test_c = c_index(test, harness.predict_scores(run, net, test.features))
     save_checkpoint(net, args.checkpoint)
     meta = {
         "loss": run.loss,
@@ -264,7 +263,7 @@ def _cmd_evaluate(args):
             )
         net = load_checkpoint(args.checkpoint)
         run = harness.TrainRun(loss=meta["loss"], wm_score=meta["wm_score"])
-        scores = harness.eval_scores(run, net.forward(result.features, train=False))
+        scores = harness.predict_scores(run, net, result.features)
         data = result
     n = len(data.times)
     payload = {

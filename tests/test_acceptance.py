@@ -31,7 +31,7 @@ from censrank.harness import (
     TrainRun,
     censoring_ablation,
     cv_splits,
-    eval_scores,
+    predict_scores,
     run_cv,
     train_model,
 )
@@ -267,7 +267,7 @@ class TestSyntheticLearnability:
         for loss in LOSS_CONFIGS:
             run = TrainRun(loss=loss, learning_rate=1e-3, l2=1e-4, seed=61)
             net, _ = train_model(run, train, val)
-            scores = eval_scores(run, net.forward(test.features, train=False))
+            scores = predict_scores(run, net, test.features)
             per_loss[loss] = c_index_from_pairs(test_pairs, scores)
         weakest = min(per_loss, key=per_loss.get)
 

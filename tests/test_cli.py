@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import cli_launch
-from censrank import pipeline
+from censrank import harness, pipeline
 from censrank.cli import load_grid, main
 from censrank.core import Dataset, build_time_grid
 from censrank.estimators import kaplan_meier
+from censrank.neural import Network, load_checkpoint, save_checkpoint
 
 # knobs that keep every training command in this file under a second
 KNOBS = [
@@ -297,6 +298,9 @@ def _with_config(checkpoint, tmp_path, edit):
     (lambda cfg: cfg.pop("hidden_dims"), "missing ['hidden_dims']"),
     (lambda cfg: cfg.update(momentum=0.9), "unknown ['momentum']"),
     (lambda cfg: cfg.update(input_dim=0), "input_dim 0"),
+    (lambda cfg: cfg.update(hidden_dims=5), "'hidden_dims'"),
+    (lambda cfg: cfg.update(dropout_rate="0.5"), "'dropout_rate'"),
+    (lambda cfg: cfg.update(seed="x"), "'seed'"),
 ])
 def test_evaluate_names_a_damaged_checkpoint_config(capsys, toy, checkpoint, tmp_path,
                                                     edit, named):
@@ -304,6 +308,60 @@ def test_evaluate_names_a_damaged_checkpoint_config(capsys, toy, checkpoint, tmp
     code, err = _error_line(capsys, ["evaluate", *data_args(toy), "--checkpoint", path])
     assert code == 2
     assert err["error"] == "ValueError" and named in err["message"]
+
+
+def _train_wm(capsys, toy, path):
+    assert main(["train", *data_args(toy), "--loss", "wm", "--bin-width", "5",
+                 "--seed", "3", *KNOBS, "--checkpoint", path]) == 0
+    capsys.readouterr()
+
+
+def test_evaluate_names_a_non_finite_checkpoint_array(capsys, toy, tmp_path):
+    # scored by the median bin, an all-NaN pmf row once read as bin 0, so
+    # this checkpoint evaluated to C = 0.5 with exit 0
+    path = str(tmp_path / "wm.bin")
+    _train_wm(capsys, toy, path)
+    net = load_checkpoint(path)
+    net.params["W_out"][:] = np.nan
+    save_checkpoint(net, path)
+    meta = json.loads(open(path + ".meta.json", encoding="utf-8").read())
+    (tmp_path / "wm.bin.meta.json").write_text(json.dumps({**meta, "wm_score": "median"}))
+    code, err = _error_line(capsys, ["evaluate", *data_args(toy), "--checkpoint", path])
+    assert code == 2
+    assert err["error"] == "ValueError" and "'W_out'" in err["message"]
+
+
+def test_no_eval_forward_holds_more_than_the_scoring_budget(capsys, toy, tmp_path,
+                                                            monkeypatch):
+    table = pipeline.load_csv(toy["csv"], pipeline.load_schema(toy["schema"]))
+    bins = build_time_grid(table.times, 5).num_bins
+    budget = 8 * bins * 5  # five pmf rows per scoring forward
+    monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", budget)
+    held = []
+    forward = Network.forward
+
+    def spy(self, batch, train, *args, **kwargs):
+        out = forward(self, batch, train, *args, **kwargs)
+        if not train:
+            held[-1][1].append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(Network, "forward", spy)
+    path = str(tmp_path / "wm.bin")
+    commands = {
+        "train": ["train", *data_args(toy), "--loss", "wm", "--bin-width", "5",
+                  "--seed", "3", *KNOBS, "--checkpoint", path],
+        "evaluate": ["evaluate", *data_args(toy), "--checkpoint", path],
+        "cv": ["cv", *data_args(toy), "--loss", "wm", "--bin-width", "5", "--k", "2",
+               "--grid", toy["grid"], *KNOBS, "--out", str(tmp_path / "r.csv")],
+    }
+    for name, argv in commands.items():
+        held.append((name, []))
+        assert main(argv) == 0, name
+    capsys.readouterr()
+    assert 8 * bins * len(table) > budget
+    for name, sizes in held:
+        assert sizes and max(sizes) <= budget, (name, max(sizes, default=None))
 
 
 @pytest.mark.parametrize("option, value, named", [

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import censrank.harness as harness
+from censrank.core import Dataset
 from censrank.errors import (
     ExperimentFailedError,
     TrainingDivergedError,
@@ -30,10 +31,11 @@ from censrank.harness import (
     emit_report,
     eval_scores,
     grid_search,
+    predict_scores,
     run_cv,
     train_model,
 )
-from censrank.metrics import acceptable_pairs, c_index_from_pairs
+from censrank.metrics import acceptable_pairs, c_index, c_index_from_pairs
 from censrank.neural import Network, NetworkConfig
 from censrank.pipeline import generate_synthetic
 
@@ -160,6 +162,43 @@ class TestEvalScores:
         assert np.array_equal(eval_scores(run, pmf), [1.0, 0.0, 0.0])
 
 
+class TestPredictScores:
+    # 4,096 bins: 256 rows of outputs fill the scoring budget
+    BINS = 4096
+    BLOCK = harness._SCORE_BLOCK_BYTES // (8 * BINS)
+
+    def _case(self, run, n):
+        head = ("softmax", self.BINS) if run.loss == "wm" else ("scalar_linear", 1)
+        net = Network(NetworkConfig(input_dim=5, hidden_dims=(8,), head=head[0],
+                                    num_outputs=head[1], seed=n))
+        rng = np.random.default_rng(n)
+        data = make_dataset(rng.uniform(0.0, 50.0, size=n), rng.random(n) < 0.7,
+                            features=rng.normal(size=(n, 5)))
+        return net, data
+
+    @pytest.mark.parametrize("run", [TrainRun(loss="cox"), TrainRun(loss="rank-sigmoid"),
+                                     TrainRun(loss="wm"), TrainRun(loss="wm", wm_score="median")],
+                             ids=["cox", "rank", "wm-mean", "wm-median"])
+    @pytest.mark.parametrize("n", [BLOCK // 2, BLOCK, 2 * BLOCK + 37])
+    def test_blocked_scores_match_one_full_forward(self, run, n):
+        net, data = self._case(run, n)
+        full = eval_scores(run, net.forward(data.features, train=False))
+        blocked = predict_scores(run, net, data.features)
+        if run.loss == "wm":
+            # splitting the rows may move the last bits of the head's matmul
+            np.testing.assert_allclose(blocked, full, rtol=1e-12, atol=0.0)
+            assert c_index(data, blocked) == c_index(data, full)
+        else:  # a scalar head scores any n here in one block
+            assert np.array_equal(blocked, full)
+
+    def test_non_finite_outputs_in_the_last_block_are_rejected(self):
+        net, data = self._case(TrainRun(loss="wm"), 2 * self.BLOCK + 37)
+        features = np.array(data.features)
+        features[-1, 0] = np.nan
+        with pytest.raises(TrainingDivergedError, match="non-finite network outputs"):
+            predict_scores(TrainRun(loss="wm"), net, features)
+
+
 class TestTrainModel:
     def test_scripted_early_stopping_returns_best_epoch_params(self, fold, monkeypatch):
         # validation C sequence 0.6, 0.7, 0.65 with patience 1: stop after
@@ -273,6 +312,17 @@ class TestTrainModel:
         assert err.value.epoch == 1
 
 
+    def test_non_finite_validation_scores_diverge_with_the_epoch(self, fold):
+        train, val, _ = fold
+        features = np.array(val.features)
+        features[-1, 0] = np.nan
+        broken = Dataset(features, val.times, val.observed, val.grid)
+        run = TrainRun(loss="wm", seed=3, **FAST)
+        with pytest.raises(TrainingDivergedError, match="validation") as err:
+            train_model(run, train, broken)
+        assert err.value.epoch == 1
+
+
 class TestGridSearch:
     def test_singleton_grid_matches_train_model(self, fold):
         train, val, _ = fold
@@ -334,7 +384,7 @@ class TestGridSearch:
             input_dim=2, hidden_dims=(3,), head="scalar_linear", num_outputs=1,
             dropout_rate=0.0, l2_coefficient=0.0, seed=1,
         )
-        snap = Network(cfg).snapshot()
+        net = Network(cfg)
         template = TrainRun(loss="rank-sigmoid", seed=5, **FAST)
         calls = []
 
@@ -345,8 +395,7 @@ class TestGridSearch:
                 "diverged": False,
                 "val_c": 0.7,
                 "history": {"best_val_c_index": 0.7},
-                "config": cfg,
-                "snapshot": snap,
+                "network": net,
                 "seconds": [1.0, 2.0, 4.0][len(calls) - 1],
             }
 

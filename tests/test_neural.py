@@ -364,6 +364,15 @@ class TestCheckpoints:
             with pytest.raises(ValueError):
                 load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("name, value", [("W_out", np.nan), ("var0", np.inf)])
+    def test_rejects_a_non_finite_array_by_name(self, tmp_path, name, value):
+        net = _small_net()
+        arrays = [(n, np.full_like(a, value) if n == name else a) for n, a in self._arrays(net)]
+        path = tmp_path / "model.ckpt"
+        self._write(path, net.config, arrays)
+        with pytest.raises(ValueError, match=f"'{name}' holds non-finite values"):
+            load_checkpoint(str(path))
+
     def test_rejects_trailing_bytes(self, tmp_path):
         net = _small_net()
         path = tmp_path / "model.ckpt"
