@@ -310,17 +310,13 @@ def test_evaluate_names_a_damaged_checkpoint_config(capsys, toy, checkpoint, tmp
     assert err["error"] == "ValueError" and named in err["message"]
 
 
-def _train_wm(capsys, toy, path):
-    assert main(["train", *data_args(toy), "--loss", "wm", "--bin-width", "5",
-                 "--seed", "3", *KNOBS, "--checkpoint", path]) == 0
-    capsys.readouterr()
-
-
 def test_evaluate_names_a_non_finite_checkpoint_array(capsys, toy, tmp_path):
     # scored by the median bin, an all-NaN pmf row once read as bin 0, so
     # this checkpoint evaluated to C = 0.5 with exit 0
     path = str(tmp_path / "wm.bin")
-    _train_wm(capsys, toy, path)
+    assert main(["train", *data_args(toy), "--loss", "wm", "--bin-width", "5",
+                 "--seed", "3", *KNOBS, "--checkpoint", path]) == 0
+    capsys.readouterr()
     net = load_checkpoint(path)
     net.params["W_out"][:] = np.nan
     save_checkpoint(net, path)

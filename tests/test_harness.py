@@ -311,7 +311,6 @@ class TestTrainModel:
                 train_model(run, train, val)
         assert err.value.epoch == 1
 
-
     def test_non_finite_validation_scores_diverge_with_the_epoch(self, fold):
         train, val, _ = fold
         features = np.array(val.features)
