@@ -109,6 +109,19 @@ def _template_from(args, loss):
     )
 
 
+def _experiment_args(args, loss):
+    """The keyword arguments that cv, ablate-censoring and sweep-censoring share."""
+    return dict(
+        k=args.k,
+        grid=load_grid(args.grid) if args.grid else None,
+        seed=args.seed,
+        val_fraction=args.val_fraction,
+        bin_width=args.bin_width,
+        template=_template_from(args, loss),
+        n_jobs=args.n_jobs,
+    )
+
+
 def load_grid(path):
     """Grid file: either {"learning_rate": [...], "l2": [...]} (cross
     product, in listed order) or an explicit list of [lr, l2] pairs.
@@ -281,17 +294,7 @@ def _cmd_evaluate(args):
 
 def _cmd_cv(args):
     table = _load_table(args)
-    report = harness.run_cv(
-        table,
-        args.loss,
-        k=args.k,
-        grid=load_grid(args.grid) if args.grid else None,
-        seed=args.seed,
-        val_fraction=args.val_fraction,
-        bin_width=args.bin_width,
-        template=_template_from(args, args.loss),
-        n_jobs=args.n_jobs,
-    )
+    report = harness.run_cv(table, args.loss, **_experiment_args(args, args.loss))
     harness.emit_report(report, args.out, format=args.format)
     _emit_line(
         {
@@ -307,17 +310,9 @@ def _cmd_cv(args):
 def _cmd_ablate(args):
     table = _load_table(args)
     losses = [part for part in args.losses.split(",") if part]
-    result = harness.censoring_ablation(
-        table,
-        losses=losses,
-        k=args.k,
-        grid=load_grid(args.grid) if args.grid else None,
-        seed=args.seed,
-        val_fraction=args.val_fraction,
-        bin_width=args.bin_width,
-        template=_template_from(args, losses[0]),
-        n_jobs=args.n_jobs,
-    )
+    if not losses:
+        raise ValueError(f"--losses {args.losses!r} names no loss")
+    result = harness.censoring_ablation(table, losses, **_experiment_args(args, losses[0]))
     harness.emit_report(result, args.out, format=args.format)
     _emit_line({"cells": len(result.cells), "out": args.out})
     return 0
@@ -326,16 +321,7 @@ def _cmd_ablate(args):
 def _cmd_sweep(args):
     table = _load_table(args)
     result = harness.censoring_sweep(
-        table,
-        args.loss,
-        args.fractions,
-        k=args.k,
-        grid=load_grid(args.grid) if args.grid else None,
-        seed=args.seed,
-        val_fraction=args.val_fraction,
-        bin_width=args.bin_width,
-        template=_template_from(args, args.loss),
-        n_jobs=args.n_jobs,
+        table, args.loss, args.fractions, **_experiment_args(args, args.loss)
     )
     harness.emit_report(result, args.out, format=args.format)
     _emit_line(

@@ -4,17 +4,23 @@ k-fold cross-validation, censoring-handling comparisons, and report files.
 Seeding uses one documented counter scheme: every sub-experiment's seed is
 `derived_seed(master, *parts)` where the parts name the sub-experiment
 ("fold", index, "grid", index, ...), so any piece can be re-run in
-isolation and a full run is reproducible byte for byte.  Fold x grid-point
-jobs are independent; with n_jobs > 1 they run in a process pool and are
-reduced in deterministic fold order, so serial and parallel runs emit
-identical reports.
+isolation and a full run is reproducible byte for byte.
+
+An experiment (one cv run, a censoring ablation or a sweep) splits and
+encodes its folds once and trains every (cell, fold, grid point) from one
+job list, where a cell is a loss plus a training-set modifier.  With
+n_jobs > 1 that list runs in a single process pool; each (cell, fold) is
+reduced in job order as soon as its grid points are in, so serial and
+parallel runs emit identical reports.
 """
 
 import json
 import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from zlib import crc32
 
 import numpy as np
@@ -344,7 +350,8 @@ def _fit_job(args):
     try:
         net, history = train_model(run, train, val)
     except TrainingDivergedError as err:
-        return {"diverged": True, "error": str(err), "seconds": time.perf_counter() - started}
+        return {"diverged": True, "error": str(err), "epoch": err.epoch,
+                "seconds": time.perf_counter() - started}
     return {
         "diverged": False,
         "val_c": history["best_val_c_index"],
@@ -354,59 +361,93 @@ def _fit_job(args):
     }
 
 
+def _checked_grid(grid, n_jobs):
+    grid = [(float(lr), float(l2)) for lr, l2 in grid]
+    if not grid:
+        raise ValueError("the grid must contain at least one point")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    return grid
+
+
+def _select(loss, fi, grid, results):
+    """The FoldSelection of one fold's results, one per grid point: best
+    validation C-index, ties broken by lower l2 then lower learning rate."""
+    alive = [(gi, r) for gi, r in enumerate(results) if not r["diverged"]]
+    if not alive:
+        reasons = "; ".join(f"(lr, l2) = {point} at epoch {r['epoch']}: {r['error']}"
+                            for point, r in zip(grid, results))
+        raise ExperimentFailedError(
+            f"{loss} fold {fi}: all {len(grid)} grid points diverged: {reasons}"
+        )
+    gi, best = min(alive, key=lambda item: (-item[1]["val_c"], grid[item[0]][1], grid[item[0]][0]))
+    return FoldSelection(
+        fold=fi, learning_rate=grid[gi][0], l2=grid[gi][1], val_c_index=best["val_c"],
+        network=best["network"], history=best["history"],
+        diverged=tuple(grid[gj] for gj, r in enumerate(results) if r["diverged"]),
+        seconds=sum(r["seconds"] for r in results),
+    )
+
+
+def _fit_all(jobs, n_jobs):
+    """Yield `_fit_job` of every job in job order.  With n_jobs > 1 one
+    process pool runs them, at most 2 x n_jobs ahead of the one yielded,
+    so a lazy `jobs` is never drawn far ahead."""
+    if n_jobs == 1:
+        yield from map(_fit_job, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        ahead = deque()
+        try:
+            for job in jobs:
+                ahead.append(pool.submit(_fit_job, job))
+                if len(ahead) > 2 * n_jobs:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:  # after a failure, start none of the jobs still queued
+            for future in ahead:
+                future.cancel()
+
+
+def _search(folds, grid, n_jobs, reduce):
+    """`reduce(selection, template, fi, fold)` of every (template, fold
+    index, fold) of `folds`, in order; `fold` starts with (train, val).
+
+    Grid point gi of fold fi is seeded `derived_seed(template.seed, "fold",
+    fi, "grid", gi)`.  `folds` is drawn as its jobs are queued and each is
+    reduced once its last point is in, so only folds in flight hold networks.
+    """
+    queued = deque()
+
+    def jobs():
+        for template, fi, fold in folds:
+            queued.append((template, fi, fold))
+            for gi, (lr, l2) in enumerate(grid):
+                seed = derived_seed(template.seed, "fold", fi, "grid", gi)
+                yield replace(template, learning_rate=lr, l2=l2, seed=seed), fold[0], fold[1]
+
+    results = _fit_all(jobs(), n_jobs)
+    reduced = []
+    for first in results:
+        template, fi, fold = queued.popleft()
+        points = [first, *islice(results, len(grid) - 1)]
+        reduced.append(reduce(_select(template.loss, fi, grid, points), template, fi, fold))
+        del first, points  # free this fold's networks before the next one trains
+    return reduced
+
+
 def grid_search(folds, grid, template: TrainRun, n_jobs=1):
     """Train every (learning rate, l2) point on every fold; pick per fold.
 
     `folds` is a sequence of (train, val) or (train, val, test) tuples;
     extra members are ignored.  Selection is by best validation C-index,
     ties broken by lower l2 then lower learning rate.  Diverged points are
-    skipped; a fold where every point diverged raises ExperimentFailedError.
+    skipped; a fold where every point diverged raises ExperimentFailedError
+    naming the loss and each point's epoch and reason.
     """
-    grid = [(float(lr), float(l2)) for lr, l2 in grid]
-    if not grid:
-        raise ValueError("the grid must contain at least one point")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    jobs = []
-    for fi, fold in enumerate(folds):
-        train, val = fold[0], fold[1]
-        for gi, (lr, l2) in enumerate(grid):
-            run = replace(
-                template,
-                learning_rate=lr,
-                l2=l2,
-                seed=derived_seed(template.seed, "fold", fi, "grid", gi),
-            )
-            jobs.append((run, train, val))
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_fit_job, jobs, chunksize=1))
-    else:
-        results = [_fit_job(job) for job in jobs]
-
-    selections = []
-    per_fold = len(grid)
-    for fi in range(len(jobs) // per_fold):
-        fold_results = results[fi * per_fold : (fi + 1) * per_fold]
-        alive = [(gi, r) for gi, r in enumerate(fold_results) if not r["diverged"]]
-        if not alive:
-            raise ExperimentFailedError(
-                f"fold {fi}: all {per_fold} grid points diverged"
-            )
-        gi, best = min(alive, key=lambda item: (-item[1]["val_c"], grid[item[0]][1], grid[item[0]][0]))
-        selections.append(
-            FoldSelection(
-                fold=fi,
-                learning_rate=grid[gi][0],
-                l2=grid[gi][1],
-                val_c_index=best["val_c"],
-                network=best["network"],
-                history=best["history"],
-                diverged=tuple(grid[gj] for gj, r in enumerate(fold_results) if r["diverged"]),
-                seconds=sum(r["seconds"] for r in fold_results),
-            )
-        )
-    return selections
+    tasks = [(template, fi, fold) for fi, fold in enumerate(folds)]
+    return _search(tasks, _checked_grid(grid, n_jobs), n_jobs, lambda selection, *task: selection)
 
 
 # ---------------------------------------------------------------------------
@@ -468,64 +509,58 @@ def _fold_datasets(data, splits, bin_width, fits=None):
     return folds
 
 
-def run_cv(
-    data,
-    loss,
-    k=5,
-    grid=None,
-    seed=0,
-    val_fraction=0.2,
-    bin_width=None,
-    template=None,
-    n_jobs=1,
-    train_modifier=None,
-):
+def _cell_run(template, loss, seed):
+    return replace(template or TrainRun(loss=loss), loss=loss, seed=seed)
+
+
+def _score_fold(selection, run, fi, fold):
+    test_c = c_index(fold[2], predict_scores(run, selection.network, fold[2].features))
+    return FoldResult(fold=fi, learning_rate=selection.learning_rate, l2=selection.l2,
+                      val_c_index=selection.val_c_index, test_c_index=test_c,
+                      seconds=selection.seconds)
+
+
+def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs):
+    """k-fold cross-validation of every cell on one set of folds: one
+    ExperimentReport per cell, in cell order.
+
+    A cell is a (TrainRun, train modifier or None) pair; a modifier maps
+    (train Dataset, fold rng) to a replacement training set, and validation
+    and test folds are never modified.  The folds are encoded once, every
+    (cell, fold, grid point) runs from one job list, and each (cell, fold)
+    is scored on its test fold as soon as it is reduced.
+    """
+    grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs)
+    folds = _fold_datasets(data, cv_splits(len(data), k, val_fraction, seed), bin_width)
+
+    def cell_folds():
+        for run, modify in cells:
+            for fi, (train, val, test) in enumerate(folds):
+                if modify is not None:
+                    train = modify(train, np.random.default_rng(derived_seed(seed, "modify", fi)))
+                yield run, fi, (train, val, test)
+
+    results = _search(cell_folds(), grid, n_jobs, _score_fold)
+    reports = []
+    for ci, (run, _) in enumerate(cells):
+        own = results[ci * k : (ci + 1) * k]
+        tests = np.array([f.test_c_index for f in own])
+        reports.append(ExperimentReport(
+            loss=run.loss, k=k, seed=seed, folds=own, mean_test_c_index=float(tests.mean()),
+            stderr_test_c_index=float(tests.std(ddof=1) / math.sqrt(k)),
+        ))
+    return reports
+
+
+def run_cv(data, loss, k=5, grid=None, seed=0, val_fraction=0.2, bin_width=None,
+           template=None, n_jobs=1):
     """k-fold cross-validation of one loss; returns an ExperimentReport.
 
     `data` is a Dataset (used as-is) or a RawTable (encoded per fold with
-    training-fold statistics; requires bin_width).  `train_modifier`, when
-    given, maps (train Dataset, fold rng) to a replacement training set and
-    is the hook the censoring experiments use; validation and test folds
-    are never modified.
+    training-fold statistics; requires bin_width).
     """
-    grid = DEFAULT_GRID if grid is None else grid
-    template = TrainRun(loss=loss, seed=seed) if template is None else replace(
-        template, loss=loss, seed=seed
-    )
-    splits = cv_splits(len(data), k, val_fraction, seed)
-    folds = _fold_datasets(data, splits, bin_width)
-    if train_modifier is not None:
-        folds = [
-            (
-                train_modifier(train, np.random.default_rng(derived_seed(seed, "modify", fi))),
-                val,
-                test,
-            )
-            for fi, (train, val, test) in enumerate(folds)
-        ]
-    selections = grid_search(folds, grid, template, n_jobs=n_jobs)
-    fold_results = []
-    for sel, (train, val, test) in zip(selections, folds):
-        test_c = c_index(test, predict_scores(template, sel.network, test.features))
-        fold_results.append(
-            FoldResult(
-                fold=sel.fold,
-                learning_rate=sel.learning_rate,
-                l2=sel.l2,
-                val_c_index=sel.val_c_index,
-                test_c_index=test_c,
-                seconds=sel.seconds,
-            )
-        )
-    tests = np.array([f.test_c_index for f in fold_results])
-    return ExperimentReport(
-        loss=loss,
-        k=k,
-        seed=seed,
-        folds=tuple(fold_results),
-        mean_test_c_index=float(tests.mean()),
-        stderr_test_c_index=float(tests.std(ddof=1) / math.sqrt(k)),
-    )
+    cell = (_cell_run(template, loss, seed), None)
+    return _run_experiment(data, [cell], k, grid, seed, val_fraction, bin_width, n_jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -563,44 +598,30 @@ class AblationResult:
         raise KeyError((loss, mode))
 
 
-def censoring_ablation(
-    data,
-    losses=("wm", "rank-sigmoid", "cox-efron"),
-    modes=CENSORING_MODES,
-    k=5,
-    grid=None,
-    seed=0,
-    val_fraction=0.2,
-    bin_width=None,
-    template=None,
-    n_jobs=1,
-):
+def censoring_ablation(data, losses=("wm", "rank-sigmoid", "cox-efron"), modes=CENSORING_MODES,
+                       k=5, grid=None, seed=0, val_fraction=0.2, bin_width=None,
+                       template=None, n_jobs=1):
     """Each loss under each censoring-handling mode, same folds throughout.
 
-    One master seed drives every cell, so validation and test folds are
-    identical across the whole table; only the training sets differ.
+    The folds are built once and shared by every cell, so validation and
+    test folds are identical across the whole table; only the training
+    sets differ.  Every loss and mode is checked before any fold is built.
     """
     if not np.any(~data.observed):
         raise ValueError("the censoring comparison needs a dataset with censored records")
-    cells = []
-    for loss in losses:
-        for mode in modes:
-            if mode not in CENSORING_MODES:
-                raise ValueError(f"unknown censoring mode {mode!r}")
-            report = run_cv(
-                data,
-                loss,
-                k=k,
-                grid=grid,
-                seed=seed,
-                val_fraction=val_fraction,
-                bin_width=bin_width,
-                template=template,
-                n_jobs=n_jobs,
-                train_modifier=lambda train, rng, _mode=mode: apply_censoring_mode(train, _mode),
-            )
-            cells.append(AblationCell(loss=loss, mode=mode, report=report))
-    return AblationResult(cells=tuple(cells))
+    for mode in modes:
+        if mode not in CENSORING_MODES:
+            raise ValueError(f"unknown censoring mode {mode!r}; choose one of {CENSORING_MODES}")
+    pairs = [(_cell_run(template, loss, seed), mode) for loss in losses for mode in modes]
+    cells = [
+        (run, lambda train, rng, _mode=mode: apply_censoring_mode(train, _mode))
+        for run, mode in pairs
+    ]
+    reports = _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
+    return AblationResult(cells=tuple(
+        AblationCell(loss=run.loss, mode=mode, report=report)
+        for (run, mode), report in zip(pairs, reports)
+    ))
 
 
 @dataclass(frozen=True)
@@ -634,52 +655,29 @@ def _sweep_modifier(fraction):
     return modify
 
 
-def censoring_sweep(
-    data,
-    loss,
-    fractions,
-    k=5,
-    grid=None,
-    seed=0,
-    val_fraction=0.2,
-    bin_width=None,
-    template=None,
-    n_jobs=1,
-):
+def censoring_sweep(data, loss, fractions, k=5, grid=None, seed=0, val_fraction=0.2,
+                    bin_width=None, template=None, n_jobs=1):
     """Re-run CV at increasing training censoring fractions.
 
     Observed training records are converted to censored-at-a-uniform-time-
     before-their-event until each requested fraction is met; fractions at
-    or below the dataset's native fraction leave the data untouched (and
-    below-native requests are rejected).  Validation and test folds are
-    never modified.
+    or below the dataset's native fraction leave the data untouched.  A
+    fraction below the native one or above 1 (or NaN) is rejected before
+    any fold is built.  Validation and test folds are never modified.
     """
-    observed = data.observed
-    native = float(np.count_nonzero(~observed)) / len(observed)
-    points = []
+    native = float(np.count_nonzero(~data.observed)) / len(data.observed)
+    fractions = [float(fraction) for fraction in fractions]
     for fraction in fractions:
-        fraction = float(fraction)
-        if fraction < native - 1e-12:
+        if not (native - 1e-12 <= fraction <= 1.0):
             raise ValueError(
-                f"requested censoring fraction {fraction} is below the native {native:.4f}"
+                f"censoring fraction {fraction} must be <= 1 and not below the native {native:.4f}"
             )
-        if fraction > 1.0:
-            raise ValueError(f"censoring fraction must be <= 1, got {fraction}")
-        modifier = None if fraction <= native + 1e-12 else _sweep_modifier(fraction)
-        report = run_cv(
-            data,
-            loss,
-            k=k,
-            grid=grid,
-            seed=seed,
-            val_fraction=val_fraction,
-            bin_width=bin_width,
-            template=template,
-            n_jobs=n_jobs,
-            train_modifier=modifier,
-        )
-        points.append(SweepPoint(fraction=fraction, report=report))
-    return SweepResult(loss=loss, seed=seed, points=tuple(points))
+    run = _cell_run(template, loss, seed)
+    cells = [(run, None if f <= native + 1e-12 else _sweep_modifier(f)) for f in fractions]
+    reports = _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
+    return SweepResult(loss=loss, seed=seed, points=tuple(
+        SweepPoint(fraction=f, report=r) for f, r in zip(fractions, reports)
+    ))
 
 
 # ---------------------------------------------------------------------------

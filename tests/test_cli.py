@@ -449,6 +449,15 @@ class TestCensoringCommands:
         assert rows[0] == "fraction,mean,stderr"
         assert len(rows) == 2 and rows[1].startswith("0.9,")
 
+    def test_ablation_without_a_loss_fails_cleanly(self, capsys, toy, tmp_path):
+        code, err = _error_line(capsys, [
+            "ablate-censoring", *data_args(toy), "--losses", ",", "--bin-width", "5",
+            "--k", "2", "--grid", toy["grid"], *KNOBS, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert err == {"error": "ValueError", "message": "--losses ',' names no loss"}
+        assert not (tmp_path / "x.csv").exists()
+
     def test_sweep_below_native_fraction_fails_cleanly(self, capsys, toy, tmp_path):
         code, _, err = run_cli(capsys, [
             "sweep-censoring", *data_args(toy), "--loss", "rank-sigmoid",

@@ -1,9 +1,11 @@
 """Trainer, grid search, cross-validation, censoring experiments, report files."""
 
 import csv
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +39,7 @@ from censrank.harness import (
 )
 from censrank.metrics import acceptable_pairs, c_index, c_index_from_pairs
 from censrank.neural import Network, NetworkConfig
-from censrank.pipeline import generate_synthetic
+from censrank.pipeline import generate_synthetic, load_csv, save_csv, schema_for_features
 
 from conftest import make_dataset
 
@@ -375,8 +377,13 @@ class TestGridSearch:
         train, val, _ = fold
         template = TrainRun(loss="rank-sigmoid", seed=3, **FAST)
         with np.errstate(all="ignore"):
-            with pytest.raises(ExperimentFailedError, match="all 1 grid points"):
+            with pytest.raises(ExperimentFailedError, match="all 1 grid points") as err:
                 grid_search([(train, val)], [(1e200, 0.0)], template)
+        # the message names the loss, and each point with its epoch and reason
+        assert str(err.value) == (
+            "rank-sigmoid fold 0: all 1 grid points diverged: "
+            "(lr, l2) = (1e+200, 0.0) at epoch 1: non-finite network outputs"
+        )
 
     def test_ties_break_toward_lower_l2_then_lower_rate(self, monkeypatch):
         cfg = NetworkConfig(
@@ -450,14 +457,6 @@ class TestRunCv:
         b = emit_report(parallel, tmp_path / "parallel.csv")
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_identity_train_modifier_changes_nothing(self, synth, report):
-        template = TrainRun(loss="rank-sigmoid", **FAST)
-        modified = run_cv(
-            synth, "rank-sigmoid", k=3, grid=[(1e-2, 1e-4), (1e-3, 0.0)], seed=7,
-            template=template, train_modifier=lambda train, rng: train,
-        )
-        assert report_key(modified) == report_key(report)
-
     def test_default_grid_is_the_rate_by_penalty_product(self):
         assert harness.DEFAULT_GRID == tuple(
             (lr, l2) for lr in (1e-2, 1e-3, 1e-4) for l2 in (0.0, 1e-4, 1e-3, 1e-2)
@@ -515,6 +514,34 @@ class TestApplyCensoringMode:
             apply_censoring_mode(train, "impute")
 
 
+@pytest.fixture()
+def trainings(monkeypatch):
+    """Every run `harness.train_model` is called with."""
+    runs = []
+    real = harness.train_model
+
+    def spy(run, train, val):
+        runs.append(run)
+        return real(run, train, val)
+
+    monkeypatch.setattr(harness, "train_model", spy)
+    return runs
+
+
+def _raw_table(dataset, tmp_path):
+    names = [f"f{i}" for i in range(dataset.n_features)]
+    save_csv(dataset, tmp_path / "t.csv")
+    return load_csv(tmp_path / "t.csv", schema_for_features(names))
+
+
+def _report_bytes(report, tmp_path, name):
+    """The CSV then the JSON bytes of a report."""
+    return [
+        emit_report(report, tmp_path / f"{name}.{fmt}", format=fmt).read_bytes()
+        for fmt in ("csv", "json")
+    ]
+
+
 class TestCensoringAblation:
     def test_requires_censored_records(self):
         uncensored = generate_synthetic(60, 4, 0.0, 0.05, seed=2)
@@ -543,20 +570,89 @@ class TestCensoringAblation:
         )
         assert report_key(result.cell("rank-sigmoid", "with_censored").report) == report_key(plain)
 
-    def test_unknown_mode_rejected(self, synth):
+    def test_unknown_mode_rejected(self, synth, trainings):
         with pytest.raises(ValueError, match="unknown censoring mode"):
             censoring_ablation(synth, losses=("wm",), modes=("with_censored", "typo"), k=2,
                                grid=[(1e-2, 0.0)], template=TrainRun(loss="wm", **FAST))
+        assert trainings == []
+
+    def test_unknown_loss_rejected_before_any_training(self, synth, trainings):
+        with pytest.raises(ValueError, match="unknown loss 'bogus'"):
+            censoring_ablation(synth, losses=("wm", "bogus"), k=2, grid=[(1e-2, 0.0)],
+                               template=TrainRun(loss="wm", **FAST))
+        assert trainings == []
+
+    def test_folds_are_encoded_once_per_experiment(self, synth, tmp_path, monkeypatch):
+        table = _raw_table(synth, tmp_path)
+        calls = []
+        real = harness.preprocess
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("rows"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "preprocess", spy)
+        result = censoring_ablation(
+            table, losses=("rank-sigmoid", "cox-efron"), k=3, grid=[(1e-2, 1e-4)], seed=7,
+            bin_width=5.0, template=TrainRun(loss="rank-sigmoid", **FAST),
+        )
+        assert len(result.cells) == 6
+        # one train, val and test encoding per fold, shared by all six cells
+        assert len(calls) == 3 * 3
+
+    def test_at_most_one_fold_holds_trained_networks(self, synth, monkeypatch):
+        grid = [(1e-2, 1e-4), (1e-2, 0.0)]
+        live = []  # (job's (cell, fold) position, weak reference to its network)
+        real = harness._fit_job
+
+        def spy(job):
+            gc.collect()
+            task = len(live) // len(grid)
+            assert {t for t, ref in live if ref() is not None} <= {task}
+            result = real(job)
+            live.append((task, weakref.ref(result["network"])))
+            return result
+
+        monkeypatch.setattr(harness, "_fit_job", spy)
+        result = censoring_ablation(
+            synth, losses=("wm",), modes=("with_censored", "no_censored"), k=2, grid=grid,
+            seed=7, template=TrainRun(loss="wm", **FAST),
+        )
+        assert len(result.cells) == 2 and len(live) == 2 * 2 * len(grid)
+
+    def test_parallel_equals_serial(self, synth, tmp_path):
+        kwargs = dict(losses=("wm", "rank-sigmoid"), k=2, grid=[(1e-2, 1e-4), (1e-2, 0.0)],
+                      seed=7, template=TrainRun(loss="wm", **FAST))
+        serial = censoring_ablation(synth, **kwargs)
+        parallel = censoring_ablation(synth, n_jobs=2, **kwargs)
+        assert _report_bytes(parallel, tmp_path, "p") == _report_bytes(serial, tmp_path, "s")
 
 
 class TestCensoringSweep:
-    def test_below_native_fraction_rejected(self, synth):
+    def test_below_native_fraction_rejected(self, synth, trainings):
         with pytest.raises(ValueError, match="below the native"):
             censoring_sweep(synth, "rank-sigmoid", fractions=[0.05], k=2)
+        assert trainings == []
 
-    def test_fraction_above_one_rejected(self, synth):
+    def test_fraction_above_one_rejected(self, synth, trainings):
         with pytest.raises(ValueError, match="<= 1"):
             censoring_sweep(synth, "rank-sigmoid", fractions=[1.1], k=2)
+        assert trainings == []
+
+    @pytest.mark.parametrize("bad", [0.05, 1.5, float("nan")])
+    def test_bad_fraction_after_a_good_one_trains_nothing(self, synth, trainings, bad):
+        with pytest.raises(ValueError, match=f"censoring fraction {bad} "):
+            censoring_sweep(synth, "rank-sigmoid", fractions=[0.5, bad], k=2,
+                            grid=[(1e-2, 1e-4)], template=TrainRun(loss="rank-sigmoid", **FAST))
+        assert trainings == []
+
+    def test_parallel_equals_serial(self, synth, tmp_path):
+        kwargs = dict(fractions=[synth.censored_fraction, 0.6, 0.9], k=2,
+                      grid=[(1e-2, 1e-4), (1e-2, 0.0)], seed=7,
+                      template=TrainRun(loss="wm", **FAST))
+        serial = censoring_sweep(synth, "wm", **kwargs)
+        parallel = censoring_sweep(synth, "wm", n_jobs=2, **kwargs)
+        assert _report_bytes(parallel, tmp_path, "p") == _report_bytes(serial, tmp_path, "s")
 
     def test_native_fraction_reproduces_plain_cv(self, synth):
         template = TrainRun(loss="rank-sigmoid", **FAST)
@@ -578,6 +674,38 @@ class TestCensoringSweep:
             censoring_sweep(
                 synth, "cox-efron", fractions=[1.0], k=2, grid=[(1e-2, 1e-4)],
                 seed=7, template=template,
+            )
+
+    def test_a_pool_draws_only_a_few_folds_ahead(self, synth, monkeypatch):
+        drawn, drawn_at_reduce = [], []
+        real_modifier, real_select = harness._sweep_modifier, harness._select
+
+        def modifier(fraction):
+            def modify(train, rng):
+                drawn.append(fraction)
+                return real_modifier(fraction)(train, rng)
+            return modify
+
+        def select(*args):
+            drawn_at_reduce.append(len(drawn))
+            return real_select(*args)
+
+        monkeypatch.setattr(harness, "_sweep_modifier", modifier)
+        monkeypatch.setattr(harness, "_select", select)
+        censoring_sweep(
+            synth, "wm", fractions=[0.5, 0.6, 0.7, 0.8, 0.9], k=2, grid=[(1e-2, 1e-4)],
+            seed=7, template=TrainRun(loss="wm", **FAST), n_jobs=2,
+        )
+        assert len(drawn) == len(drawn_at_reduce) == 5 * 2
+        # one grid point per fold: the fold being reduced plus 2 x n_jobs queued
+        assert max(d - r for r, d in enumerate(drawn_at_reduce)) <= 1 + 2 * 2
+
+    def test_a_worker_error_reaches_the_caller(self, synth):
+        template = TrainRun(loss="cox-efron", **FAST)
+        with pytest.raises(UndefinedMetricError, match="no observed events"):
+            censoring_sweep(
+                synth, "cox-efron", fractions=[synth.censored_fraction, 1.0], k=2,
+                grid=[(1e-2, 1e-4)], seed=7, template=template, n_jobs=2,
             )
 
     def test_fully_censored_training_still_defines_the_cdf_loss(self, synth):
