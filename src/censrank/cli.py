@@ -24,7 +24,8 @@ import numpy as np
 from . import harness, pipeline
 from .core import Dataset, build_time_grid
 from .errors import CensrankError
-from .estimators import kaplan_meier
+from .estimators import IMPUTE_MODES, kaplan_meier
+from .losses import RANK_SIGNS
 from .metrics import c_index
 from .neural import load_checkpoint, save_checkpoint
 
@@ -76,8 +77,8 @@ def _add_train_knobs(p):
     p.add_argument("--wm-smoothing", type=float, default=1.0)
     p.add_argument("--wm-l", type=float, default=1.5)
     p.add_argument("--wm-score", choices=("mean", "median"), default="mean")
-    p.add_argument("--km-impute", choices=("conditional", "global"), default="conditional")
-    p.add_argument("--rank-sign", choices=("concordant", "literal"), default="concordant")
+    p.add_argument("--km-impute", choices=IMPUTE_MODES, default="conditional")
+    p.add_argument("--rank-sign", choices=RANK_SIGNS, default="concordant")
     p.add_argument("--hinge-clip", type=_hinge_clip, default=1.0,
                    help="hinge surrogate ceiling; 'none' disables")
 
@@ -91,22 +92,14 @@ def _add_cv_args(p):
     p.add_argument("--n-jobs", type=int, default=1)
 
 
+# TrainRun fields that a command's option of the same name sets
+_TRAIN_KNOBS = ("hidden_dims", "dropout", "batch_size", "patience", "wm_smoothing", "wm_l",
+                "wm_score", "km_impute", "rank_sign", "hinge_clip", "seed")
+
+
 def _template_from(args, loss):
-    return harness.TrainRun(
-        loss=loss,
-        hidden_dims=args.hidden_dims,
-        dropout=args.dropout,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        wm_smoothing=args.wm_smoothing,
-        wm_l=args.wm_l,
-        wm_score=args.wm_score,
-        km_impute=args.km_impute,
-        rank_sign=args.rank_sign,
-        hinge_clip=args.hinge_clip,
-        seed=args.seed,
-    )
+    return harness.TrainRun(loss=loss, max_epochs=args.epochs,
+                            **{name: getattr(args, name) for name in _TRAIN_KNOBS})
 
 
 def _experiment_args(args, loss):

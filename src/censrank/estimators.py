@@ -23,7 +23,9 @@ import numpy as np
 
 from .core import Dataset, TimeGrid, _scratch_rows
 
-__all__ = ["KaplanMeierCurve", "kaplan_meier", "target_cdf_matrix"]
+__all__ = ["IMPUTE_MODES", "KaplanMeierCurve", "kaplan_meier", "target_cdf_matrix"]
+
+IMPUTE_MODES = ("conditional", "global")
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,8 @@ def _fill_target_rows(out, bins, observed, survival, mode):
     k is 0 through k and, beyond it, 1 - S(t)/S(k) ("conditional", or 1
     when S(k) = 0) or the running maximum of 1 - S(t) from k + 1 ("global").
     """
-    if mode not in ("conditional", "global"):
-        raise ValueError(f"unknown imputation mode {mode!r}")
+    if mode not in IMPUTE_MODES:
+        raise ValueError(f"unknown imputation mode {mode!r}; choose one of {IMPUTE_MODES}")
     for row, k, obs in zip(out, bins.tolist(), observed.tolist()):
         if obs:
             row[:k] = 0.0

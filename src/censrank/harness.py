@@ -27,8 +27,9 @@ import numpy as np
 
 from .core import Dataset, build_time_grid
 from .errors import ExperimentFailedError, TrainingDivergedError, UndefinedMetricError
-from .estimators import kaplan_meier, target_cdf_matrix
-from .losses import bin_weights, cox_nll_with_grad, ranking_loss_with_grad, wm_batch_with_grad
+from .estimators import IMPUTE_MODES, kaplan_meier, target_cdf_matrix
+from .losses import (RANK_SIGNS, bin_weights, cox_nll_with_grad, ranking_loss_with_grad,
+                     wm_batch_with_grad)
 from .metrics import AcceptablePairSet, _enumerate_pairs, c_index
 from .neural import Adam, Network, NetworkConfig
 from .pipeline import RawTable, kfold_split, preprocess
@@ -114,8 +115,10 @@ class TrainRun:
     wm_score: str = "mean"  # validation/test score: expected bin or median bin
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; choose one of {LOSSES}")
+        for name, choices in (("loss", LOSSES), ("wm_score", ("mean", "median")),
+                              ("km_impute", IMPUTE_MODES), ("rank_sign", RANK_SIGNS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; choose one of {choices}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -124,14 +127,15 @@ class TrainRun:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
-        if not (self.l2 >= 0):  # also rejects NaN
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
         if not (self.wm_l >= 1):  # also rejects NaN
             raise ValueError(f"wm_l must be >= 1, got {self.wm_l}")
         if not (self.hinge_clip is None or self.hinge_clip > 0):
             raise ValueError(f"hinge_clip must be positive or None, got {self.hinge_clip}")
-        if self.wm_score not in ("mean", "median"):
-            raise ValueError(f"wm_score must be 'mean' or 'median', got {self.wm_score!r}")
+        if not (self.wm_smoothing > 0):  # also rejects NaN
+            raise ValueError(f"wm_smoothing must be positive, got {self.wm_smoothing}")
+        # the network's own checks of the widths, dropout and l2, before any fold is built
+        NetworkConfig(input_dim=1, hidden_dims=self.hidden_dims, dropout_rate=self.dropout,
+                      l2_coefficient=self.l2)
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
@@ -370,7 +374,7 @@ def _checked_grid(grid, n_jobs):
     return grid
 
 
-def _select(loss, fi, grid, results):
+def _select(name, fi, grid, results):
     """The FoldSelection of one fold's results, one per grid point: best
     validation C-index, ties broken by lower l2 then lower learning rate."""
     alive = [(gi, r) for gi, r in enumerate(results) if not r["diverged"]]
@@ -378,7 +382,7 @@ def _select(loss, fi, grid, results):
         reasons = "; ".join(f"(lr, l2) = {point} at epoch {r['epoch']}: {r['error']}"
                             for point, r in zip(grid, results))
         raise ExperimentFailedError(
-            f"{loss} fold {fi}: all {len(grid)} grid points diverged: {reasons}"
+            f"{name} fold {fi}: all {len(grid)} grid points diverged: {reasons}"
         )
     gi, best = min(alive, key=lambda item: (-item[1]["val_c"], grid[item[0]][1], grid[item[0]][0]))
     return FoldSelection(
@@ -411,8 +415,9 @@ def _fit_all(jobs, n_jobs):
 
 
 def _search(folds, grid, n_jobs, reduce):
-    """`reduce(selection, template, fi, fold)` of every (template, fold
-    index, fold) of `folds`, in order; `fold` starts with (train, val).
+    """`reduce(selection, template, fi, fold)` of every (name, template,
+    fold index, fold) of `folds`, in order; `fold` starts with (train, val)
+    and `name` labels the (cell, fold) in a divergence error.
 
     Grid point gi of fold fi is seeded `derived_seed(template.seed, "fold",
     fi, "grid", gi)`.  `folds` is drawn as its jobs are queued and each is
@@ -421,8 +426,8 @@ def _search(folds, grid, n_jobs, reduce):
     queued = deque()
 
     def jobs():
-        for template, fi, fold in folds:
-            queued.append((template, fi, fold))
+        for name, template, fi, fold in folds:
+            queued.append((name, template, fi, fold))
             for gi, (lr, l2) in enumerate(grid):
                 seed = derived_seed(template.seed, "fold", fi, "grid", gi)
                 yield replace(template, learning_rate=lr, l2=l2, seed=seed), fold[0], fold[1]
@@ -430,9 +435,9 @@ def _search(folds, grid, n_jobs, reduce):
     results = _fit_all(jobs(), n_jobs)
     reduced = []
     for first in results:
-        template, fi, fold = queued.popleft()
+        name, template, fi, fold = queued.popleft()
         points = [first, *islice(results, len(grid) - 1)]
-        reduced.append(reduce(_select(template.loss, fi, grid, points), template, fi, fold))
+        reduced.append(reduce(_select(name, fi, grid, points), template, fi, fold))
         del first, points  # free this fold's networks before the next one trains
     return reduced
 
@@ -446,7 +451,7 @@ def grid_search(folds, grid, template: TrainRun, n_jobs=1):
     skipped; a fold where every point diverged raises ExperimentFailedError
     naming the loss and each point's epoch and reason.
     """
-    tasks = [(template, fi, fold) for fi, fold in enumerate(folds)]
+    tasks = [(template.loss, template, fi, fold) for fi, fold in enumerate(folds)]
     return _search(tasks, _checked_grid(grid, n_jobs), n_jobs, lambda selection, *task: selection)
 
 
@@ -524,25 +529,26 @@ def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     """k-fold cross-validation of every cell on one set of folds: one
     ExperimentReport per cell, in cell order.
 
-    A cell is a (TrainRun, train modifier or None) pair; a modifier maps
-    (train Dataset, fold rng) to a replacement training set, and validation
-    and test folds are never modified.  The folds are encoded once, every
-    (cell, fold, grid point) runs from one job list, and each (cell, fold)
-    is scored on its test fold as soon as it is reduced.
+    A cell is a (name, TrainRun, train modifier or None) triple; the name
+    labels its errors, a modifier maps (train Dataset, fold rng) to a
+    replacement training set, and validation and test folds are never
+    modified.  The folds are encoded once, every (cell, fold, grid point)
+    runs from one job list, and each (cell, fold) is scored on its test
+    fold as soon as it is reduced.
     """
     grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs)
     folds = _fold_datasets(data, cv_splits(len(data), k, val_fraction, seed), bin_width)
 
     def cell_folds():
-        for run, modify in cells:
+        for name, run, modify in cells:
             for fi, (train, val, test) in enumerate(folds):
                 if modify is not None:
                     train = modify(train, np.random.default_rng(derived_seed(seed, "modify", fi)))
-                yield run, fi, (train, val, test)
+                yield name, run, fi, (train, val, test)
 
     results = _search(cell_folds(), grid, n_jobs, _score_fold)
     reports = []
-    for ci, (run, _) in enumerate(cells):
+    for ci, (_, run, _) in enumerate(cells):
         own = results[ci * k : (ci + 1) * k]
         tests = np.array([f.test_c_index for f in own])
         reports.append(ExperimentReport(
@@ -559,7 +565,7 @@ def run_cv(data, loss, k=5, grid=None, seed=0, val_fraction=0.2, bin_width=None,
     `data` is a Dataset (used as-is) or a RawTable (encoded per fold with
     training-fold statistics; requires bin_width).
     """
-    cell = (_cell_run(template, loss, seed), None)
+    cell = (loss, _cell_run(template, loss, seed), None)
     return _run_experiment(data, [cell], k, grid, seed, val_fraction, bin_width, n_jobs)[0]
 
 
@@ -598,6 +604,15 @@ class AblationResult:
         raise KeyError((loss, mode))
 
 
+def _listed_once(kind, values):
+    """`values` as a list; raises ValueError naming the first one listed twice."""
+    values = list(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{kind} {value!r} is listed more than once")
+    return values
+
+
 def censoring_ablation(data, losses=("wm", "rank-sigmoid", "cox-efron"), modes=CENSORING_MODES,
                        k=5, grid=None, seed=0, val_fraction=0.2, bin_width=None,
                        template=None, n_jobs=1):
@@ -605,22 +620,22 @@ def censoring_ablation(data, losses=("wm", "rank-sigmoid", "cox-efron"), modes=C
 
     The folds are built once and shared by every cell, so validation and
     test folds are identical across the whole table; only the training
-    sets differ.  Every loss and mode is checked before any fold is built.
+    sets differ.  Every loss and mode is checked, and must be listed once,
+    before any fold is built.
     """
     if not np.any(~data.observed):
         raise ValueError("the censoring comparison needs a dataset with censored records")
-    for mode in modes:
+    for mode in _listed_once("censoring mode", modes):
         if mode not in CENSORING_MODES:
             raise ValueError(f"unknown censoring mode {mode!r}; choose one of {CENSORING_MODES}")
-    pairs = [(_cell_run(template, loss, seed), mode) for loss in losses for mode in modes]
-    cells = [
-        (run, lambda train, rng, _mode=mode: apply_censoring_mode(train, _mode))
-        for run, mode in pairs
-    ]
+    pairs = [(loss, mode) for loss in _listed_once("loss", losses) for mode in modes]
+    cells = [(f"{loss} ({mode})", _cell_run(template, loss, seed),
+              lambda train, rng, _mode=mode: apply_censoring_mode(train, _mode))
+             for loss, mode in pairs]
     reports = _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     return AblationResult(cells=tuple(
-        AblationCell(loss=run.loss, mode=mode, report=report)
-        for (run, mode), report in zip(pairs, reports)
+        AblationCell(loss=loss, mode=mode, report=report)
+        for (loss, mode), report in zip(pairs, reports)
     ))
 
 
@@ -663,17 +678,19 @@ def censoring_sweep(data, loss, fractions, k=5, grid=None, seed=0, val_fraction=
     before-their-event until each requested fraction is met; fractions at
     or below the dataset's native fraction leave the data untouched.  A
     fraction below the native one or above 1 (or NaN) is rejected before
-    any fold is built.  Validation and test folds are never modified.
+    any fold is built, as is a fraction listed twice.  Validation and test
+    folds are never modified.
     """
     native = float(np.count_nonzero(~data.observed)) / len(data.observed)
-    fractions = [float(fraction) for fraction in fractions]
+    fractions = _listed_once("censoring fraction", [float(fraction) for fraction in fractions])
     for fraction in fractions:
         if not (native - 1e-12 <= fraction <= 1.0):
             raise ValueError(
                 f"censoring fraction {fraction} must be <= 1 and not below the native {native:.4f}"
             )
     run = _cell_run(template, loss, seed)
-    cells = [(run, None if f <= native + 1e-12 else _sweep_modifier(f)) for f in fractions]
+    cells = [(f"{loss} (censoring fraction {f})", run,
+              None if f <= native + 1e-12 else _sweep_modifier(f)) for f in fractions]
     reports = _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     return SweepResult(loss=loss, seed=seed, points=tuple(
         SweepPoint(fraction=f, report=r) for f, r in zip(fractions, reports)
@@ -682,10 +699,6 @@ def censoring_sweep(data, loss, fractions, k=5, grid=None, seed=0, val_fraction=
 
 # ---------------------------------------------------------------------------
 # Report files
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _report_doc(report, include_timing):
@@ -748,7 +761,7 @@ def _csv_rows(doc, key, columns):
 def _csv_cell(value):
     if isinstance(value, str):
         return value
-    return str(value) if isinstance(value, int) else _fmt(value)
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def emit_report(report, path, format="csv", include_timing=False):

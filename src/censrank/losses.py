@@ -14,6 +14,7 @@ from .metrics import AcceptablePairSet
 
 __all__ = [
     "PHI_KINDS",
+    "RANK_SIGNS",
     "phi_with_grad",
     "cox_nll_with_grad",
     "ranking_loss_with_grad",
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 PHI_KINDS = ("sigmoid", "log_sigmoid", "hinge", "exponential")
+RANK_SIGNS = ("concordant", "literal")
 
 
 def phi_with_grad(kind, z, hinge_clip=1.0):
@@ -120,7 +122,7 @@ def _pair_margins(scores, pairs, sign):
         return scores[pairs.j] - scores[pairs.i], +1.0
     if sign == "literal":
         return scores[pairs.i] - scores[pairs.j], -1.0
-    raise ValueError(f"rank sign must be 'concordant' or 'literal', got {sign!r}")
+    raise ValueError(f"rank sign must be one of {RANK_SIGNS}, got {sign!r}")
 
 
 def ranking_loss_with_grad(scores, pairs: AcceptablePairSet, kind, sign="concordant",

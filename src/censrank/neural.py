@@ -7,7 +7,10 @@ are exact for the composite loss + l2 * sum ||W||^2, with the l2 penalty on
 weight matrices only (not biases or batch-norm parameters).
 
 There is no autodiff here: `backward` consumes d(loss)/d(outputs) supplied
-by one of the loss functions and walks the cached forward pass.
+by one of the loss functions and walks the cache of the last train-mode
+`forward` (eval mode caches nothing): the head's input and outputs, and per
+hidden layer (input, z - batch mean, batch std, xhat, gate), where gate is
+the ReLU slope times the inverted-dropout mask.
 
 Checkpoint format (version 1, little-endian): the 8-byte magic
 b"CENSRANK", a uint32 format version, a uint32 header length, a UTF-8 JSON
@@ -15,7 +18,6 @@ header {"config": {...}, "arrays": [{"name", "shape"}, ...]}, then each
 array's raw float64 data in the listed order.
 """
 
-import copy
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -29,6 +31,7 @@ __all__ = ["NetworkConfig", "Network", "Adam", "save_checkpoint", "load_checkpoi
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1  # fraction of the new batch statistic mixed into the running one
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _MAGIC = b"CENSRANK"
 _FORMAT_VERSION = 1
 
@@ -92,24 +95,20 @@ class Network:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, batch, train, cache_for_backward=None):
+    def forward(self, batch, train):
         """Run the network on `batch` (rows = records).
 
         Train mode uses batch statistics for batch norm (batch size >= 2
-        required), draws fresh dropout masks, and updates the running
-        statistics.  Eval mode uses the running statistics, applies no
-        dropout, and mutates nothing.  The scalar head returns shape (n,),
-        the softmax head (n, num_outputs) rows summing to 1.
+        required), draws fresh dropout masks, updates the running statistics
+        and caches what `backward` needs.  Eval mode uses the running
+        statistics, applies no dropout, and mutates nothing.  The scalar head
+        returns shape (n,), the softmax head (n, num_outputs) rows summing to 1.
         """
         X = np.asarray(batch, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"batch must be (n, {self.config.input_dim}), got {X.shape}"
-            )
+            raise ValueError(f"batch must be (n, {self.config.input_dim}), got {X.shape}")
         if train and X.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
-        if cache_for_backward is None:
-            cache_for_backward = train
         p = self.params
         layers = []
         a = X
@@ -117,29 +116,27 @@ class Network:
             z = a @ p[f"W{i}"] + p[f"b{i}"]
             if train:
                 mu = z.mean(axis=0)
-                var = z.var(axis=0)  # population variance, matching the running stats
+                centered = z - mu
+                var = (centered * centered).sum(axis=0) / len(z)  # bitwise z.var(axis=0)
                 self.running[f"mean{i}"] *= 1.0 - _BN_MOMENTUM
                 self.running[f"mean{i}"] += _BN_MOMENTUM * mu
                 self.running[f"var{i}"] *= 1.0 - _BN_MOMENTUM
                 self.running[f"var{i}"] += _BN_MOMENTUM * var
             else:
-                mu = self.running[f"mean{i}"]
+                centered = z - self.running[f"mean{i}"]
                 var = self.running[f"var{i}"]
             std = np.sqrt(var + _BN_EPS)
-            xhat = (z - mu) / std
+            xhat = centered / std
             bn = p[f"gamma{i}"] * xhat + p[f"beta{i}"]
-            h = np.maximum(bn, 0.0)
-            if train and self.config.dropout_rate > 0.0:
-                keep = 1.0 - self.config.dropout_rate
-                mask = (self._rng.random(h.shape) < keep) / keep
-                out = h * mask
-            else:
-                mask = None
-                out = h
-            layers.append(
-                {"input": a, "z": z, "xhat": xhat, "std": std, "bn": bn, "mask": mask}
-            )
-            a = out
+            input_, a = a, np.maximum(bn, 0.0)
+            if train:
+                # d(output)/d(bn): the ReLU's slope times the inverted-dropout mask
+                gate = bn > 0.0
+                if self.config.dropout_rate > 0.0:
+                    keep = 1.0 - self.config.dropout_rate
+                    gate = gate * ((self._rng.random(a.shape) < keep) / keep)
+                    a *= gate
+                layers.append((input_, centered, std, xhat, gate))
         logits = a @ p["W_out"]
         logits += p["b_out"]
         if self.config.head == "softmax":
@@ -150,8 +147,8 @@ class Network:
             outputs = logits
         else:
             outputs = logits[:, 0]
-        if cache_for_backward:
-            self._cache = {"layers": layers, "head_input": a, "outputs": outputs, "train": train}
+        if train:
+            self._cache = {"layers": layers, "head_input": a, "outputs": outputs}
         return outputs
 
     # -- backward ----------------------------------------------------------
@@ -159,54 +156,48 @@ class Network:
     def backward(self, grad_outputs, work=None):
         """Gradients of loss + l2 * sum ||W||^2 w.r.t. every parameter.
 
-        `grad_outputs` is d(loss)/d(outputs) with the shape `forward`
-        returned; it is never written to.  Requires a cached forward pass.
-        For the softmax head, `work` is an optional float64 scratch array of
+        `grad_outputs` is d(loss)/d(outputs) of the last train-mode
+        forward, whose cache (see the module docstring) this walks; it has
+        the shape that forward returned and is never written to.  For the
+        softmax head, `work` is an optional float64 scratch array of
         shape (at least batch, num_outputs) that the softmax step writes
         into instead of allocating; the gradients are the same bit for bit.
         """
         if self._cache is None:
-            raise RuntimeError("backward called without a cached forward pass")
+            raise RuntimeError("backward called without a train-mode forward pass")
         cache = self._cache
         p = self.params
         grads = {}
         grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
+        if grad_outputs.shape != cache["outputs"].shape:
+            raise ValueError(f"gradient shape {grad_outputs.shape} does not match the outputs' "
+                             f"{cache['outputs'].shape}")
 
         if self.config.head == "softmax":
             pmf = cache["outputs"]
-            if grad_outputs.shape != pmf.shape:
-                raise ValueError("gradient shape does not match the softmax outputs")
             dlogits = _scratch_rows(work, *pmf.shape)
             np.multiply(grad_outputs, pmf, out=dlogits)
             dot = np.sum(dlogits, axis=1, keepdims=True)
             np.subtract(grad_outputs, dot, out=dlogits)
             np.multiply(pmf, dlogits, out=dlogits)
         else:
-            if grad_outputs.shape != cache["outputs"].shape:
-                raise ValueError("gradient shape does not match the scalar outputs")
             dlogits = grad_outputs[:, None]
         grads["W_out"] = cache["head_input"].T @ dlogits
         grads["b_out"] = dlogits.sum(axis=0)
         da = dlogits @ p["W_out"].T
 
         for i in reversed(range(len(self.config.hidden_dims))):
-            layer = cache["layers"][i]
-            if layer["mask"] is not None:
-                da = da * layer["mask"]
-            dbn = da * (layer["bn"] > 0.0)
-            grads[f"gamma{i}"] = np.sum(dbn * layer["xhat"], axis=0)
+            input_, centered, std, xhat, gate = cache["layers"][i]
+            dbn = da * gate
+            grads[f"gamma{i}"] = np.sum(dbn * xhat, axis=0)
             grads[f"beta{i}"] = dbn.sum(axis=0)
             dxhat = dbn * p[f"gamma{i}"]
-            if cache["train"]:
-                m = layer["z"].shape[0]
-                centered = layer["z"] - layer["z"].mean(axis=0)
-                inv_std = 1.0 / layer["std"]
-                dvar = np.sum(dxhat * centered, axis=0) * -0.5 * inv_std**3
-                dmu = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * centered, axis=0)
-                dz = dxhat * inv_std + dvar * 2.0 * centered / m + dmu / m
-            else:
-                dz = dxhat / layer["std"]
-            grads[f"W{i}"] = layer["input"].T @ dz
+            m = len(centered)
+            inv_std = 1.0 / std
+            dvar = np.sum(dxhat * centered, axis=0) * -0.5 * inv_std**3
+            dmu = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * centered, axis=0)
+            dz = dxhat * inv_std + dvar * 2.0 * centered / m + dmu / m
+            grads[f"W{i}"] = input_.T @ dz
             grads[f"b{i}"] = dz.sum(axis=0)
             if i > 0:  # nothing consumes the gradient of the network's input
                 da = dz @ p[f"W{i}"].T
@@ -220,28 +211,26 @@ class Network:
     # -- state management ----------------------------------------------------
 
     def snapshot(self):
-        """Deep copy of parameters and running statistics (for early stopping)."""
-        return {
-            "params": copy.deepcopy(self.params),
-            "running": copy.deepcopy(self.running),
-        }
+        """Copies of the parameters and running statistics (for early stopping)."""
+        return {"params": _copies(self.params), "running": _copies(self.running)}
 
     def restore(self, snap):
-        self.params = copy.deepcopy(snap["params"])
-        self.running = copy.deepcopy(snap["running"])
+        self.params = _copies(snap["params"])
+        self.running = _copies(snap["running"])
         self._cache = None
+
+
+def _copies(arrays):
+    return {name: arr.copy() for name, arr in arrays.items()}
 
 
 class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, learning_rate):
         if not (learning_rate > 0):
             raise ValueError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.m = {}
         self.v = {}
@@ -257,11 +246,11 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1**t)
-            v_hat = self.v[name] / (1.0 - self.beta2**t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            self.m[name] = _ADAM_BETA1 * self.m[name] + (1.0 - _ADAM_BETA1) * g
+            self.v[name] = _ADAM_BETA2 * self.v[name] + (1.0 - _ADAM_BETA2) * g * g
+            m_hat = self.m[name] / (1.0 - _ADAM_BETA1**t)
+            v_hat = self.v[name] / (1.0 - _ADAM_BETA2**t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

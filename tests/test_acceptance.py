@@ -171,23 +171,22 @@ class TestGradientSuite:
         checks = 0
         worst = 0.0
         for loss in LOSS_CONFIGS:
-            for train_mode in (True, False):
-                for seed in range(5):
-                    got = _check_one(loss, seed, train_mode)
-                    if got is None:
-                        # hinge margin too close to the kink; resample once
-                        got = _check_one(loss, seed + 1000, train_mode)
-                    if got is None:
-                        continue
-                    checks += 1
-                    worst = max(worst, got)
+            for seed in range(10):
+                got = _check_one(loss, seed)
+                if got is None:
+                    # hinge margin too close to the kink; resample once
+                    got = _check_one(loss, seed + 1000)
+                if got is None:
+                    continue
+                checks += 1
+                worst = max(worst, got)
         elapsed = time.perf_counter() - t0
         _finish(
             capfd,
             name,
             checks >= 50 and worst < 1e-4 and elapsed < 60.0,
-            f"{checks} network/loss/seed checks (7 losses, batch norm in both "
-            f"modes), worst rel err {worst:.2e} (tol 1e-4), {elapsed:.1f}s "
+            f"{checks} network/loss/seed checks (7 losses, 10 seeds, batch "
+            f"statistics), worst rel err {worst:.2e} (tol 1e-4), {elapsed:.1f}s "
             f"(limit 60s)",
         )
 

@@ -361,13 +361,19 @@ def test_no_eval_forward_holds_more_than_the_scoring_budget(capsys, toy, tmp_pat
 
 
 @pytest.mark.parametrize("option, value, named", [
+    ("--dropout", "1.5", "dropout_rate"),
+    ("--wm-smoothing", "0", "wm_smoothing"),
+    ("--hidden-dims", "0", "hidden width must be >= 1"),
     ("--wm-l", "nan", "wm_l"),
     ("--hinge-clip", "nan", "hinge_clip"),
     ("--hinge-clip", "-1", "hinge_clip"),
     ("--n-jobs", "0", "n_jobs"),
     ("--n-jobs", "-2", "n_jobs"),
 ])
-def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, option, value, named):
+def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, monkeypatch, option,
+                                                value, named):
+    encoded = []
+    monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
     code, err = _error_line(capsys, [
         "cv", *data_args(toy), "--loss", "rank-hinge", "--bin-width", "5",
         "--k", "2", "--grid", toy["grid"], *KNOBS, option, value,
@@ -376,6 +382,7 @@ def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, option, v
     assert code == 2
     assert err["error"] == "ValueError" and named in err["message"]
     assert not (tmp_path / "r.csv").exists()
+    assert encoded == []  # rejected before any fold is encoded
 
 
 class TestCv:
@@ -457,6 +464,23 @@ class TestCensoringCommands:
         assert code == 2
         assert err == {"error": "ValueError", "message": "--losses ',' names no loss"}
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, option, value, named", [
+        ("ablate-censoring", "--losses", "rank-sigmoid,rank-sigmoid", "loss 'rank-sigmoid'"),
+        ("sweep-censoring", "--fractions", "0.6,0.6", "censoring fraction 0.6"),
+    ])
+    def test_a_repeated_entry_fails_cleanly(self, capsys, toy, tmp_path, monkeypatch, command,
+                                            option, value, named):
+        encoded = []
+        monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
+        loss = ["--loss", "rank-sigmoid"] if command == "sweep-censoring" else []
+        code, err = _error_line(capsys, [
+            command, *data_args(toy), *loss, option, value, "--bin-width", "5", "--k", "2",
+            "--grid", toy["grid"], *KNOBS, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert err == {"error": "ValueError", "message": f"{named} is listed more than once"}
+        assert encoded == [] and not (tmp_path / "x.csv").exists()
 
     def test_sweep_below_native_fraction_fails_cleanly(self, capsys, toy, tmp_path):
         code, _, err = run_cli(capsys, [

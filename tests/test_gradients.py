@@ -1,7 +1,7 @@
 """Finite-difference checks of backward() through every training loss.
 
 Dropout stays off (the masks would decorrelate the two FD evaluations);
-batch norm runs in both batch-statistics and running-statistics mode.
+batch norm uses batch statistics, the only mode `backward` serves.
 """
 
 import numpy as np
@@ -110,19 +110,13 @@ def _numeric_param_grads(net, f):
     return numeric
 
 
-def _check_one(name, seed, train_mode):
+def _check_one(name, seed):
     rng = np.random.default_rng(seed)
     data, pairs = _context(rng)
     targets, weights = _wm_targets(data) if name == "wm" else (None, None)
     net = _build_network(name, data, seed)
     X = data.features
-
-    if not train_mode:
-        # give the running statistics something non-trivial to hold
-        for _ in range(3):
-            net.forward(X, train=True)
-
-    outputs = net.forward(X, train=train_mode, cache_for_backward=True)
+    outputs = net.forward(X, train=True)
     if name == "rank-hinge" and _margins_near_hinge_kinks(outputs, pairs):
         return None  # resampled by the caller
     value, out_grad = _loss_and_outgrad(name, outputs, data, pairs, targets, weights)
@@ -130,7 +124,7 @@ def _check_one(name, seed, train_mode):
     analytic = net.backward(out_grad)
 
     def f():
-        out = net.forward(X, train=train_mode)
+        out = net.forward(X, train=True)
         return _loss_value(name, out, data, pairs, targets, weights)
 
     numeric = _numeric_param_grads(net, f)
@@ -145,11 +139,11 @@ def _check_one(name, seed, train_mode):
 
 
 class TestFullNetworkGradients:
-    def _run(self, name, train_mode, seeds=range(6)):
+    def _run(self, name, seeds=range(6)):
         worst_overall = 0.0
         checked = 0
         for seed in seeds:
-            worst = _check_one(name, seed, train_mode)
+            worst = _check_one(name, seed)
             if worst is None:
                 continue
             worst_overall = max(worst_overall, worst)
@@ -158,46 +152,25 @@ class TestFullNetworkGradients:
         assert worst_overall < 1e-4, f"{name}: max rel err {worst_overall}"
 
     def test_cox_breslow_batch_stats(self):
-        self._run("cox", True)
-
-    def test_cox_breslow_running_stats(self):
-        self._run("cox", False)
+        self._run("cox")
 
     def test_cox_efron_batch_stats(self):
-        self._run("cox-efron", True)
-
-    def test_cox_efron_running_stats(self):
-        self._run("cox-efron", False)
+        self._run("cox-efron")
 
     def test_rank_sigmoid_batch_stats(self):
-        self._run("rank-sigmoid", True)
-
-    def test_rank_sigmoid_running_stats(self):
-        self._run("rank-sigmoid", False)
+        self._run("rank-sigmoid")
 
     def test_rank_logsigmoid_batch_stats(self):
-        self._run("rank-logsigmoid", True)
-
-    def test_rank_logsigmoid_running_stats(self):
-        self._run("rank-logsigmoid", False)
+        self._run("rank-logsigmoid")
 
     def test_rank_hinge_batch_stats(self):
-        self._run("rank-hinge", True)
-
-    def test_rank_hinge_running_stats(self):
-        self._run("rank-hinge", False)
+        self._run("rank-hinge")
 
     def test_rank_exp_batch_stats(self):
-        self._run("rank-exp", True)
-
-    def test_rank_exp_running_stats(self):
-        self._run("rank-exp", False)
+        self._run("rank-exp")
 
     def test_wm_batch_stats(self):
-        self._run("wm", True)
-
-    def test_wm_running_stats(self):
-        self._run("wm", False)
+        self._run("wm")
 
     def test_l2_gradients_also_match(self):
         # decay folds into the weight-matrix gradients; FD sees it too
@@ -208,7 +181,7 @@ class TestFullNetworkGradients:
         )
         net = Network(config)
         X = data.features
-        outputs = net.forward(X, train=True, cache_for_backward=True)
+        outputs = net.forward(X, train=True)
         _, out_grad = ranking_loss_with_grad(outputs, pairs, "sigmoid")
         analytic = net.backward(out_grad)
         l2 = config.l2_coefficient

@@ -19,6 +19,7 @@ from censrank.errors import (
     UndefinedMetricError,
 )
 from censrank.harness import (
+    CENSORING_MODES,
     AblationCell,
     AblationResult,
     ExperimentReport,
@@ -143,6 +144,21 @@ class TestTrainRunValidation:
 
     def test_hidden_dims_coerced_to_tuple(self):
         assert TrainRun(loss="wm", hidden_dims=[32, 16]).hidden_dims == (32, 16)
+
+    @pytest.mark.parametrize("option, value, named", [
+        ("dropout", 1.5, "dropout_rate"),
+        ("dropout", -0.1, "dropout_rate"),
+        ("hidden_dims", (0,), "hidden width must be >= 1"),
+        ("hidden_dims", (), "at least one hidden layer"),
+        ("wm_smoothing", 0.0, "wm_smoothing"),
+        ("wm_smoothing", float("nan"), "wm_smoothing"),
+        ("km_impute", "bogus", "unknown km_impute 'bogus'"),
+        ("rank_sign", "bogus", "unknown rank_sign 'bogus'"),
+    ])
+    def test_every_option_is_checked_when_built(self, option, value, named):
+        # rejected here, not when the first fold trains
+        with pytest.raises(ValueError, match=named):
+            TrainRun(loss="wm", **{option: value})
 
 
 class TestEvalScores:
@@ -576,6 +592,25 @@ class TestCensoringAblation:
                                grid=[(1e-2, 0.0)], template=TrainRun(loss="wm", **FAST))
         assert trainings == []
 
+    @pytest.mark.parametrize("losses, modes, named", [
+        (("rank-sigmoid", "rank-sigmoid"), CENSORING_MODES, "loss 'rank-sigmoid'"),
+        (("wm",), ("no_censored", "with_censored", "no_censored"), "mode 'no_censored'"),
+    ])
+    def test_a_repeated_loss_or_mode_trains_nothing(self, synth, trainings, losses, modes,
+                                                     named):
+        with pytest.raises(ValueError, match=f"{named} is listed more than once"):
+            censoring_ablation(synth, losses=losses, modes=modes, k=2, grid=[(1e-2, 0.0)],
+                               template=TrainRun(loss="wm", **FAST))
+        assert trainings == []
+
+    def test_a_diverged_fold_names_its_mode(self, synth):
+        template = TrainRun(loss="rank-sigmoid", **FAST)
+        with np.errstate(all="ignore"), pytest.raises(ExperimentFailedError) as err:
+            censoring_ablation(synth, losses=("rank-sigmoid",), modes=("no_censored",), k=2,
+                               grid=[(1e200, 0.0)], template=template)
+        assert str(err.value).startswith(
+            "rank-sigmoid (no_censored) fold 0: all 1 grid points diverged: (lr, l2) = ")
+
     def test_unknown_loss_rejected_before_any_training(self, synth, trainings):
         with pytest.raises(ValueError, match="unknown loss 'bogus'"):
             censoring_ablation(synth, losses=("wm", "bogus"), k=2, grid=[(1e-2, 0.0)],
@@ -645,6 +680,20 @@ class TestCensoringSweep:
             censoring_sweep(synth, "rank-sigmoid", fractions=[0.5, bad], k=2,
                             grid=[(1e-2, 1e-4)], template=TrainRun(loss="rank-sigmoid", **FAST))
         assert trainings == []
+
+    def test_a_repeated_fraction_trains_nothing(self, synth, trainings):
+        with pytest.raises(ValueError, match="censoring fraction 0.6 is listed more than once"):
+            censoring_sweep(synth, "rank-sigmoid", fractions=[0.6, 0.9, 0.6], k=2,
+                            grid=[(1e-2, 1e-4)], template=TrainRun(loss="rank-sigmoid", **FAST))
+        assert trainings == []
+
+    def test_a_diverged_fold_names_its_fraction(self, synth):
+        template = TrainRun(loss="rank-sigmoid", **FAST)
+        with np.errstate(all="ignore"), pytest.raises(ExperimentFailedError) as err:
+            censoring_sweep(synth, "rank-sigmoid", fractions=[0.6], k=2, grid=[(1e200, 0.0)],
+                            template=template)
+        assert str(err.value).startswith(
+            "rank-sigmoid (censoring fraction 0.6) fold 0: all 1 grid points diverged: ")
 
     def test_parallel_equals_serial(self, synth, tmp_path):
         kwargs = dict(fractions=[synth.censored_fraction, 0.6, 0.9], k=2,

@@ -6,10 +6,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from censrank.core import _scratch_rows
 from censrank.errors import TrainingDivergedError
 from censrank.neural import Adam, Network, NetworkConfig, load_checkpoint, save_checkpoint
 
 _BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1
 
 
 def _small_net(seed=0, **kwargs):
@@ -156,21 +158,18 @@ class TestBackward:
             net.backward(np.zeros(3))
 
     def test_head_gradient_matches_linear_regression_form(self):
-        # positive inputs, identity first layer, default BN statistics:
-        # the net collapses to a linear map of X/sqrt(1+eps), so the head
-        # gradient must equal the classic 2 X^T (Xw - y) / n
+        # the head is linear in its cached input H, so under the squared
+        # error its gradient must equal the classic 2 H^T (Hw + b - y) / n
         rng = np.random.default_rng(8)
-        net = Network(NetworkConfig(input_dim=3, hidden_dims=(3,), seed=0))
-        net.params["W0"] = np.eye(3)
-        net.params["b0"] = np.zeros(3)
+        net = Network(NetworkConfig(input_dim=3, hidden_dims=(3,), dropout_rate=0.5, seed=0))
         X = rng.uniform(0.5, 2.0, size=(6, 3))
         y = rng.normal(size=6)
-        out = net.forward(X, train=False, cache_for_backward=True)
+        out = net.forward(X, train=True)
         grads = net.backward(2.0 * (out - y) / len(y))
-        x_eff = X / np.sqrt(1.0 + _BN_EPS)
+        H = net._cache["head_input"]
         w = net.params["W_out"][:, 0]
         b = net.params["b_out"][0]
-        expected = 2.0 * x_eff.T @ (x_eff @ w + b - y) / len(y)
+        expected = 2.0 * H.T @ (H @ w + b - y) / len(y)
         assert np.max(np.abs(grads["W_out"][:, 0] - expected)) < 1e-10
 
     def test_l2_term_added_to_weight_matrices_only(self):
@@ -204,6 +203,159 @@ class TestBackward:
         assert plain.keys() == reused.keys()
         for name in plain:
             assert np.array_equal(plain[name], reused[name])
+
+
+class _TwoPathNetwork(Network):
+    """Reference network with a second backward path: a literal copy of
+    the earlier `forward` (with its `cache_for_backward` option) and
+    `backward` (with its running-statistics branch), which the one-path
+    network must match bit for bit in train mode."""
+
+    def forward(self, batch, train, cache_for_backward=None):
+        X = np.asarray(batch, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.config.input_dim:
+            raise ValueError(
+                f"batch must be (n, {self.config.input_dim}), got {X.shape}"
+            )
+        if train and X.shape[0] < 2:
+            raise ValueError("train-mode forward needs a batch of at least 2 rows")
+        if cache_for_backward is None:
+            cache_for_backward = train
+        p = self.params
+        layers = []
+        a = X
+        for i in range(len(self.config.hidden_dims)):
+            z = a @ p[f"W{i}"] + p[f"b{i}"]
+            if train:
+                mu = z.mean(axis=0)
+                var = z.var(axis=0)  # population variance, matching the running stats
+                self.running[f"mean{i}"] *= 1.0 - _BN_MOMENTUM
+                self.running[f"mean{i}"] += _BN_MOMENTUM * mu
+                self.running[f"var{i}"] *= 1.0 - _BN_MOMENTUM
+                self.running[f"var{i}"] += _BN_MOMENTUM * var
+            else:
+                mu = self.running[f"mean{i}"]
+                var = self.running[f"var{i}"]
+            std = np.sqrt(var + _BN_EPS)
+            xhat = (z - mu) / std
+            bn = p[f"gamma{i}"] * xhat + p[f"beta{i}"]
+            h = np.maximum(bn, 0.0)
+            if train and self.config.dropout_rate > 0.0:
+                keep = 1.0 - self.config.dropout_rate
+                mask = (self._rng.random(h.shape) < keep) / keep
+                out = h * mask
+            else:
+                mask = None
+                out = h
+            layers.append(
+                {"input": a, "z": z, "xhat": xhat, "std": std, "bn": bn, "mask": mask}
+            )
+            a = out
+        logits = a @ p["W_out"]
+        logits += p["b_out"]
+        if self.config.head == "softmax":
+            # in place: one n x T array instead of four
+            logits -= logits.max(axis=1, keepdims=True)
+            np.exp(logits, out=logits)
+            logits /= logits.sum(axis=1, keepdims=True)
+            outputs = logits
+        else:
+            outputs = logits[:, 0]
+        if cache_for_backward:
+            self._cache = {"layers": layers, "head_input": a, "outputs": outputs, "train": train}
+        return outputs
+
+    def backward(self, grad_outputs, work=None):
+        if self._cache is None:
+            raise RuntimeError("backward called without a cached forward pass")
+        cache = self._cache
+        p = self.params
+        grads = {}
+        grad_outputs = np.asarray(grad_outputs, dtype=np.float64)
+
+        if self.config.head == "softmax":
+            pmf = cache["outputs"]
+            if grad_outputs.shape != pmf.shape:
+                raise ValueError("gradient shape does not match the softmax outputs")
+            dlogits = _scratch_rows(work, *pmf.shape)
+            np.multiply(grad_outputs, pmf, out=dlogits)
+            dot = np.sum(dlogits, axis=1, keepdims=True)
+            np.subtract(grad_outputs, dot, out=dlogits)
+            np.multiply(pmf, dlogits, out=dlogits)
+        else:
+            if grad_outputs.shape != cache["outputs"].shape:
+                raise ValueError("gradient shape does not match the scalar outputs")
+            dlogits = grad_outputs[:, None]
+        grads["W_out"] = cache["head_input"].T @ dlogits
+        grads["b_out"] = dlogits.sum(axis=0)
+        da = dlogits @ p["W_out"].T
+
+        for i in reversed(range(len(self.config.hidden_dims))):
+            layer = cache["layers"][i]
+            if layer["mask"] is not None:
+                da = da * layer["mask"]
+            dbn = da * (layer["bn"] > 0.0)
+            grads[f"gamma{i}"] = np.sum(dbn * layer["xhat"], axis=0)
+            grads[f"beta{i}"] = dbn.sum(axis=0)
+            dxhat = dbn * p[f"gamma{i}"]
+            if cache["train"]:
+                m = layer["z"].shape[0]
+                centered = layer["z"] - layer["z"].mean(axis=0)
+                inv_std = 1.0 / layer["std"]
+                dvar = np.sum(dxhat * centered, axis=0) * -0.5 * inv_std**3
+                dmu = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * centered, axis=0)
+                dz = dxhat * inv_std + dvar * 2.0 * centered / m + dmu / m
+            else:
+                dz = dxhat / layer["std"]
+            grads[f"W{i}"] = layer["input"].T @ dz
+            grads[f"b{i}"] = dz.sum(axis=0)
+            if i > 0:  # nothing consumes the gradient of the network's input
+                da = dz @ p[f"W{i}"].T
+
+        if self.config.l2_coefficient > 0.0:
+            for name in grads:
+                if name.startswith("W"):
+                    grads[name] = grads[name] + 2.0 * self.config.l2_coefficient * p[name]
+        return grads
+
+
+class TestMatchesTheTwoPathNetwork:
+    @pytest.mark.parametrize("head, outputs", [("scalar_linear", 1), ("softmax", 7)])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("hidden_dims", [(9,), (9, 8, 5)])
+    @pytest.mark.parametrize("rows", [2, 256])
+    def test_every_array_is_bitwise_equal(self, head, outputs, dropout, hidden_dims, rows):
+        config = NetworkConfig(input_dim=6, hidden_dims=hidden_dims, head=head,
+                               num_outputs=outputs, dropout_rate=dropout, l2_coefficient=1e-3,
+                               seed=21)
+        new, old = Network(config), _TwoPathNetwork(config)
+        rng = np.random.default_rng(rows)
+        new_adam, old_adam = Adam(1e-2), Adam(1e-2)
+        for step in range(3):  # later steps start from updated weights and statistics
+            batch = rng.normal(size=(rows, 6)) * 3.0 + 1.0
+            got, want = new.forward(batch, train=True), old.forward(batch, train=True)
+            assert np.array_equal(got, want)
+            for name in old.running:
+                assert np.array_equal(new.running[name], old.running[name]), name
+            assert new._rng.bit_generator.state == old._rng.bit_generator.state
+            g_out = rng.normal(size=want.shape)
+            work = np.full((rows + 1, outputs), np.nan) if step == 1 else None
+            got_grads, want_grads = new.backward(g_out, work=work), old.backward(g_out, work=work)
+            assert got_grads.keys() == want_grads.keys()
+            for name in want_grads:
+                assert np.array_equal(got_grads[name], want_grads[name]), name
+            new_adam.step(new.params, got_grads)
+            old_adam.step(old.params, want_grads)
+        assert np.array_equal(new.forward(batch, train=False), old.forward(batch, train=False))
+
+    def test_eval_forward_leaves_the_train_cache(self):
+        net = _small_net(seed=22)
+        batch = np.random.default_rng(22).normal(size=(5, 4))
+        net.forward(batch, train=True)
+        cache = net._cache
+        net.forward(batch[:3], train=False)
+        assert net._cache is cache
+        assert len(cache["layers"]) == 2 and all(len(layer) == 5 for layer in cache["layers"])
 
 
 class TestSnapshotRestore:
