@@ -15,7 +15,6 @@ Every failure exits nonzero after printing one JSON object
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -119,19 +118,22 @@ def load_grid(path):
     """Grid file: either {"learning_rate": [...], "l2": [...]} (cross
     product, in listed order) or an explicit list of [lr, l2] pairs.
 
-    Raises ValueError naming a missing key or a non-finite value."""
+    Raises ValueError naming a missing key, or a point that is not a list
+    of 2 finite JSON numbers (not bools or strings)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
         for key in ("learning_rate", "l2"):
             if not isinstance(doc.get(key), list):
                 raise ValueError(f"{path}: grid key {key!r} is missing or not a list")
-        doc = [(lr, l2) for lr in doc["learning_rate"] for l2 in doc["l2"]]
-    grid = [(float(lr), float(l2)) for lr, l2 in doc]
-    for point in grid:
-        if not all(map(math.isfinite, point)):
-            raise ValueError(f"{path}: grid point {list(point)} is not finite")
-    return grid
+        doc = [[lr, l2] for lr in doc["learning_rate"] for l2 in doc["l2"]]
+    for point in doc:
+        if not (isinstance(point, list) and len(point) == 2
+                and all(type(v) in (int, float) for v in point)):  # bools and strings fail
+            raise ValueError(f"{path}: grid point {json.dumps(point)} is not a list of 2 numbers")
+        if not all(abs(v) <= sys.float_info.max for v in point):  # NaN, inf, a too-large int
+            raise ValueError(f"{path}: grid point {json.dumps(point)} is not finite")
+    return [(float(lr), float(l2)) for lr, l2 in doc]
 
 
 def _load_table(args):
@@ -168,35 +170,7 @@ def _cmd_km(args):
     table = _load_table(args)
     grid = build_time_grid(table.times, args.bin_width)
     km = kaplan_meier(Dataset(np.empty((len(table), 0)), table.times, table.observed, grid))
-    edges = km.grid.left_edges()
-    if args.format == "json":
-        doc = {
-            "bin_width": km.grid.bin_width,
-            "bins": [
-                {
-                    "bin": i,
-                    "left_edge": float(edges[i]),
-                    "events": int(km.event_counts[i]),
-                    "at_risk": int(km.at_risk[i]),
-                    "survival": float(km.survival[i]),
-                }
-                for i in range(km.grid.num_bins)
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = ["bin,left_edge,events,at_risk,survival"]
-        for i in range(km.grid.num_bins):
-            lines.append(
-                f"{i},{float(edges[i])!r},{int(km.event_counts[i])},"
-                f"{int(km.at_risk[i])},{float(km.survival[i])!r}"
-            )
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    harness.emit_report(km, args.out, format=args.format)
     return 0
 
 

@@ -16,7 +16,7 @@ parallel runs emit identical reports.
 
 import json
 import math
-import time
+import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Dataset, build_time_grid
 from .errors import ExperimentFailedError, TrainingDivergedError, UndefinedMetricError
-from .estimators import IMPUTE_MODES, kaplan_meier, target_cdf_matrix
+from .estimators import IMPUTE_MODES, KaplanMeierCurve, kaplan_meier, target_cdf_matrix
 from .losses import (RANK_SIGNS, bin_weights, cox_nll_with_grad, ranking_loss_with_grad,
                      wm_batch_with_grad)
 from .metrics import AcceptablePairSet, _enumerate_pairs, c_index
@@ -139,17 +139,19 @@ class TrainRun:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
+def _head_for(loss):
+    """The network head a loss trains: a pmf over the bins for wm, else one score."""
+    return "softmax" if loss == "wm" else "scalar_linear"
+
+
 def _network_for(run: TrainRun, train: Dataset) -> Network:
-    if run.loss == "wm":
-        head, outputs = "softmax", train.grid.num_bins
-    else:
-        head, outputs = "scalar_linear", 1
+    head = _head_for(run.loss)
     return Network(
         NetworkConfig(
             input_dim=train.n_features,
             hidden_dims=run.hidden_dims,
             head=head,
-            num_outputs=outputs,
+            num_outputs=train.grid.num_bins if head == "softmax" else 1,
             dropout_rate=run.dropout,
             l2_coefficient=run.l2,
             seed=derived_seed(run.seed, "init"),
@@ -185,8 +187,12 @@ def predict_scores(run: TrainRun, net: Network, features):
     The rows are scored in consecutive blocks of at most
     `_SCORE_BLOCK_BYTES` of network outputs, so memory is O(block x
     num_outputs) rather than O(n x num_outputs) for a pmf head.  Raises
-    TrainingDivergedError if any block's outputs are not finite.
+    ValueError if `net` has a different head from the one `run.loss`
+    trains, and TrainingDivergedError if any block's outputs are not finite.
     """
+    if net.config.head != _head_for(run.loss):
+        raise ValueError(f"loss {run.loss!r} scores a {_head_for(run.loss)!r} head, "
+                         f"but the network has a {net.config.head!r} head")
     block = max(1, _SCORE_BLOCK_BYTES // (8 * net.config.num_outputs))
     scores = np.empty(len(features))
     for start in range(0, len(features), block):
@@ -345,32 +351,34 @@ class FoldSelection:
     network: Network
     history: dict
     diverged: tuple  # (learning_rate, l2) pairs that diverged on this fold
-    seconds: float
 
 
 def _fit_job(args):
     run, train, val = args
-    started = time.perf_counter()
     try:
         net, history = train_model(run, train, val)
     except TrainingDivergedError as err:
-        return {"diverged": True, "error": str(err), "epoch": err.epoch,
-                "seconds": time.perf_counter() - started}
+        return {"diverged": True, "error": str(err), "epoch": err.epoch}
     return {
         "diverged": False,
         "val_c": history["best_val_c_index"],
         "history": history,
         "network": net,
-        "seconds": time.perf_counter() - started,
     }
 
 
-def _checked_grid(grid, n_jobs):
+def _checked_grid(grid, n_jobs, runs):
+    """`grid` as (lr, l2) floats, once every point's TrainRun from each of
+    `runs` passes TrainRun's checks, so a bad point fails before any fold
+    is built."""
     grid = [(float(lr), float(l2)) for lr, l2 in grid]
     if not grid:
         raise ValueError("the grid must contain at least one point")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    for run in runs:
+        for lr, l2 in grid:
+            replace(run, learning_rate=lr, l2=l2)
     return grid
 
 
@@ -389,7 +397,6 @@ def _select(name, fi, grid, results):
         fold=fi, learning_rate=grid[gi][0], l2=grid[gi][1], val_c_index=best["val_c"],
         network=best["network"], history=best["history"],
         diverged=tuple(grid[gj] for gj, r in enumerate(results) if r["diverged"]),
-        seconds=sum(r["seconds"] for r in results),
     )
 
 
@@ -452,7 +459,8 @@ def grid_search(folds, grid, template: TrainRun, n_jobs=1):
     naming the loss and each point's epoch and reason.
     """
     tasks = [(template.loss, template, fi, fold) for fi, fold in enumerate(folds)]
-    return _search(tasks, _checked_grid(grid, n_jobs), n_jobs, lambda selection, *task: selection)
+    grid = _checked_grid(grid, n_jobs, [template])
+    return _search(tasks, grid, n_jobs, lambda selection, *task: selection)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +474,6 @@ class FoldResult:
     l2: float
     val_c_index: float
     test_c_index: float
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -521,8 +528,7 @@ def _cell_run(template, loss, seed):
 def _score_fold(selection, run, fi, fold):
     test_c = c_index(fold[2], predict_scores(run, selection.network, fold[2].features))
     return FoldResult(fold=fi, learning_rate=selection.learning_rate, l2=selection.l2,
-                      val_c_index=selection.val_c_index, test_c_index=test_c,
-                      seconds=selection.seconds)
+                      val_c_index=selection.val_c_index, test_c_index=test_c)
 
 
 def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs):
@@ -536,7 +542,8 @@ def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     runs from one job list, and each (cell, fold) is scored on its test
     fold as soon as it is reduced.
     """
-    grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs)
+    grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs,
+                         [run for _, run, _ in cells])
     folds = _fold_datasets(data, cv_splits(len(data), k, val_fraction, seed), bin_width)
 
     def cell_folds():
@@ -605,8 +612,11 @@ class AblationResult:
 
 
 def _listed_once(kind, values):
-    """`values` as a list; raises ValueError naming the first one listed twice."""
+    """`values` as a list; raises ValueError if it is empty or naming the
+    first value listed twice."""
     values = list(values)
+    if not values:
+        raise ValueError(f"no {kind} is listed")
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{kind} {value!r} is listed more than once")
@@ -701,14 +711,12 @@ def censoring_sweep(data, loss, fractions, k=5, grid=None, seed=0, val_fraction=
 # Report files
 
 
-def _report_doc(report, include_timing):
+def _report_doc(report):
     """(document, key of its row list, that list's columns) of a report.
 
     JSON writes the document as it is; the CSV is rendered from it."""
     if isinstance(report, ExperimentReport):
         columns = ["fold", "learning_rate", "l2", "val_c_index", "test_c_index"]
-        if include_timing:
-            columns.append("seconds")
         doc = {
             "loss": report.loss,
             "k": report.k,
@@ -740,16 +748,22 @@ def _report_doc(report, include_timing):
             for c in report.cells
         ]
         return {"cells": cells}, "cells", ["loss", "mode", "mean", "stderr"]
+    if isinstance(report, KaplanMeierCurve):
+        columns = ["bin", "left_edge", "events", "at_risk", "survival"]
+        arrays = (range(report.grid.num_bins), report.grid.left_edges().tolist(),
+                  report.event_counts.tolist(), report.at_risk.tolist(), report.survival.tolist())
+        bins = [dict(zip(columns, values)) for values in zip(*arrays)]
+        return {"bin_width": report.grid.bin_width, "bins": bins}, "bins", columns
     raise TypeError(f"cannot emit a report of type {type(report).__name__}")
 
 
 def _csv_rows(doc, key, columns):
     """Header plus one row per entry of doc[key].  A cv report's rows also
-    get a leading row kind, a stderr column ahead of any timing column and
-    one aggregate row; a cell an entry lacks is empty."""
+    get a leading row kind, a trailing stderr column and one aggregate row;
+    a cell an entry lacks is empty."""
     entries = doc[key]
     if key == "folds":
-        columns = ["row", *columns[:5], "stderr", *columns[5:]]
+        columns = ["row", *columns, "stderr"]
         entries = [{"row": "fold", **entry} for entry in entries] + [{
             "row": "aggregate",
             "test_c_index": doc["mean_test_c_index"],
@@ -759,27 +773,33 @@ def _csv_rows(doc, key, columns):
 
 
 def _csv_cell(value):
+    """A report cell's text: strings as they are, `str` of an int, else `repr` of its float."""
     if isinstance(value, str):
         return value
     return str(value) if isinstance(value, int) else repr(float(value))
 
 
-def emit_report(report, path, format="csv", include_timing=False):
-    """Write a report file with a deterministic layout.
+def emit_report(report, path, format="csv"):
+    """Write a report with a deterministic layout to `path`, or to stdout
+    when `path` is None.
 
     Accepts an ExperimentReport (fold rows + one aggregate row), a
-    SweepResult (plot-ready fraction,mean,stderr rows), or an
-    AblationResult (loss,mode,mean,stderr rows).  CSV and JSON carry the
-    same numbers at full precision.  Wall-clock columns are opt-in so that
-    fixed-seed runs stay byte-identical.
+    SweepResult (plot-ready fraction,mean,stderr rows), an AblationResult
+    (loss,mode,mean,stderr rows) or a KaplanMeierCurve
+    (bin,left_edge,events,at_risk,survival rows).  CSV and JSON carry the
+    same numbers at full precision, and no report holds a wall-clock time,
+    so fixed-seed runs are byte-identical.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    doc, key, columns = _report_doc(report, include_timing)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if format == "csv":
-            fh.write("\n".join(",".join(row) for row in _csv_rows(doc, key, columns)) + "\n")
-        else:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    doc, key, columns = _report_doc(report)
+    if format == "csv":
+        text = "\n".join(",".join(row) for row in _csv_rows(doc, key, columns)) + "\n"
+    else:
+        text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return path

@@ -119,6 +119,33 @@ class TestKm:
         assert curves[0] == curves[1]
         assert curves[0].count(b"\n") == 1 + 5
 
+    def test_bytes_of_a_three_row_curve(self, capsys, tmp_path):
+        # width 1.5: the event at t=1 is bin 0; t=3 (censored) and t=4 share bin 2
+        schema = tmp_path / "km.schema.json"
+        schema.write_text(json.dumps({"columns": {"time": "time", "event": "event_indicator"}}))
+        table = tmp_path / "km.csv"
+        table.write_text("time,event\n1,1\n3,0\n4,1\n")
+        argv = ["km", "--dataset", str(table), "--schema", str(schema), "--bin-width", "1.5"]
+        expected_csv = (
+            "bin,left_edge,events,at_risk,survival\n"
+            "0,0.0,1,3,0.6666666666666666\n"
+            "1,1.5,0,2,0.6666666666666666\n"
+            "2,3.0,1,2,0.3333333333333333\n"
+        )
+        rows = [(0, "0.0", 1, 3, "0.6666666666666666"), (1, "1.5", 0, 2, "0.6666666666666666"),
+                (2, "3.0", 1, 2, "0.3333333333333333")]
+        expected_json = '{\n  "bin_width": 1.5,\n  "bins": [\n' + ",\n".join(
+            f'    {{\n      "bin": {b},\n      "left_edge": {edge},\n      "events": {d},\n'
+            f'      "at_risk": {n},\n      "survival": {surv}\n    }}'
+            for b, edge, d, n, surv in rows
+        ) + "\n  ]\n}\n"
+        for fmt, expected in (("csv", expected_csv), ("json", expected_json)):
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out == expected
+            out = tmp_path / f"km.out.{fmt}"
+            assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.encode("utf-8")
+
 
 @pytest.fixture(scope="module")
 def checkpoint(toy, tmp_path_factory):
@@ -327,6 +354,24 @@ def test_evaluate_names_a_non_finite_checkpoint_array(capsys, toy, tmp_path):
     assert err["error"] == "ValueError" and "'W_out'" in err["message"]
 
 
+@pytest.mark.parametrize("loss, sidecar, head", [
+    ("cox", "wm", "scalar_linear"),
+    ("wm", "cox", "softmax"),
+])
+def test_evaluate_rejects_a_sidecar_loss_of_another_head(capsys, toy, tmp_path, loss, sidecar,
+                                                         head):
+    path = str(tmp_path / "model.bin")
+    assert main(["train", *data_args(toy), "--loss", loss, "--bin-width", "5",
+                 "--seed", "3", *KNOBS, "--checkpoint", path]) == 0
+    capsys.readouterr()
+    meta = json.loads(open(path + ".meta.json", encoding="utf-8").read())
+    (tmp_path / "model.bin.meta.json").write_text(json.dumps({**meta, "loss": sidecar}))
+    code, err = _error_line(capsys, ["evaluate", *data_args(toy), "--checkpoint", path])
+    assert code == 2
+    assert err["error"] == "ValueError"
+    assert f"loss {sidecar!r}" in err["message"] and f"has a {head!r} head" in err["message"]
+
+
 def test_no_eval_forward_holds_more_than_the_scoring_budget(capsys, toy, tmp_path,
                                                             monkeypatch):
     table = pipeline.load_csv(toy["csv"], pipeline.load_schema(toy["schema"]))
@@ -465,6 +510,18 @@ class TestCensoringCommands:
         assert err == {"error": "ValueError", "message": "--losses ',' names no loss"}
         assert not (tmp_path / "x.csv").exists()
 
+    def test_a_sweep_without_a_fraction_fails_cleanly(self, capsys, toy, tmp_path, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
+        code, err = _error_line(capsys, [
+            "sweep-censoring", *data_args(toy), "--loss", "rank-sigmoid", "--fractions", ",",
+            "--bin-width", "5", "--k", "2", "--grid", toy["grid"], *KNOBS,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert err == {"error": "ValueError", "message": "no censoring fraction is listed"}
+        assert encoded == [] and not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("command, option, value, named", [
         ("ablate-censoring", "--losses", "rank-sigmoid,rank-sigmoid", "loss 'rank-sigmoid'"),
         ("sweep-censoring", "--fractions", "0.6,0.6", "censoring fraction 0.6"),
@@ -568,12 +625,45 @@ class TestGridFiles:
         "[[0.01, NaN]]",
         "[[Infinity, 0.0]]",
         '{"learning_rate": [0.01], "l2": [0.0, NaN]}',
+        pytest.param("[[1" + "0" * 400 + ", 0.0]]", id="int-beyond-float"),
     ])
     def test_non_finite_value_is_named(self, tmp_path, text):
         path = tmp_path / "grid.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="not finite"):
             load_grid(path)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "grid point 1 "),
+        ("[[0.1, 0.0, 3]]", "grid point [0.1, 0.0, 3] "),
+        ("[[null, 0]]", "grid point [null, 0] "),
+        ('[["0.1", 0]]', 'grid point ["0.1", 0] '),
+        ('{"learning_rate": [0.1], "l2": [true]}', "grid point [0.1, true] "),
+    ])
+    def test_a_malformed_point_is_named(self, tmp_path, text, named):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_grid(path)
+        assert str(err.value) == f"{path}: {named}is not a list of 2 numbers"
+
+    @pytest.mark.parametrize("point, named", [
+        ([0.01, -1.0], "l2_coefficient must be >= 0"),
+        ([0.0, 0.0], "learning_rate must be positive"),
+    ])
+    def test_a_point_that_cannot_train_encodes_no_fold(self, capsys, toy, tmp_path, monkeypatch,
+                                                        point, named):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([[0.01, 0.0], point]))
+        encoded = []
+        monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
+        code, err = _error_line(capsys, [
+            "cv", *data_args(toy), "--loss", "rank-sigmoid", "--bin-width", "5", "--k", "2",
+            "--grid", str(path), *KNOBS, "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+        assert err["error"] == "ValueError" and named in err["message"]
+        assert encoded == [] and not (tmp_path / "r.csv").exists()
 
 
 def test_installed_entry_point_runs(tmp_path):
