@@ -118,10 +118,13 @@ def load_grid(path):
     """Grid file: either {"learning_rate": [...], "l2": [...]} (cross
     product, in listed order) or an explicit list of [lr, l2] pairs.
 
-    Raises ValueError naming a missing key, or a point that is not a list
-    of 2 finite JSON numbers (not bools or strings)."""
+    Raises ValueError naming a missing key, a document that is neither, or
+    a point that is not a list of 2 finite JSON numbers (not bools or
+    strings)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, (dict, list)):
+        raise ValueError(f"{path}: a grid file must hold an object or a list of points")
     if isinstance(doc, dict):
         for key in ("learning_rate", "l2"):
             if not isinstance(doc.get(key), list):
@@ -136,8 +139,10 @@ def load_grid(path):
     return [(float(lr), float(l2)) for lr, l2 in doc]
 
 
-def _load_table(args):
+def _load_table(args, outcome_only=False):
     schema = pipeline.load_schema(args.schema)
+    if outcome_only:
+        schema = replace(schema, columns=(schema.time_column, schema.event_column))
     return pipeline.load_csv(args.dataset, schema, on_bad_rows=args.on_bad_rows)
 
 
@@ -167,7 +172,7 @@ def _cmd_synth(args):
 
 
 def _cmd_km(args):
-    table = _load_table(args)
+    table = _load_table(args, outcome_only=True)
     grid = build_time_grid(table.times, args.bin_width)
     km = kaplan_meier(Dataset(np.empty((len(table), 0)), table.times, table.observed, grid))
     harness.emit_report(km, args.out, format=args.format)
@@ -207,13 +212,17 @@ def _cmd_train(args):
 def _read_scores(path):
     values = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             cell = row[0].strip()
             if not values and cell.lower() in ("score", "scores"):
                 continue
-            values.append(float(cell))
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num}: bad score {cell!r}") from None
     if not values:
         raise ValueError(f"no scores found in {path}")
     return np.asarray(values, dtype=np.float64)
@@ -222,13 +231,11 @@ def _read_scores(path):
 def _cmd_evaluate(args):
     if (args.checkpoint is None) == (args.scores is None):
         raise ValueError("pass exactly one of --checkpoint or --scores")
-    table = _load_table(args)
+    table = _load_table(args, outcome_only=args.scores is not None)
     if args.scores is not None:
         scores = _read_scores(args.scores)
         if scores.shape[0] != len(table):
-            raise ValueError(
-                f"{scores.shape[0]} scores for {len(table)} dataset rows"
-            )
+            raise ValueError(f"{scores.shape[0]} scores for {len(table)} dataset rows")
         data = table
     else:
         with open(args.checkpoint + ".meta.json", "r", encoding="utf-8") as fh:

@@ -185,10 +185,11 @@ def predict_scores(run: TrainRun, net: Network, features):
     """`eval_scores` of an eval-mode forward over every row of `features`.
 
     The rows are scored in consecutive blocks of at most
-    `_SCORE_BLOCK_BYTES` of network outputs, so memory is O(block x
-    num_outputs) rather than O(n x num_outputs) for a pmf head.  Raises
-    ValueError if `net` has a different head from the one `run.loss`
-    trains, and TrainingDivergedError if any block's outputs are not finite.
+    `_SCORE_BLOCK_BYTES` of network outputs, one block alive at a time, so
+    memory is O(block x num_outputs) rather than O(n x num_outputs) for a
+    pmf head.  Raises ValueError if `net` has a different head from the one
+    `run.loss` trains, and TrainingDivergedError if any block's outputs are
+    not finite.
     """
     if net.config.head != _head_for(run.loss):
         raise ValueError(f"loss {run.loss!r} scores a {_head_for(run.loss)!r} head, "
@@ -203,6 +204,7 @@ def predict_scores(run: TrainRun, net: Network, features):
                 f"non-finite network outputs in rows {start} to {start + len(out) - 1}"
             )
         scores[start : start + block] = eval_scores(run, out)
+        del out  # so the next block's forward runs with no other block alive
     return scores
 
 

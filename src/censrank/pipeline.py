@@ -22,17 +22,15 @@ Exactly one column must be declared "time" and one "event_indicator".
 CSV columns not named in the schema are ignored.  Per-column "missing"
 overrides the file-level sentinel list.
 
-Feature cells stay strings until first encoded; then each column is parsed
-once per table (`RawTable.parsed_columns`, where an unparseable numeric cell
-anywhere raises CsvParseError naming its column), and every fold's stats and
-encoding are array gathers of its rows.
+Each feature column is parsed as the table loads (an unparseable numeric
+cell anywhere raises CsvParseError naming its column) and no cell strings
+are kept, so every fold's stats and encoding are array gathers of its rows.
 """
 
 import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -150,10 +148,13 @@ def save_schema(schema: DatasetSchema, path):
 
 @dataclass
 class RawTable:
-    """Parsed time/event arrays plus raw feature cells, pre-encoding."""
+    """Parsed time/event arrays and feature columns, pre-encoding: `columns`
+    maps each feature name to (values, is_missing, vocabulary), float64
+    values (0.0 where missing) and no vocabulary for a continuous column,
+    int64 codes into its sorted vocabulary (-1 where missing) otherwise."""
 
     schema: DatasetSchema
-    columns: dict  # feature name -> list of raw cell strings
+    columns: dict
     times: np.ndarray
     observed: np.ndarray
     dropped_rows: tuple = ()
@@ -161,18 +162,8 @@ class RawTable:
     def __len__(self):
         return len(self.times)
 
-    @cached_property
-    def parsed_columns(self):
-        """name -> (values, is_missing, vocabulary), parsed once per table:
-        float64 values (0.0 where missing) and no vocabulary for a continuous
-        column, int64 codes into its sorted vocabulary (-1 where missing) for
-        a categorical one."""
-        return {spec.name: _parse_column(spec, self.columns[spec.name])
-                for spec in self.schema.feature_columns}
-
 
 def _parse_column(spec, cells):
-    cells = list(cells)
     missing = set(spec.missing)
     is_missing = np.array([cell in missing for cell in cells], dtype=bool)
     # first-seen order, so a parse error names the first bad cell of the column
@@ -198,6 +189,8 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
 
     Rows whose time or event field does not parse are rejected with their
     1-based line numbers; on_bad_rows selects whether that raises or drops.
+    A header that repeats a schema column, or a numeric feature cell that
+    does not parse, raises CsvParseError naming the column.
     """
     if on_bad_rows not in ("error", "drop"):
         raise ValueError(f"on_bad_rows must be 'error' or 'drop', got {on_bad_rows!r}")
@@ -208,19 +201,16 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
         except StopIteration:
             raise CsvParseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        positions = {}
-        missing_cols = []
-        for spec in schema.columns:
-            if spec.name in header:
-                positions[spec.name] = header.index(spec.name)
-            else:
-                missing_cols.append(spec.name)
+        missing_cols = [spec.name for spec in schema.columns if spec.name not in header]
         if missing_cols:
             raise CsvParseError(f"{path}: missing columns: {', '.join(missing_cols)}")
-        time_spec = schema.time_column
-        event_spec = schema.event_column
-        feature_specs = schema.feature_columns
-        columns = {spec.name: [] for spec in feature_specs}
+        positions = {spec.name: header.index(spec.name) for spec in schema.columns}
+        for name in positions:
+            if header.count(name) > 1:
+                raise CsvParseError(f"{path}: column {name!r} repeats in the header")
+        time_at, event_at = positions[schema.time_column.name], positions[schema.event_column.name]
+        # per feature column: position, cells, and one str per distinct cell for repeats to share
+        features = [(positions[spec.name], [], {}) for spec in schema.feature_columns]
         times, observed, bad = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -228,8 +218,7 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
             if len(row) != len(header):
                 bad.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
                 continue
-            raw_time = row[positions[time_spec.name]].strip()
-            raw_event = row[positions[event_spec.name]].strip()
+            raw_time, raw_event = row[time_at].strip(), row[event_at].strip()
             try:
                 t = float(raw_time)
                 if not math.isfinite(t) or t < 0:
@@ -246,15 +235,17 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
                 continue
             times.append(t)
             observed.append(obs)
-            for spec in feature_specs:
-                columns[spec.name].append(row[positions[spec.name]].strip())
+            for at, cells, distinct in features:
+                cell = row[at].strip()
+                cells.append(distinct.setdefault(cell, cell))
         if bad and on_bad_rows == "error":
             shown = "; ".join(f"line {ln}: {why}" for ln, why in bad[:10])
             more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
             raise CsvParseError(f"{path}: {len(bad)} bad rows: {shown}{more}")
     return RawTable(
         schema=schema,
-        columns=columns,
+        columns={spec.name: _parse_column(spec, cells)
+                 for spec, (_, cells, _) in zip(schema.feature_columns, features)},
         times=np.asarray(times, dtype=np.float64),
         observed=np.asarray(observed, dtype=bool),
         dropped_rows=tuple(ln for ln, _ in bad),
@@ -326,7 +317,7 @@ class PreprocessResult:
 def _fit_stats(table: RawTable, rows) -> PreprocessStats:
     continuous, categorical, has_missing = {}, {}, {}
     for spec in table.schema.feature_columns:
-        values, is_missing, vocabulary = table.parsed_columns[spec.name]
+        values, is_missing, vocabulary = table.columns[spec.name]
         is_missing = is_missing[rows]
         present = values[rows][~is_missing]
         if spec.kind == "continuous":
@@ -351,14 +342,14 @@ def preprocess(table: RawTable, stats: PreprocessStats = None, rows=None) -> Pre
     training vocabulary (unseen levels encode all-zero), and any column
     with training-fold missing cells gains one 0/1 indicator column;
     missing entries themselves encode as 0 after scaling (all-zero for
-    categorical).  Every call only gathers `rows` from `table.parsed_columns`.
+    categorical).  Every call only gathers `rows` from `table.columns`.
     """
     rows = np.arange(len(table)) if rows is None else np.asarray(rows, dtype=np.int64)
     if stats is None:
         stats = _fit_stats(table, rows)
     blocks, names = [], []
     for spec in table.schema.feature_columns:
-        values, is_missing, vocabulary = table.parsed_columns[spec.name]
+        values, is_missing, vocabulary = table.columns[spec.name]
         values, is_missing = values[rows], is_missing[rows]
         if spec.name not in (stats.continuous if spec.kind == "continuous" else stats.categorical):
             raise ValueError(f"stats do not cover {spec.kind} column {spec.name!r}")

@@ -219,6 +219,14 @@ class TestTrainEvaluate:
         assert code == 2
         assert err["error"] == "ValueError" and "120" in err["message"]
 
+    def test_evaluate_names_the_line_of_an_unparseable_score(self, capsys, toy, tmp_path):
+        scores = tmp_path / "s.csv"
+        scores.write_text("score\n1.0\n\nx\n")
+        code, _, err = run_cli(capsys, ["evaluate", *data_args(toy), "--scores", str(scores)])
+        assert code == 2
+        assert err == {"error": "ValueError",
+                       "message": f"{scores}: line 4: bad score 'x'"}
+
     def test_evaluate_rejects_a_differently_encoded_dataset(self, capsys, toy, checkpoint):
         meta_path = checkpoint + ".meta.json"
         meta = json.loads(open(meta_path).read())
@@ -287,6 +295,28 @@ def test_evaluate_scores_never_parses_feature_columns(capsys, toy, tmp_path, mon
     scores.write_text("".join(f"{k}\n" for k in range(120)))
     code, lines, _ = run_cli(capsys, ["evaluate", *data_args(toy), "--scores", str(scores)])
     assert code == 0 and lines[-1]["n"] == 120
+
+
+def test_only_commands_that_encode_features_reject_an_unparseable_cell(capsys, toy, checkpoint,
+                                                                      tmp_path):
+    lines = open(toy["csv"], encoding="utf-8").read().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index("f1")] = "oops"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    scores = tmp_path / "s.csv"
+    scores.write_text("".join(f"{k}\n" for k in range(120)))
+    data = ["--dataset", str(bad), "--schema", toy["schema"]]
+    for argv in (["km", *data, "--bin-width", "5"], ["evaluate", *data, "--scores", str(scores)]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for argv in (["cv", *data, "--loss", "cox", "--bin-width", "5", "--k", "2", *KNOBS,
+                  "--grid", toy["grid"], "--out", str(tmp_path / "r.csv")],
+                 ["evaluate", *data, "--checkpoint", checkpoint]):
+        code, err = _error_line(capsys, argv)
+        assert code == 2 and err == {"error": "CsvParseError",
+                                     "message": "column 'f1': unparseable numeric value 'oops'"}
 
 
 def _error_line(capsys, argv):
@@ -603,6 +633,19 @@ class TestGridFiles:
         path.write_text(json.dumps([[0.01, 0.0001], [0.001, 0.0]]))
         assert load_grid(path) == [(0.01, 0.0001), (0.001, 0.0)]
 
+    @pytest.mark.parametrize("text", ["5", "null", "true", '"ab"'])
+    def test_a_document_that_is_no_grid_is_named(self, capsys, toy, tmp_path, text):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        message = f"{path}: a grid file must hold an object or a list of points"
+        with pytest.raises(ValueError) as err:
+            load_grid(path)
+        assert str(err.value) == message
+        code, err = _error_line(capsys, [
+            "cv", *data_args(toy), "--loss", "cox", "--bin-width", "5",
+            "--grid", str(path), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2 and err == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("doc, key", [
         ({"learning_rate": [0.01]}, "l2"),

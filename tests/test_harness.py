@@ -202,6 +202,20 @@ class TestPredictScores:
         with pytest.raises(ValueError, match=f"loss '{loss}' .* has a '{head}' head"):
             predict_scores(TrainRun(loss=loss), net, data.features)
 
+    def test_one_block_of_outputs_is_alive_at_a_time(self, monkeypatch):
+        rows = 64  # 2 MiB of outputs per block, 4 blocks
+        monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 8 * self.BINS * rows)
+        run = TrainRun(loss="wm")
+        net, data = self._case(run, 4 * rows)
+        predict_scores(run, net, data.features)  # allocator warm-up
+        tracemalloc.start()
+        try:
+            predict_scores(run, net, data.features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * self.BINS * rows
+
     def test_non_finite_outputs_in_the_last_block_are_rejected(self):
         net, data = self._case(TrainRun(loss="wm"), 2 * self.BLOCK + 37)
         features = np.array(data.features)

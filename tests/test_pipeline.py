@@ -1,9 +1,10 @@
+import csv
 import json
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
+from censrank import pipeline
 from censrank.errors import CsvParseError
 from censrank.harness import _fold_datasets, cv_splits
 from censrank.metrics import c_index
@@ -110,7 +111,32 @@ class TestLoadCsv:
         assert len(table) == 3
         assert np.array_equal(table.times, [10.0, 20.0, 5.0])
         assert np.array_equal(table.observed, [True, False, True])
-        assert table.columns["group"] == ["a", "b", "a"]
+        codes, is_missing, vocabulary = table.columns["group"]
+        assert codes.tolist() == [0, 1, 0] and vocabulary == ("a", "b")
+        assert not is_missing.any()
+
+    def test_loaded_table_holds_parsed_arrays_and_no_cell_strings(self, tmp_path):
+        path = _write(tmp_path, "age,group,days,dead\n61,a,10,1\n,b,20,0\n70,,5,1\n")
+        table = load_csv(path, _toy_schema())
+        assert list(table.columns) == ["age", "group"]
+        for name, column in table.columns.items():
+            assert type(column) is tuple and len(column) == 3, name
+            values, is_missing, vocabulary = column
+            assert isinstance(values, np.ndarray) and isinstance(is_missing, np.ndarray)
+            assert values.dtype != object and is_missing.dtype == bool
+            assert vocabulary is None or type(vocabulary) is tuple
+        assert table.columns["age"][0].tolist() == [61.0, 0.0, 70.0]
+        assert table.columns["age"][1].tolist() == [False, True, False]
+        assert table.columns["group"][0].tolist() == [0, 1, -1]
+        assert not any(isinstance(value, list) for value in vars(table).values())
+
+    def test_repeated_schema_column_in_header_rejected(self, tmp_path):
+        path = _write(tmp_path, "age,group,days,dead,age\n61,a,10,1,62\n")
+        with pytest.raises(CsvParseError, match="column 'age' repeats in the header"):
+            load_csv(path, _toy_schema())
+        # a repeated column the schema does not name is still ignored
+        path = _write(tmp_path, "age,group,days,dead,x,x\n61,a,10,1,0,1\n", name="extra.csv")
+        assert len(load_csv(path, _toy_schema())) == 1
 
     def test_missing_column_named_in_error(self, tmp_path):
         path = _write(tmp_path, "age,group,dead\n61,a,1\n")
@@ -233,9 +259,8 @@ class TestPreprocess:
         assert stats_full.has_missing == stats_sub.has_missing
 
     def test_unparseable_numeric_feature_rejected(self, tmp_path):
-        table = self._table(tmp_path, "notanumber,a,1,1\n")
         with pytest.raises(CsvParseError, match="age"):
-            preprocess(table)
+            self._table(tmp_path, "notanumber,a,1,1\n")
 
     def test_fold_datasets_bin_all_times(self, tmp_path):
         # every fold shares one grid over the whole table's time range
@@ -250,7 +275,8 @@ class TestPreprocess:
 
 
 # The per-cell parse and per-row one-hot that preprocess used before columns
-# were parsed once per table, kept literally as the oracle for the array path.
+# were parsed once per table, kept literally as the oracle for the array path;
+# it reads the cell strings the test wrote, not the loaded table's arrays.
 
 
 def _oracle_parse_continuous(name, cells, rows, missing):
@@ -268,10 +294,10 @@ def _oracle_parse_continuous(name, cells, rows, missing):
     return values, is_missing
 
 
-def _oracle_fit_stats(table, rows):
+def _oracle_fit_stats(table, cells_by_name, rows):
     continuous, categorical, has_missing = {}, {}, {}
     for spec in table.schema.feature_columns:
-        cells = table.columns[spec.name]
+        cells = cells_by_name[spec.name]
         if spec.kind == "continuous":
             values, is_missing = _oracle_parse_continuous(spec.name, cells, rows, spec.missing)
             present = values[~is_missing]
@@ -289,13 +315,13 @@ def _oracle_fit_stats(table, rows):
     return PreprocessStats(continuous, categorical, has_missing)
 
 
-def _oracle_preprocess(table, stats=None, rows=None):
+def _oracle_preprocess(table, cells_by_name, stats=None, rows=None):
     rows = np.arange(len(table)) if rows is None else np.asarray(rows, dtype=np.int64)
     if stats is None:
-        stats = _oracle_fit_stats(table, rows)
+        stats = _oracle_fit_stats(table, cells_by_name, rows)
     blocks, names = [], []
     for spec in table.schema.feature_columns:
-        cells = table.columns[spec.name]
+        cells = cells_by_name[spec.name]
         if spec.kind == "continuous":
             lo, hi = stats.continuous[spec.name]
             values, is_missing = _oracle_parse_continuous(spec.name, cells, rows, spec.missing)
@@ -323,10 +349,13 @@ def _oracle_preprocess(table, stats=None, rows=None):
     return features, tuple(names), stats
 
 
-def _mixed_table(n=80, seed=0):
-    """Every case the encoder must handle: missing cells of two sentinels,
-    a degenerate column, a column present only in rows 0-4, a rare level
-    only in rows 5-6, and levels first seen in non-sorted order."""
+def _mixed_table(tmp_path, n=80, seed=0):
+    """(table loaded from a CSV, that CSV's feature cells by column name).
+
+    The table holds every case the encoder must handle: missing cells of
+    two sentinels, a degenerate column, a column present only in rows 0-4,
+    a rare level only in rows 5-6, and levels first seen in non-sorted
+    order."""
     rng = np.random.default_rng(seed)
     schema = DatasetSchema(columns=(
         ColumnSpec("x", "continuous", missing=("", "NA")),
@@ -345,90 +374,85 @@ def _mixed_table(n=80, seed=0):
     grp = [levels[k] for k in rng.integers(0, len(levels), n)]
     grp[:4] = ["zeta", "alpha", "Mid", "beta"]
     grp[5] = grp[6] = "omega"
-    columns = {"x": x, "const": ["7"] * n, "sparse": sparse, "grp": grp}
-    times = rng.uniform(0.0, 30.0, n)
-    return RawTable(schema, columns, times, rng.uniform(size=n) < 0.7)
+    cells = {"x": x, "const": ["7"] * n, "sparse": sparse, "grp": grp}
+    times = [repr(float(t)) for t in rng.uniform(0.0, 30.0, n)]
+    events = ["1" if e else "0" for e in rng.uniform(size=n) < 0.7]
+    path = tmp_path / "mixed.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([[*cells, "t", "e"], *zip(*cells.values(), times, events)])
+    table = load_csv(str(path), schema)
+    assert isinstance(table, RawTable) and len(table) == n
+    return table, cells
 
 
-def _assert_matches_oracle(table, rows, test_rows):
+def _assert_matches_oracle(table, cells, rows, test_rows):
     fit = preprocess(table, rows=rows)
-    features, names, stats = _oracle_preprocess(table, rows=rows)
+    features, names, stats = _oracle_preprocess(table, cells, rows=rows)
     assert fit.stats == stats
     assert fit.feature_names == names
     assert fit.features.dtype == features.dtype and fit.features.shape == features.shape
     assert fit.features.tobytes() == features.tobytes()
     encoded = preprocess(table, stats=fit.stats, rows=test_rows)
-    features, names, _ = _oracle_preprocess(table, stats=stats, rows=test_rows)
+    features, names, _ = _oracle_preprocess(table, cells, stats=stats, rows=test_rows)
     assert encoded.feature_names == names
     assert encoded.features.tobytes() == features.tobytes()
     assert np.array_equal(encoded.times, table.times[test_rows])
     assert np.array_equal(encoded.observed, table.observed[test_rows])
 
 
-class CountingColumn(Sequence):
-    """A column of cells that counts every cell read from it."""
-
-    def __init__(self, cells):
-        self.cells = list(cells)
-        self.reads = 0
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __getitem__(self, index):
-        cell = self.cells[index]
-        self.reads += len(cell) if isinstance(index, slice) else 1
-        return cell
-
-
 class TestParseOnce:
-    def test_random_row_subsets_match_the_per_row_oracle_bitwise(self):
-        table = _mixed_table()
+    def test_random_row_subsets_match_the_per_row_oracle_bitwise(self, tmp_path):
+        table, cells = _mixed_table(tmp_path)
         rng = np.random.default_rng(1)
         for _ in range(25):
             perm = rng.permutation(len(table))
             cut = int(rng.integers(20, 70))
-            _assert_matches_oracle(table, perm[:cut], perm[cut:])
+            _assert_matches_oracle(table, cells, perm[:cut], perm[cut:])
         # sorted rows, as kfold_split gives them
-        _assert_matches_oracle(table, np.arange(0, 80, 2), np.arange(1, 80, 2))
+        _assert_matches_oracle(table, cells, np.arange(0, 80, 2), np.arange(1, 80, 2))
 
-    def test_unseen_levels_and_all_missing_training_column(self):
-        table = _mixed_table()
+    def test_unseen_levels_and_all_missing_training_column(self, tmp_path):
+        table, cells = _mixed_table(tmp_path)
         train = np.arange(7, len(table))  # no "omega", and "sparse" all missing
         fit = preprocess(table, rows=train)
         assert "omega" not in fit.stats.categorical["grp"]
         assert fit.stats.continuous["sparse"] == (0.0, 0.0)
         assert fit.stats.continuous["const"] == (7.0, 7.0)
         assert fit.stats.categorical["grp"] == ("Mid", "alpha", "beta", "zeta")
-        _assert_matches_oracle(table, train, np.arange(7))
+        _assert_matches_oracle(table, cells, train, np.arange(7))
         encoded = preprocess(table, stats=fit.stats, rows=[5, 6])
         grp = [i for i, name in enumerate(encoded.feature_names) if name.startswith("grp=")]
         assert not encoded.features[:, grp].any()
 
-    def test_categorical_column_all_missing_in_training_is_rejected(self):
-        table = _mixed_table()
-        rows = [r for r, g in enumerate(table.columns["grp"]) if g in ("", "?")]
+    def test_categorical_column_all_missing_in_training_is_rejected(self, tmp_path):
+        table, cells = _mixed_table(tmp_path)
+        rows = [r for r, g in enumerate(cells["grp"]) if g in ("", "?")]
         with pytest.raises(ValueError, match="grp"):
             preprocess(table, rows=rows)
         with pytest.raises(ValueError, match="grp"):
-            _oracle_preprocess(table, rows=rows)
+            _oracle_preprocess(table, cells, rows=rows)
 
-    def test_building_every_fold_parses_each_cell_once(self):
-        table = _mixed_table()
-        table.columns = {name: CountingColumn(cells) for name, cells in table.columns.items()}
+    def test_building_every_fold_parses_each_cell_once(self, tmp_path, monkeypatch):
+        parse, parsed = pipeline._parse_column, []
+
+        def counting(spec, cells):
+            parsed.append((spec.name, len(cells)))
+            return parse(spec, cells)
+
+        monkeypatch.setattr(pipeline, "_parse_column", counting)
+        table, cells = _mixed_table(tmp_path)
+        # one call per feature column over all its cells, all while loading
+        assert parsed == [(name, len(table)) for name in cells]
         splits = cv_splits(len(table), 5, 0.2, 3)
         _fold_datasets(table, splits, 1.0)
         _fold_datasets(table, splits, 1.0)
         preprocess(table)
-        assert {name: col.reads for name, col in table.columns.items()} == {
-            name: len(table) for name in table.columns
-        }
+        assert len(parsed) == len(cells)
 
     def test_unparseable_numeric_cell_outside_rows_is_rejected(self, tmp_path):
         path = _write(tmp_path, "age,group,days,dead\n1,a,1,1\n2,b,2,1\nbad,a,3,1\n")
-        table = load_csv(path, _toy_schema())
         with pytest.raises(CsvParseError, match="column 'age': unparseable numeric value 'bad'"):
-            preprocess(table, rows=[0, 1])
+            load_csv(path, _toy_schema())
 
 
 class TestKfoldSplit:
@@ -512,5 +536,5 @@ class TestGenerateSynthetic:
         assert np.array_equal(table.times, data.times)
         assert np.array_equal(table.observed, data.observed)
         # repr round-trips doubles exactly
-        parsed = np.asarray([[float(cell) for cell in table.columns[f"f{i}"]] for i in range(4)]).T
+        parsed = np.column_stack([table.columns[f"f{i}"][0] for i in range(4)])
         assert np.array_equal(parsed, data.features)

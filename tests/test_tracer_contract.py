@@ -41,6 +41,8 @@ def test_benchmark_commands_leave_no_layer_missing_or_uncounted(tmp_path, capsys
     grid = tmp_path / "grid.json"
     grid.write_text('{"learning_rate": [0.01], "l2": [0.0]}', encoding="utf-8")
     checkpoint = str(tmp_path / "model.ckpt")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("score\n" + "".join(f"{k}\n" for k in range(240)), encoding="utf-8")
     commands = [
         ["cv", *data, "--loss", loss, "--bin-width", "5", "--k", "2", "--epochs", "1", "--patience", "1",
          "--grid", str(grid), "--hidden-dims", "8", "--out", str(tmp_path / f"{loss}.csv")]
@@ -50,6 +52,8 @@ def test_benchmark_commands_leave_no_layer_missing_or_uncounted(tmp_path, capsys
         ["train", *data, "--loss", "wm", "--bin-width", "5", "--epochs", "1", "--patience", "1",
          "--hidden-dims", "8", "--checkpoint", checkpoint],
         ["evaluate", *data, "--checkpoint", checkpoint],
+        # the outcome-only load: time and event columns alone
+        ["evaluate", *data, "--scores", str(scores)],
     ]
     tracer = _load_tracer().Tracer()
     modules = {name: mod for name, mod in sys.modules.items() if name.startswith("censrank")}
@@ -64,3 +68,5 @@ def test_benchmark_commands_leave_no_layer_missing_or_uncounted(tmp_path, capsys
     assert tracer.uncounted == set()
     # every layer with work counts ran, so "uncounted" was checked on each
     assert COUNTED_LAYERS <= {span[0] for span in tracer.spans}
+    loads = [span[5] for span in tracer.spans if span[0] == "pipeline.load_csv"]
+    assert loads == [{"rows": 240}] * len(commands)
