@@ -57,26 +57,12 @@ __all__ = [
     "emit_report",
 ]
 
-LOSSES = (
-    "cox",
-    "cox-efron",
-    "rank-sigmoid",
-    "rank-logsigmoid",
-    "rank-hinge",
-    "rank-exp",
-    "wm",
-)
+LOSSES = ("cox", "cox-efron", "rank-sigmoid", "rank-logsigmoid", "rank-hinge", "rank-exp", "wm")
 CENSORING_MODES = ("with_censored", "no_censored", "death_at_censoring")
-DEFAULT_GRID = tuple(
-    (lr, l2) for lr in (1e-2, 1e-3, 1e-4) for l2 in (0.0, 1e-4, 1e-3, 1e-2)
-)
+DEFAULT_GRID = tuple((lr, l2) for lr in (1e-2, 1e-3, 1e-4) for l2 in (0.0, 1e-4, 1e-3, 1e-2))
 
-_RANK_KINDS = {
-    "rank-sigmoid": "sigmoid",
-    "rank-logsigmoid": "log_sigmoid",
-    "rank-hinge": "hinge",
-    "rank-exp": "exponential",
-}
+_RANK_KINDS = {"rank-sigmoid": "sigmoid", "rank-logsigmoid": "log_sigmoid",
+               "rank-hinge": "hinge", "rank-exp": "exponential"}
 _COX_TIES = {"cox": "breslow", "cox-efron": "efron"}
 
 
@@ -212,15 +198,11 @@ def _check_trainable(run: TrainRun, train: Dataset):
     # Degenerate training signals (e.g. a fully censored training fold)
     # must raise, not silently train on nothing.
     if run.loss in _COX_TIES and not train.observed.any():
-        raise UndefinedMetricError(
-            f"{run.loss}: the training set has no observed events"
-        )
+        raise UndefinedMetricError(f"{run.loss}: the training set has no observed events")
     if run.loss in _RANK_KINDS:
         obs_bins = train.bins[train.observed]
         if obs_bins.size == 0 or obs_bins.min() >= train.bins.max():
-            raise UndefinedMetricError(
-                f"{run.loss}: the training set admits no acceptable pairs"
-            )
+            raise UndefinedMetricError(f"{run.loss}: the training set admits no acceptable pairs")
 
 
 def train_model(run: TrainRun, train: Dataset, val: Dataset):

@@ -31,6 +31,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .core import Dataset, build_time_grid
 from .errors import CsvParseError
 
 __all__ = [
+    "Column",
     "ColumnSpec",
     "DatasetSchema",
     "PreprocessStats",
@@ -146,12 +148,24 @@ def save_schema(schema: DatasetSchema, path):
         fh.write("\n")
 
 
+class Column(NamedTuple):
+    """One parsed feature column: float64 values (0.0 where missing) and no
+    vocabulary if continuous, else int64 codes into its sorted vocabulary
+    (-1 where missing).  `cell in column` tells whether the column read
+    `cell` as one of its distinct `missing_cells` or as a level."""
+
+    values: np.ndarray
+    is_missing: np.ndarray
+    vocabulary: tuple
+    missing_cells: tuple
+
+    def __contains__(self, cell):
+        return cell in self.missing_cells or cell in (self.vocabulary or ())
+
+
 @dataclass
 class RawTable:
-    """Parsed time/event arrays and feature columns, pre-encoding: `columns`
-    maps each feature name to (values, is_missing, vocabulary), float64
-    values (0.0 where missing) and no vocabulary for a continuous column,
-    int64 codes into its sorted vocabulary (-1 where missing) otherwise."""
+    """Parsed time/event arrays and one `Column` per feature name, pre-encoding."""
 
     schema: DatasetSchema
     columns: dict
@@ -167,12 +181,14 @@ def _parse_column(spec, cells):
     missing = set(spec.missing)
     is_missing = np.array([cell in missing for cell in cells], dtype=bool)
     # first-seen order, so a parse error names the first bad cell of the column
-    distinct = [cell for cell in dict.fromkeys(cells) if cell not in missing]
+    distinct = dict.fromkeys(cells)
+    missing_cells = tuple(cell for cell in distinct if cell in missing)
+    distinct = [cell for cell in distinct if cell not in missing]
     if spec.kind == "categorical":
         vocabulary = tuple(sorted(distinct))
         code = {level: k for k, level in enumerate(vocabulary)}
         codes = np.array([code.get(cell, -1) for cell in cells], dtype=np.int64)
-        return codes, is_missing, vocabulary
+        return Column(codes, is_missing, vocabulary, missing_cells)
     number = {}
     for cell in distinct:
         try:
@@ -181,7 +197,8 @@ def _parse_column(spec, cells):
             raise CsvParseError(
                 f"column {spec.name!r}: unparseable numeric value {cell!r}"
             ) from None
-    return np.array([number.get(cell, 0.0) for cell in cells], dtype=np.float64), is_missing, None
+    values = np.array([number.get(cell, 0.0) for cell in cells], dtype=np.float64)
+    return Column(values, is_missing, None, missing_cells)
 
 
 def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
@@ -317,7 +334,7 @@ class PreprocessResult:
 def _fit_stats(table: RawTable, rows) -> PreprocessStats:
     continuous, categorical, has_missing = {}, {}, {}
     for spec in table.schema.feature_columns:
-        values, is_missing, vocabulary = table.columns[spec.name]
+        values, is_missing, vocabulary, _ = table.columns[spec.name]
         is_missing = is_missing[rows]
         present = values[rows][~is_missing]
         if spec.kind == "continuous":
@@ -349,7 +366,7 @@ def preprocess(table: RawTable, stats: PreprocessStats = None, rows=None) -> Pre
         stats = _fit_stats(table, rows)
     blocks, names = [], []
     for spec in table.schema.feature_columns:
-        values, is_missing, vocabulary = table.columns[spec.name]
+        values, is_missing, vocabulary, _ = table.columns[spec.name]
         values, is_missing = values[rows], is_missing[rows]
         if spec.name not in (stats.continuous if spec.kind == "continuous" else stats.categorical):
             raise ValueError(f"stats do not cover {spec.kind} column {spec.name!r}")

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,24 +112,34 @@ class TestLoadCsv:
         assert len(table) == 3
         assert np.array_equal(table.times, [10.0, 20.0, 5.0])
         assert np.array_equal(table.observed, [True, False, True])
-        codes, is_missing, vocabulary = table.columns["group"]
+        codes, is_missing, vocabulary, missing_cells = table.columns["group"]
         assert codes.tolist() == [0, 1, 0] and vocabulary == ("a", "b")
-        assert not is_missing.any()
+        assert not is_missing.any() and missing_cells == ()
 
     def test_loaded_table_holds_parsed_arrays_and_no_cell_strings(self, tmp_path):
         path = _write(tmp_path, "age,group,days,dead\n61,a,10,1\n,b,20,0\n70,,5,1\n")
         table = load_csv(path, _toy_schema())
         assert list(table.columns) == ["age", "group"]
         for name, column in table.columns.items():
-            assert type(column) is tuple and len(column) == 3, name
-            values, is_missing, vocabulary = column
+            assert type(column) is pipeline.Column, name
+            values, is_missing, vocabulary, missing_cells = column
             assert isinstance(values, np.ndarray) and isinstance(is_missing, np.ndarray)
             assert values.dtype != object and is_missing.dtype == bool
             assert vocabulary is None or type(vocabulary) is tuple
+            assert missing_cells == ("",), name  # the distinct missing cells, not one per row
         assert table.columns["age"][0].tolist() == [61.0, 0.0, 70.0]
         assert table.columns["age"][1].tolist() == [False, True, False]
         assert table.columns["group"][0].tolist() == [0, 1, -1]
         assert not any(isinstance(value, list) for value in vars(table).values())
+
+    def test_a_column_contains_the_cells_it_read(self, tmp_path):
+        schema = DatasetSchema(columns=tuple(
+            replace(spec, missing=("", "NA")) for spec in _toy_schema().columns))
+        path = _write(tmp_path, "age,group,days,dead\n61,a,10,1\nNA,b,20,0\n70.5,NA,5,1\n")
+        age, group = load_csv(path, schema).columns.values()
+        assert "NA" in age and "NA" in group and "" not in age
+        assert "a" in group and "b" in group and "c" not in group and "61" not in group
+        assert "61" not in age  # a continuous column keeps no cell text but its missing cells
 
     def test_repeated_schema_column_in_header_rejected(self, tmp_path):
         path = _write(tmp_path, "age,group,days,dead,age\n61,a,10,1,62\n")
