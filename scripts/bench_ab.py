@@ -8,7 +8,10 @@ temporary directory, and that tree's `perfbench/run.py` and the working
 tree's run alternately in ABBA order (base, change, change, base, ...),
 pair i with seed SEED + i on both sides, so neither side always runs first
 on a warm or cold machine.  Each run's result is appended to --out as one
-JSON line {"workload", "pair", "side", "seed", "trace", "run"}.  At the end
+JSON line {"workload", "pair", "side", "seed", "trace", "base", "change",
+"run"}, where "base" is the commit REV resolves to and "change" is HEAD's
+commit, with "-dirty" appended when the working tree differs from HEAD
+(untracked files that git does not ignore count).  At the end
 each metric's median [Q1, Q3] per side is printed, with the number of pairs
 each side won (direction from BENCHMARK.json; ties count for neither), the
 median gain and the base side's interquartile range.  With --trace 1 every
@@ -42,6 +45,17 @@ def export(rev, dest):
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def revisions(rev, root="."):
+    """(the commit `rev` resolves to, HEAD's commit plus "-dirty" if the
+    working tree of the checkout at `root` differs from it)."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    base, head = git("rev-parse", "--verify", f"{rev}^{{commit}}"), git("rev-parse", "HEAD")
+    return base, head + ("-dirty" if git("status", "--porcelain") else "")
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -132,9 +146,10 @@ def main(argv=None):
     with open(os.path.join(here, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
         declared = json.load(fh)["per_layer" if args.trace else "end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
+    base, change = revisions(args.base)
     records = []
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        export(args.base, tmp)
+        export(base, tmp)
         roots = {"parent": tmp, "change": here}
         with open(args.out, "a", encoding="utf-8") as out:
             for i in range(args.pairs):
@@ -144,7 +159,8 @@ def main(argv=None):
                     line = run_once(roots[side], args.workload, seed, args.seconds, args.trace)
                     run = parse_run(line, better, f"{side} pair {i} seed {seed}")
                     rec = {"workload": args.workload, "pair": i, "side": side,
-                           "seed": seed, "trace": args.trace, "run": run}
+                           "seed": seed, "trace": args.trace, "base": base, "change": change,
+                           "run": run}
                     records.append(rec)
                     out.write(json.dumps(rec) + "\n")
                     out.flush()

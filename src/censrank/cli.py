@@ -244,6 +244,7 @@ def _cmd_evaluate(args):
             if not isinstance(meta, dict) or key not in meta:
                 raise ValueError(f"{args.checkpoint}.meta.json: missing key {key!r}")
         result = pipeline.preprocess(table, stats=pipeline.PreprocessStats.from_doc(meta["stats"]))
+        del table  # the encoded features replace its parsed columns before scoring
         if list(result.feature_names) != meta["feature_names"]:
             raise ValueError(
                 "dataset columns encode differently from the checkpoint's training data"

@@ -151,14 +151,19 @@ def eval_scores(run: TrainRun, outputs):
     Cox outputs rank hazard, so they are negated; ranking outputs are used
     raw; a pmf head scores by its expected bin index (or the median bin).
     Each row's score depends on that row alone, so `predict_scores` can
-    apply it block by block.
+    apply it block by block.  `outputs` is never written to.
     """
+    return _eval_scores(run, outputs, cdf_out=None)
+
+
+def _eval_scores(run: TrainRun, outputs, cdf_out):  # a median writes the CDF into cdf_out
     if run.loss in _COX_TIES:
         return -outputs
     if run.loss in _RANK_KINDS:
         return outputs
     if run.wm_score == "median":
-        return np.argmax(np.cumsum(outputs, axis=1) >= 0.5, axis=1).astype(np.float64)
+        cdf = np.cumsum(outputs, axis=1, out=cdf_out)
+        return np.argmax(cdf >= 0.5, axis=1).astype(np.float64)
     return outputs @ np.arange(outputs.shape[1], dtype=np.float64)
 
 
@@ -189,7 +194,7 @@ def predict_scores(run: TrainRun, net: Network, features):
             raise TrainingDivergedError(
                 f"non-finite network outputs in rows {start} to {start + len(out) - 1}"
             )
-        scores[start : start + block] = eval_scores(run, out)
+        scores[start : start + block] = _eval_scores(run, out, cdf_out=out)  # ours to overwrite
         del out  # so the next block's forward runs with no other block alive
     return scores
 

@@ -10,7 +10,10 @@ There is no autodiff here: `backward` consumes d(loss)/d(outputs) supplied
 by one of the loss functions and walks the cache of the last train-mode
 `forward` (eval mode caches nothing): the head's input and outputs, and per
 hidden layer (input, z - batch mean, batch std, xhat, gate), where gate is
-the ReLU slope times the inverted-dropout mask.
+one boolean array: the ReLU passes and dropout keeps; both passes derive the
+dropout scale 1 / keep from the config.  Batch norm's gradient takes the
+compact form of Ioffe & Szegedy (2015), with g = gate * d(loss)/d(layer
+output) over m rows: dz = gamma / (keep std) (g - mean(g) - xhat mean(g xhat)).
 
 Checkpoint format (version 1, little-endian): the 8-byte magic
 b"CENSRANK", a uint32 format version, a uint32 header length, a UTF-8 JSON
@@ -112,31 +115,34 @@ class Network:
         p = self.params
         layers = []
         a = X
+        keep = 1.0 - self.config.dropout_rate
         for i in range(len(self.config.hidden_dims)):
-            z = a @ p[f"W{i}"] + p[f"b{i}"]
+            z = a @ p[f"W{i}"]
+            z += p[f"b{i}"]
             if train:
                 mu = z.mean(axis=0)
-                centered = z - mu
-                var = (centered * centered).sum(axis=0) / len(z)  # bitwise z.var(axis=0)
+                z -= mu  # centered, in place
+                var = (z * z).sum(axis=0) / len(z)  # bitwise z.var(axis=0)
                 self.running[f"mean{i}"] *= 1.0 - _BN_MOMENTUM
                 self.running[f"mean{i}"] += _BN_MOMENTUM * mu
                 self.running[f"var{i}"] *= 1.0 - _BN_MOMENTUM
                 self.running[f"var{i}"] += _BN_MOMENTUM * var
             else:
-                centered = z - self.running[f"mean{i}"]
+                z -= self.running[f"mean{i}"]
                 var = self.running[f"var{i}"]
             std = np.sqrt(var + _BN_EPS)
-            xhat = centered / std
-            bn = p[f"gamma{i}"] * xhat + p[f"beta{i}"]
-            input_, a = a, np.maximum(bn, 0.0)
+            xhat = z / std
+            bn = p[f"gamma{i}"] * xhat
+            bn += p[f"beta{i}"]
             if train:
-                # d(output)/d(bn): the ReLU's slope times the inverted-dropout mask
-                gate = bn > 0.0
+                gate = bn > 0.0  # one boolean gate: the ReLU passes and dropout keeps
                 if self.config.dropout_rate > 0.0:
-                    keep = 1.0 - self.config.dropout_rate
-                    gate = gate * ((self._rng.random(a.shape) < keep) / keep)
-                    a *= gate
-                layers.append((input_, centered, std, xhat, gate))
+                    gate &= self._rng.random(bn.shape) < keep
+                layers.append((a, z, std, xhat, gate))
+            a = np.maximum(bn, 0.0, out=bn)
+            if train and self.config.dropout_rate > 0.0:
+                a *= gate
+                a *= 1.0 / keep
         logits = a @ p["W_out"]
         logits += p["b_out"]
         if self.config.head == "softmax":
@@ -158,7 +164,8 @@ class Network:
 
         `grad_outputs` is d(loss)/d(outputs) of the last train-mode
         forward, whose cache (see the module docstring) this walks; it has
-        the shape that forward returned and is never written to.  For the
+        the shape that forward returned and is never written to.  The
+        compact batch-norm gradient equals the long form up to rounding.  For the
         softmax head, `work` is an optional float64 scratch array of
         shape (at least batch, num_outputs) that the softmax step writes
         into instead of allocating; the gradients are the same bit for bit.
@@ -186,17 +193,16 @@ class Network:
         grads["b_out"] = dlogits.sum(axis=0)
         da = dlogits @ p["W_out"].T
 
+        inv_keep = 1.0 / (1.0 - self.config.dropout_rate)
         for i in reversed(range(len(self.config.hidden_dims))):
-            input_, centered, std, xhat, gate = cache["layers"][i]
-            dbn = da * gate
-            grads[f"gamma{i}"] = np.sum(dbn * xhat, axis=0)
-            grads[f"beta{i}"] = dbn.sum(axis=0)
-            dxhat = dbn * p[f"gamma{i}"]
-            m = len(centered)
-            inv_std = 1.0 / std
-            dvar = np.sum(dxhat * centered, axis=0) * -0.5 * inv_std**3
-            dmu = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * centered, axis=0)
-            dz = dxhat * inv_std + dvar * 2.0 * centered / m + dmu / m
+            input_, _, std, xhat, gate = cache["layers"][i]
+            # the compact batch-norm gradient (module docstring), in place in da
+            dz = np.multiply(da, gate, out=da)
+            sum_xhat, sum_ = np.einsum("ij,ij->j", dz, xhat), dz.sum(axis=0)
+            grads[f"gamma{i}"], grads[f"beta{i}"] = inv_keep * sum_xhat, inv_keep * sum_
+            dz -= sum_ / len(dz)
+            dz -= xhat * (sum_xhat / len(dz))
+            dz *= p[f"gamma{i}"] * inv_keep / std
             grads[f"W{i}"] = input_.T @ dz
             grads[f"b{i}"] = dz.sum(axis=0)
             if i > 0:  # nothing consumes the gradient of the network's input
@@ -225,7 +231,8 @@ def _copies(arrays):
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8); m, v and
+    the parameters are updated in place, rounded as the textbook expressions."""
 
     def __init__(self, learning_rate):
         if not (learning_rate > 0):
@@ -246,11 +253,20 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
-            self.m[name] = _ADAM_BETA1 * self.m[name] + (1.0 - _ADAM_BETA1) * g
-            self.v[name] = _ADAM_BETA2 * self.v[name] + (1.0 - _ADAM_BETA2) * g * g
-            m_hat = self.m[name] / (1.0 - _ADAM_BETA1**t)
-            v_hat = self.v[name] / (1.0 - _ADAM_BETA2**t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            m, v, step = self.m[name], self.v[name], (1.0 - _ADAM_BETA1) * g
+            m *= _ADAM_BETA1
+            m += step
+            np.multiply(1.0 - _ADAM_BETA2, g, out=step)
+            step *= g
+            v *= _ADAM_BETA2
+            v += step
+            np.divide(m, 1.0 - _ADAM_BETA1**t, out=step)
+            step *= self.learning_rate
+            denom = v / (1.0 - _ADAM_BETA2**t)
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            step /= denom
+            params[name] -= step
 
 
 # ---------------------------------------------------------------------------

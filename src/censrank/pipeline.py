@@ -259,10 +259,14 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
             shown = "; ".join(f"line {ln}: {why}" for ln, why in bad[:10])
             more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
             raise CsvParseError(f"{path}: {len(bad)} bad rows: {shown}{more}")
+    try:
+        columns = {spec.name: _parse_column(spec, cells)
+                   for spec, (_, cells, _) in zip(schema.feature_columns, features)}
+    except CsvParseError as err:
+        raise CsvParseError(f"{path}: {err}") from None
     return RawTable(
         schema=schema,
-        columns={spec.name: _parse_column(spec, cells)
-                 for spec, (_, cells, _) in zip(schema.feature_columns, features)},
+        columns=columns,
         times=np.asarray(times, dtype=np.float64),
         observed=np.asarray(observed, dtype=bool),
         dropped_rows=tuple(ln for ln, _ in bad),

@@ -1,8 +1,10 @@
 """`scripts/bench_ab.py` refuses a run result that lacks a declared metric
-or holds a non-finite value, naming the metric and the run."""
+or holds a non-finite value, naming the metric and the run, and names the
+commits it measured on every line it writes."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,52 @@ def test_unreadable_result_exits(bench_ab, line):
     with pytest.raises(SystemExit) as exit_info:
         bench_ab.parse_run(line, NAMES, WHERE)
     assert str(exit_info.value.code).startswith(f"{WHERE}: ")
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *args], cwd=root, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+@pytest.fixture
+def checkout(tmp_path):
+    """A repository of two commits whose working tree matches the second."""
+    _git(tmp_path, "init", "-q")
+    (tmp_path / ".gitignore").write_text("bench_ab.jsonl\n")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": name, "better": better} for name, better in NAMES.items()]}))
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "second")
+    return tmp_path
+
+
+def test_revisions_name_the_base_commit_and_a_dirty_tree(bench_ab, checkout):
+    first, second = _git(checkout, "rev-parse", "HEAD~1"), _git(checkout, "rev-parse", "HEAD")
+    assert bench_ab.revisions("HEAD~1", checkout) == (first, second)
+    (checkout / "bench_ab.jsonl").write_text("{}\n")  # ignored: still clean
+    assert bench_ab.revisions(first[:7], checkout) == (first, second)
+    (checkout / "code.py").write_text("x = 2\n")
+    assert bench_ab.revisions("HEAD", checkout) == (second, second + "-dirty")
+    _git(checkout, "checkout", "-q", "code.py")
+    (checkout / "new.py").write_text("")  # untracked and not ignored
+    assert bench_ab.revisions("HEAD", checkout) == (second, second + "-dirty")
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_ab.revisions("no-such-rev", checkout)
+
+
+def test_every_line_names_the_base_and_the_change(bench_ab, checkout, monkeypatch):
+    first, second = _git(checkout, "rev-parse", "HEAD~1"), _git(checkout, "rev-parse", "HEAD")
+    exported = []
+    monkeypatch.chdir(checkout)
+    monkeypatch.setattr(bench_ab, "export", lambda rev, dest: exported.append(rev))
+    line = json.dumps({"failed": 0, "attempted": 1, "metrics": {
+        name: {"value": 1.0, "unit": "s"} for name in NAMES}})
+    monkeypatch.setattr(bench_ab, "run_once", lambda *args: line)
+    bench_ab.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "2", "--seconds", "1"])
+    records = [json.loads(text) for text in (checkout / "bench_ab.jsonl").read_text().splitlines()]
+    assert exported == [first] and len(records) == 4
+    assert all(rec["base"] == first and rec["change"] == second for rec in records)

@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import weakref
 
 import numpy as np
 import pytest
@@ -297,6 +298,24 @@ def test_evaluate_scores_never_parses_feature_columns(capsys, toy, tmp_path, mon
     assert code == 0 and lines[-1]["n"] == 120
 
 
+def test_evaluate_releases_the_loaded_table_before_scoring(capsys, toy, checkpoint, monkeypatch):
+    load_csv, predict_scores, loaded, alive = pipeline.load_csv, harness.predict_scores, [], []
+
+    def loading(*args, **kwargs):
+        table = load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(table))
+        return table
+
+    def scoring(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return predict_scores(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_csv", loading)
+    monkeypatch.setattr(harness, "predict_scores", scoring)
+    code, _, _ = run_cli(capsys, ["evaluate", *data_args(toy), "--checkpoint", checkpoint])
+    assert code == 0 and len(loaded) == 1 and alive == [False]
+
+
 def test_only_commands_that_encode_features_reject_an_unparseable_cell(capsys, toy, checkpoint,
                                                                       tmp_path):
     lines = open(toy["csv"], encoding="utf-8").read().splitlines()
@@ -315,8 +334,8 @@ def test_only_commands_that_encode_features_reject_an_unparseable_cell(capsys, t
                   "--grid", toy["grid"], "--out", str(tmp_path / "r.csv")],
                  ["evaluate", *data, "--checkpoint", checkpoint]):
         code, err = _error_line(capsys, argv)
-        assert code == 2 and err == {"error": "CsvParseError",
-                                     "message": "column 'f1': unparseable numeric value 'oops'"}
+        assert code == 2 and err == {"error": "CsvParseError", "message":
+                                     f"{bad}: column 'f1': unparseable numeric value 'oops'"}
 
 
 def _error_line(capsys, argv):

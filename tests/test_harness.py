@@ -162,7 +162,9 @@ class TestEvalScores:
     def test_pmf_median_scores_by_median_bin(self):
         pmf = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
         run = TrainRun(loss="wm", wm_score="median")
+        given = pmf.copy()
         assert np.array_equal(eval_scores(run, pmf), [1.0, 0.0, 0.0])
+        assert np.array_equal(pmf, given)  # the caller's outputs are not overwritten
 
 
 class TestPredictScores:
@@ -202,10 +204,11 @@ class TestPredictScores:
         with pytest.raises(ValueError, match=f"loss '{loss}' .* has a '{head}' head"):
             predict_scores(TrainRun(loss=loss), net, data.features)
 
-    def test_one_block_of_outputs_is_alive_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("wm_score", ["mean", "median"])
+    def test_one_block_of_outputs_is_alive_at_a_time(self, monkeypatch, wm_score):
         rows = 64  # 2 MiB of outputs per block, 4 blocks
         monkeypatch.setattr(harness, "_SCORE_BLOCK_BYTES", 8 * self.BINS * rows)
-        run = TrainRun(loss="wm")
+        run = TrainRun(loss="wm", wm_score=wm_score)  # a median's CDF overwrites its block
         net, data = self._case(run, 4 * rows)
         predict_scores(run, net, data.features)  # allocator warm-up
         tracemalloc.start()

@@ -12,6 +12,7 @@ from censrank.neural import Adam, Network, NetworkConfig, load_checkpoint, save_
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _small_net(seed=0, **kwargs):
@@ -208,8 +209,10 @@ class TestBackward:
 class _TwoPathNetwork(Network):
     """Reference network with a second backward path: a literal copy of
     the earlier `forward` (with its `cache_for_backward` option) and
-    `backward` (with its running-statistics branch), which the one-path
-    network must match bit for bit in train mode."""
+    `backward` (with its running-statistics branch and the long-form
+    batch-norm gradient).  The network must match its outputs, running
+    statistics and dropout draws bit for bit in train mode, and its
+    gradients up to rounding."""
 
     def forward(self, batch, train, cache_for_backward=None):
         X = np.asarray(batch, dtype=np.float64)
@@ -319,6 +322,27 @@ class _TwoPathNetwork(Network):
         return grads
 
 
+class _ReferenceAdam(Adam):
+    """A literal copy of the earlier `Adam.step`, which built new m, v and
+    step arrays; the in-place step must match it bit for bit."""
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergedError(f"non-finite gradient in {name}")
+        self.step_count += 1
+        t = self.step_count
+        for name, g in grads.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(params[name])
+                self.v[name] = np.zeros_like(params[name])
+            self.m[name] = _ADAM_BETA1 * self.m[name] + (1.0 - _ADAM_BETA1) * g
+            self.v[name] = _ADAM_BETA2 * self.v[name] + (1.0 - _ADAM_BETA2) * g * g
+            m_hat = self.m[name] / (1.0 - _ADAM_BETA1**t)
+            v_hat = self.v[name] / (1.0 - _ADAM_BETA2**t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+
+
 class TestMatchesTheTwoPathNetwork:
     @pytest.mark.parametrize("head, outputs", [("scalar_linear", 1), ("softmax", 7)])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -330,7 +354,7 @@ class TestMatchesTheTwoPathNetwork:
                                seed=21)
         new, old = Network(config), _TwoPathNetwork(config)
         rng = np.random.default_rng(rows)
-        new_adam, old_adam = Adam(1e-2), Adam(1e-2)
+        new_adam, old_adam = Adam(1e-2), _ReferenceAdam(1e-2)
         for step in range(3):  # later steps start from updated weights and statistics
             batch = rng.normal(size=(rows, 6)) * 3.0 + 1.0
             got, want = new.forward(batch, train=True), old.forward(batch, train=True)
@@ -342,11 +366,33 @@ class TestMatchesTheTwoPathNetwork:
             work = np.full((rows + 1, outputs), np.nan) if step == 1 else None
             got_grads, want_grads = new.backward(g_out, work=work), old.backward(g_out, work=work)
             assert got_grads.keys() == want_grads.keys()
+            # the compact batch-norm gradient differs from the long form in
+            # rounding only; the hidden biases' true gradient is 0, so both
+            # give noise there, and the bound is absolute
+            tol = 1e-12 * max(np.abs(g).max() for n, g in want_grads.items() if n.startswith("W"))
             for name in want_grads:
-                assert np.array_equal(got_grads[name], want_grads[name]), name
-            new_adam.step(new.params, got_grads)
+                assert np.max(np.abs(got_grads[name] - want_grads[name])) <= tol, name
+            new_adam.step(new.params, want_grads)
             old_adam.step(old.params, want_grads)
+            for name in old.params:
+                assert np.array_equal(new.params[name], old.params[name]), name
         assert np.array_equal(new.forward(batch, train=False), old.forward(batch, train=False))
+
+    @pytest.mark.parametrize("head, outputs", [("scalar_linear", 1), ("softmax", 300)])
+    def test_adam_matches_the_reference_adam_for_200_steps(self, head, outputs):
+        config = NetworkConfig(input_dim=6, hidden_dims=(9, 8), head=head, num_outputs=outputs,
+                               dropout_rate=0.5, l2_coefficient=1e-3, seed=23)
+        net = Network(config)
+        reference = copy.deepcopy(net.params)
+        adam, ref_adam = Adam(1e-2), _ReferenceAdam(1e-2)
+        rng = np.random.default_rng(23)
+        for step in range(200):
+            out = net.forward(rng.normal(size=(32, 6)), train=True)
+            grads = net.backward(rng.normal(size=out.shape))
+            adam.step(net.params, grads)
+            ref_adam.step(reference, grads)
+            for name in reference:
+                assert np.array_equal(net.params[name], reference[name]), (step, name)
 
     def test_eval_forward_leaves_the_train_cache(self):
         net = _small_net(seed=22)
