@@ -181,9 +181,8 @@ def _cmd_km(args):
 
 def _cmd_train(args):
     table = _load_table(args)
-    splits = harness.cv_splits(len(table), args.k, args.val_fraction, args.seed)
-    fits = []
-    [(train, val, test)] = harness._fold_datasets(table, splits[:1], args.bin_width, fits)
+    split = harness.cv_splits(len(table), args.k, args.val_fraction, args.seed)[0]
+    (train, val, test), (feature_names, stats) = harness.fold_encoder(table, args.bin_width)(split)
     run = replace(_template_from(args, args.loss), learning_rate=args.learning_rate, l2=args.l2)
     net, history = harness.train_model(run, train, val)
     test_c = c_index(test, harness.predict_scores(run, net, test.features))
@@ -191,8 +190,8 @@ def _cmd_train(args):
     meta = {
         "loss": run.loss,
         "wm_score": run.wm_score,
-        "feature_names": list(fits[0].feature_names),
-        "stats": fits[0].stats.to_doc(),
+        "feature_names": list(feature_names),
+        "stats": stats.to_doc(),
     }
     with open(args.checkpoint + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

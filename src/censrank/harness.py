@@ -6,12 +6,13 @@ Seeding uses one documented counter scheme: every sub-experiment's seed is
 ("fold", index, "grid", index, ...), so any piece can be re-run in
 isolation and a full run is reproducible byte for byte.
 
-An experiment (one cv run, a censoring ablation or a sweep) splits and
-encodes its folds once and trains every (cell, fold, grid point) from one
-job list, where a cell is a loss plus a training-set modifier.  With
-n_jobs > 1 that list runs in a single process pool; each (cell, fold) is
-reduced in job order as soon as its grid points are in, so serial and
-parallel runs emit identical reports.
+An experiment (one cv run, a censoring ablation or a sweep) splits its
+folds once and trains every (cell, fold, grid point) from one fold-major
+job list, where a cell is a loss plus a training-set modifier; each fold
+is encoded once, just before its first job.  With n_jobs > 1 that list
+runs in a single process pool; each (cell, fold) is reduced in job order
+as soon as its grid points are in, so serial and parallel runs emit
+identical reports.
 """
 
 import json
@@ -47,6 +48,7 @@ __all__ = [
     "SweepResult",
     "derived_seed",
     "cv_splits",
+    "fold_encoder",
     "train_model",
     "predict_scores",
     "grid_search",
@@ -238,11 +240,10 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     if run.loss == "wm":
         km = kaplan_meier(train)
         weights = bin_weights(train, run.wm_smoothing)
-        # one set of (batch, T) arrays for the whole run: each batch's target
-        # rows and the loss's scratch; the loss's first array is free again
-        # once it returns, so the softmax backward step reuses it
+        # three (batch, T) arrays for the whole run: the loss's scratch, whose
+        # first array takes each batch's target rows and, once the loss has
+        # returned, the softmax backward step
         shape = (min(run.batch_size, n), train.grid.num_bins)
-        target_rows = np.empty(shape)
         wm_work = tuple(np.empty(shape) for _ in range(3))
         backward_work = wm_work[0]
     else:
@@ -288,7 +289,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
                 )
             else:
                 targets = target_cdf_matrix(
-                    train, km, mode=run.km_impute, rows=idx, out=target_rows
+                    train, km, mode=run.km_impute, rows=idx, out=wm_work[0]
                 )
                 value, grad_out = wm_batch_with_grad(
                     out, targets, weights, run.wm_l, work=wm_work
@@ -417,7 +418,8 @@ def _search(folds, grid, n_jobs, reduce):
 
     Grid point gi of fold fi is seeded `derived_seed(template.seed, "fold",
     fi, "grid", gi)`.  `folds` is drawn as its jobs are queued and each is
-    reduced once its last point is in, so only folds in flight hold networks.
+    reduced once its last point is in, so only folds in flight hold networks
+    (and, when `folds` is lazy, data).
     """
     queued = deque()
 
@@ -427,6 +429,7 @@ def _search(folds, grid, n_jobs, reduce):
             for gi, (lr, l2) in enumerate(grid):
                 seed = derived_seed(template.seed, "fold", fi, "grid", gi)
                 yield replace(template, learning_rate=lr, l2=l2, seed=seed), fold[0], fold[1]
+            del fold  # a lazy `folds` can then release it before drawing the next
 
     results = _fit_all(jobs(), n_jobs)
     reduced = []
@@ -434,7 +437,7 @@ def _search(folds, grid, n_jobs, reduce):
         name, template, fi, fold = queued.popleft()
         points = [first, *islice(results, len(grid) - 1)]
         reduced.append(reduce(_select(name, fi, grid, points), template, fi, fold))
-        del first, points  # free this fold's networks before the next one trains
+        del first, points, fold  # free this fold's networks and data before the next trains
     return reduced
 
 
@@ -483,31 +486,30 @@ class ExperimentReport:
             raise ValueError("mean lies outside the fold range")
 
 
-def _fold_datasets(data, splits, bin_width, fits=None):
-    """Materialize (train, val, test) Dataset triples for every split.
+def fold_encoder(data, bin_width):
+    """A function from one (train, val, test) index split to its (train,
+    val, test) Datasets and (feature names, stats) of the training fit.
 
-    RawTable input is re-encoded per fold with training-fold statistics;
+    RawTable input is encoded per fold with training-fold statistics on one
+    grid over the full table's time range, so bin semantics stay comparable;
     Dataset input is subset as-is (its features must already be fold-free,
-    e.g. synthetic draws).  All folds share one grid over the full table's
-    time range so bin semantics stay comparable.  A `fits` list receives
-    each raw fold's training PreprocessResult (stats and feature names).
+    e.g. synthetic draws) and has no fit, so None stands in for it.
     """
     if isinstance(data, Dataset):
-        return [(data.subset(tr), data.subset(va), data.subset(te)) for tr, va, te in splits]
+        return lambda split: (tuple(data.subset(rows) for rows in split), None)
     if not isinstance(data, RawTable):
         raise TypeError(f"expected a Dataset or RawTable, got {type(data).__name__}")
     if bin_width is None:
         raise ValueError("bin_width is required when cross-validating a raw table")
     grid = build_time_grid(data.times, bin_width)
-    folds = []
-    for tr, va, te in splits:
-        fit = preprocess(data, rows=tr)
-        if fits is not None:
-            fits.append(fit)
-        parts = (fit, preprocess(data, stats=fit.stats, rows=va),
-                 preprocess(data, stats=fit.stats, rows=te))
-        folds.append(tuple(Dataset(p.features, p.times, p.observed, grid) for p in parts))
-    return folds
+
+    def encode(split):
+        fit = preprocess(data, rows=split[0])
+        parts = (fit, *(preprocess(data, stats=fit.stats, rows=rows) for rows in split[1:]))
+        return (tuple(Dataset(p.features, p.times, p.observed, grid) for p in parts),
+                (fit.feature_names, fit.stats))
+
+    return encode
 
 
 def _cell_run(template, loss, seed):
@@ -527,25 +529,28 @@ def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     A cell is a (name, TrainRun, train modifier or None) triple; the name
     labels its errors, a modifier maps (train Dataset, fold rng) to a
     replacement training set, and validation and test folds are never
-    modified.  The folds are encoded once, every (cell, fold, grid point)
-    runs from one job list, and each (cell, fold) is scored on its test
-    fold as soon as it is reduced.
+    modified.  Every (cell, fold, grid point) runs from one job list in
+    fold-major order: each fold is encoded once, when its first job is
+    queued, and released once its last (cell, fold) is reduced, so only
+    folds in flight are alive (one when serial).  Each (cell, fold) is
+    scored on its test fold as soon as it is reduced.
     """
     grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs,
                          [run for _, run, _ in cells])
-    folds = _fold_datasets(data, cv_splits(len(data), k, val_fraction, seed), bin_width)
+    encode = fold_encoder(data, bin_width)
 
-    def cell_folds():
-        for name, run, modify in cells:
-            for fi, (train, val, test) in enumerate(folds):
-                if modify is not None:
-                    train = modify(train, np.random.default_rng(derived_seed(seed, "modify", fi)))
-                yield name, run, fi, (train, val, test)
+    def fold_cells():
+        for fi, split in enumerate(cv_splits(len(data), k, val_fraction, seed)):
+            (train, val, test), _ = encode(split)
+            for name, run, modify in cells:
+                rng = np.random.default_rng(derived_seed(seed, "modify", fi))
+                yield name, run, fi, (train if modify is None else modify(train, rng), val, test)
+            del train, val, test  # so this fold is released before the next is encoded
 
-    results = _search(cell_folds(), grid, n_jobs, _score_fold)
+    results = _search(fold_cells(), grid, n_jobs, _score_fold)
     reports = []
     for ci, (_, run, _) in enumerate(cells):
-        own = results[ci * k : (ci + 1) * k]
+        own = results[ci :: len(cells)]  # fold-major: (cell ci, fold fi) is result fi * cells + ci
         tests = np.array([f.test_c_index for f in own])
         reports.append(ExperimentReport(
             loss=run.loss, k=k, seed=seed, folds=own, mean_test_c_index=float(tests.mean()),
@@ -620,7 +625,9 @@ def censoring_ablation(data, losses=("wm", "rank-sigmoid", "cox-efron"), modes=C
     The folds are built once and shared by every cell, so validation and
     test folds are identical across the whole table; only the training
     sets differ.  Every loss and mode is checked, and must be listed once,
-    before any fold is built.
+    before any fold is built.  Jobs run fold-major (every cell on fold 0,
+    then on fold 1, ...), so if several cells diverge on every grid point,
+    the ExperimentFailedError names the first such (cell, fold) in that order.
     """
     if not np.any(~data.observed):
         raise ValueError("the censoring comparison needs a dataset with censored records")

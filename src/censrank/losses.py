@@ -178,9 +178,10 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     (at least batch, T).  Every intermediate is written into them, so a
     training loop allocates no T-wide array per batch; the returned
     gradient is then a view into `work` that the next call overwrites.
-    The gradient is the same bit for bit either way.  The value is
-    sum_t w[t] * |d_t| * |d_t|^(l-1), so it can differ from the literal
-    |d_t|^l in the last bit of each term.
+    `target_cdf` may be (the leading rows of) `work[0]`, which the call
+    then overwrites.  The gradient is the same bit for bit either way.
+    The value is sum_t w[t] * |d_t| * |d_t|^(l-1), so it can differ from
+    the literal |d_t|^l in the last bit of each term.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
     target_cdf = np.asarray(target_cdf, dtype=np.float64)
@@ -195,8 +196,8 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     if len(work) != 3:
         raise ValueError(f"work must hold three scratch arrays, got {len(work)}")
     diff, mag, inner = (_scratch_rows(w, *pmf.shape) for w in work)
-    np.cumsum(pmf, axis=1, out=diff)
-    np.subtract(diff, target_cdf, out=diff)
+    np.cumsum(pmf, axis=1, out=mag)
+    np.subtract(mag, target_cdf, out=diff)  # diff may be target_cdf itself
     np.abs(diff, out=mag)
     # |d|^(l-1); sqrt is what ** itself computes for the default exponent 0.5
     if l == 1.5:

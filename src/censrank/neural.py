@@ -9,11 +9,12 @@ weight matrices only (not biases or batch-norm parameters).
 There is no autodiff here: `backward` consumes d(loss)/d(outputs) supplied
 by one of the loss functions and walks the cache of the last train-mode
 `forward` (eval mode caches nothing): the head's input and outputs, and per
-hidden layer (input, z - batch mean, batch std, xhat, gate), where gate is
-one boolean array: the ReLU passes and dropout keeps; both passes derive the
-dropout scale 1 / keep from the config.  Batch norm's gradient takes the
-compact form of Ioffe & Szegedy (2015), with g = gate * d(loss)/d(layer
-output) over m rows: dz = gamma / (keep std) (g - mean(g) - xhat mean(g xhat)).
+hidden layer (input, batch std, xhat, gate), where xhat is computed in place
+in the affine output z and gate is one boolean array: the ReLU passes and
+dropout keeps; both passes derive the dropout scale 1 / keep from the
+config.  Batch norm's gradient takes the compact form of Ioffe & Szegedy
+(2015), with g = gate * d(loss)/d(layer output) over m rows:
+dz = gamma / (keep std) (g - mean(g) - xhat mean(g xhat)).
 
 Checkpoint format (version 1, little-endian): the 8-byte magic
 b"CENSRANK", a uint32 format version, a uint32 header length, a UTF-8 JSON
@@ -131,14 +132,14 @@ class Network:
                 z -= self.running[f"mean{i}"]
                 var = self.running[f"var{i}"]
             std = np.sqrt(var + _BN_EPS)
-            xhat = z / std
+            xhat = np.divide(z, std, out=z)
             bn = p[f"gamma{i}"] * xhat
             bn += p[f"beta{i}"]
             if train:
                 gate = bn > 0.0  # one boolean gate: the ReLU passes and dropout keeps
                 if self.config.dropout_rate > 0.0:
                     gate &= self._rng.random(bn.shape) < keep
-                layers.append((a, z, std, xhat, gate))
+                layers.append((a, std, xhat, gate))
             a = np.maximum(bn, 0.0, out=bn)
             if train and self.config.dropout_rate > 0.0:
                 a *= gate
@@ -195,7 +196,7 @@ class Network:
 
         inv_keep = 1.0 / (1.0 - self.config.dropout_rate)
         for i in reversed(range(len(self.config.hidden_dims))):
-            input_, _, std, xhat, gate = cache["layers"][i]
+            input_, std, xhat, gate = cache["layers"][i]
             # the compact batch-norm gradient (module docstring), in place in da
             dz = np.multiply(da, gate, out=da)
             sum_xhat, sum_ = np.einsum("ij,ij->j", dz, xhat), dz.sum(axis=0)

@@ -491,6 +491,13 @@ class TestRunCv:
         b = emit_report(parallel, tmp_path / "parallel.csv")
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_one_encoded_fold_is_alive_per_job(self, synth, tmp_path, monkeypatch):
+        table = _raw_table(synth, tmp_path)
+        at_encode, at_job = _folds_alive(monkeypatch, lambda: run_cv(
+            table, "rank-sigmoid", k=3, grid=[(1e-2, 1e-4), (1e-3, 0.0)], seed=7,
+            bin_width=5.0, template=TrainRun(loss="rank-sigmoid", **FAST)))
+        assert at_encode == [0] * 3 and at_job == [1] * 3 * 2
+
     def test_default_grid_is_the_rate_by_penalty_product(self):
         assert harness.DEFAULT_GRID == tuple(
             (lr, l2) for lr in (1e-2, 1e-3, 1e-4) for l2 in (0.0, 1e-4, 1e-3, 1e-2)
@@ -576,6 +583,34 @@ def _report_bytes(report, tmp_path, name):
     ]
 
 
+def _folds_alive(monkeypatch, experiment):
+    """Run `experiment()` and count the folds whose encoded datasets are
+    alive (three `preprocess` calls a fold): (as each fold's encoding
+    starts, as each `_fit_job` starts)."""
+    encoded, at_encode, at_job = [], [], []
+    real_preprocess, real_fit = harness.preprocess, harness._fit_job
+
+    def alive():
+        gc.collect()
+        return len({i // 3 for i, ref in enumerate(encoded) if ref() is not None})
+
+    def preprocess(*args, **kwargs):
+        if len(encoded) % 3 == 0:
+            at_encode.append(alive())
+        result = real_preprocess(*args, **kwargs)
+        encoded.append(weakref.ref(result.features))  # the very array the Dataset holds
+        return result
+
+    def fit(job):
+        at_job.append(alive())
+        return real_fit(job)
+
+    monkeypatch.setattr(harness, "preprocess", preprocess)
+    monkeypatch.setattr(harness, "_fit_job", fit)
+    experiment()
+    return at_encode, at_job
+
+
 class TestCensoringAblation:
     def test_requires_censored_records(self):
         uncensored = generate_synthetic(60, 4, 0.0, 0.05, seed=2)
@@ -628,6 +663,35 @@ class TestCensoringAblation:
                                grid=[(1e200, 0.0)], template=template)
         assert str(err.value).startswith(
             "rank-sigmoid (no_censored) fold 0: all 1 grid points diverged: (lr, l2) = ")
+
+    def test_divergence_names_the_first_failing_cell_in_fold_major_order(self, synth,
+                                                                          monkeypatch):
+        # with_censored diverges on fold 1 only, no_censored on fold 0 only; jobs run
+        # fold-major, so no_censored's fold 0 fails first
+        fold_of = {derived_seed(7, "fold", fi, "grid", 0): fi for fi in range(2)}
+        real = harness.train_model
+
+        def train_model(run, train, val):
+            mode = "no_censored" if train.observed.all() else "with_censored"
+            if (mode, fold_of[run.seed]) in {("with_censored", 1), ("no_censored", 0)}:
+                raise TrainingDivergedError("forced", epoch=1)
+            return real(run, train, val)
+
+        monkeypatch.setattr(harness, "train_model", train_model)
+        with pytest.raises(ExperimentFailedError) as err:
+            censoring_ablation(synth, losses=("rank-sigmoid",),
+                               modes=("with_censored", "no_censored"), k=2, grid=[(1e-2, 1e-4)],
+                               seed=7, template=TrainRun(loss="rank-sigmoid", **FAST))
+        assert str(err.value) == ("rank-sigmoid (no_censored) fold 0: all 1 grid points "
+                                  "diverged: (lr, l2) = (0.01, 0.0001) at epoch 1: forced")
+
+    def test_one_encoded_fold_is_alive_per_job(self, synth, tmp_path, monkeypatch):
+        table = _raw_table(synth, tmp_path)
+        at_encode, at_job = _folds_alive(monkeypatch, lambda: censoring_ablation(
+            table, losses=("rank-sigmoid", "cox-efron"), modes=("with_censored", "no_censored"),
+            k=3, grid=[(1e-2, 1e-4)], seed=7, bin_width=5.0,
+            template=TrainRun(loss="rank-sigmoid", **FAST)))
+        assert at_encode == [0] * 3 and at_job == [1] * 3 * 4
 
     def test_unknown_loss_rejected_before_any_training(self, synth, trainings):
         with pytest.raises(ValueError, match="unknown loss 'bogus'"):

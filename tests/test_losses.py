@@ -575,6 +575,23 @@ class TestWmLoss:
                     # |d| * |d|^(l-1) may differ from |d|^l in the last bit
                     assert value == pytest.approx(expected_value, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("l", [1.5, 2.0])
+    def test_target_in_the_first_work_array_gives_the_same_bits(self, l):
+        rng = np.random.default_rng(31)
+        num_bins, batch = 41, 6
+        pmf = rng.dirichlet(np.ones(num_bins), size=batch)
+        target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
+        target[:, -1] = 1.0
+        target[0] = np.cumsum(pmf[0])  # zero differences
+        weights = rng.dirichlet(np.ones(num_bins))
+        expected_value, expected_grad = wm_batch_with_grad(
+            pmf, target, weights, l=l, work=[np.empty((batch, num_bins)) for _ in range(3)])
+        work = [np.full((batch + 2, num_bins), np.nan) for _ in range(3)]
+        work[0][:batch] = target  # the target rows sit in the scratch the loss overwrites
+        value, grad = wm_batch_with_grad(pmf, work[0][:batch], weights, l=l, work=work)
+        assert value == expected_value
+        assert np.array_equal(grad, expected_grad)
+
     def test_rejects_work_arrays_of_the_wrong_shape(self):
         pmf = np.full((4, 5), 0.2)
         target = np.cumsum(pmf, axis=1)

@@ -401,7 +401,7 @@ class TestMatchesTheTwoPathNetwork:
         cache = net._cache
         net.forward(batch[:3], train=False)
         assert net._cache is cache
-        assert len(cache["layers"]) == 2 and all(len(layer) == 5 for layer in cache["layers"])
+        assert len(cache["layers"]) == 2 and all(len(layer) == 4 for layer in cache["layers"])
 
 
 class TestSnapshotRestore:

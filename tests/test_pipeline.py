@@ -7,7 +7,7 @@ import pytest
 
 from censrank import pipeline
 from censrank.errors import CsvParseError
-from censrank.harness import _fold_datasets, cv_splits
+from censrank.harness import cv_splits, fold_encoder
 from censrank.metrics import c_index
 from censrank.pipeline import (
     ColumnSpec,
@@ -276,13 +276,14 @@ class TestPreprocess:
     def test_fold_datasets_bin_all_times(self, tmp_path):
         # every fold shares one grid over the whole table's time range
         table = self._table(tmp_path, "1,a,10,1\n2,b,25,0\n")
-        fits = []
-        [(train, val, test)] = _fold_datasets(table, [([0], [1], [1])], 10.0, fits)
-        assert train.grid is val.grid is test.grid
+        encode = fold_encoder(table, 10.0)
+        (train, val, test), (feature_names, _) = encode(([0], [1], [1]))
+        (other, _, _), _ = encode(([1], [0], [0]))
+        assert train.grid is val.grid is test.grid is other.grid
         assert train.grid.num_bins == 3
         assert np.array_equal(train.bins, [1])
         assert np.array_equal(test.bins, [2])
-        assert train.features.shape == (1, len(fits[0].feature_names))
+        assert train.features.shape == (1, len(feature_names))
 
 
 # The per-cell parse and per-row one-hot that preprocess used before columns
@@ -455,8 +456,10 @@ class TestParseOnce:
         # one call per feature column over all its cells, all while loading
         assert parsed == [(name, len(table)) for name in cells]
         splits = cv_splits(len(table), 5, 0.2, 3)
-        _fold_datasets(table, splits, 1.0)
-        _fold_datasets(table, splits, 1.0)
+        for _ in range(2):
+            encode = fold_encoder(table, 1.0)
+            for split in splits:
+                encode(split)
         preprocess(table)
         assert len(parsed) == len(cells)
 
