@@ -39,9 +39,9 @@ import tempfile
 SIDES = ("parent", "change")
 
 
-def export(rev, dest):
-    """Write the tree of `rev` into `dest`."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+def export(rev, dest, root="."):
+    """Write the tree of `rev`, in the checkout at `root`, into `dest`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")

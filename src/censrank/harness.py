@@ -240,12 +240,10 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     if run.loss == "wm":
         km = kaplan_meier(train)
         weights = bin_weights(train, run.wm_smoothing)
-        # three (batch, T) arrays for the whole run: the loss's scratch, whose
-        # first array takes each batch's target rows and, once the loss has
-        # returned, the softmax backward step
+        # two (batch, T) arrays per epoch: the loss's scratch, whose first
+        # array takes each batch's target rows and, once the loss has
+        # returned, the softmax backward step; released while validating
         shape = (min(run.batch_size, n), train.grid.num_bins)
-        wm_work = tuple(np.empty(shape) for _ in range(3))
-        backward_work = wm_work[0]
     else:
         train_bins = train.bins
 
@@ -256,6 +254,9 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     since_best = 0
     epoch = 0
     for epoch in range(1, run.max_epochs + 1):
+        if run.loss == "wm":
+            wm_work = (np.empty(shape), np.empty(shape))
+            backward_work = wm_work[0]
         perm = batch_rng.permutation(n)
         batch_losses = []
         for start in range(0, n, run.batch_size):
@@ -294,6 +295,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
                 value, grad_out = wm_batch_with_grad(
                     out, targets, weights, run.wm_l, work=wm_work
                 )
+                del targets
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite training loss {value!r}", epoch=epoch
@@ -302,10 +304,15 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
                 adam.step(net.params, net.backward(grad_out, work=backward_work))
             except TrainingDivergedError as err:
                 raise TrainingDivergedError(str(err), epoch=epoch) from None
+            del out, grad_out  # so the next forward runs with no other batch's outputs alive
             batch_losses.append(value)
         history["train_loss"].append(
             float(np.mean(batch_losses)) if batch_losses else float("nan")
         )
+        # nothing T-wide outlives the epoch: validation scores with no batch's
+        # scratch, outputs or train cache alive
+        backward_work = wm_work = None
+        net.release_cache()
         try:
             val_scores = predict_scores(run, net, val.features)
         except TrainingDivergedError as err:

@@ -174,14 +174,15 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     pmf: (batch, T) rows from the softmax head; target_cdf: (batch, T);
     weights: (T,).  Returns (value, gradient of the same shape as pmf).
 
-    `work` is an optional sequence of three float64 scratch arrays of shape
-    (at least batch, T).  Every intermediate is written into them, so a
-    training loop allocates no T-wide array per batch; the returned
-    gradient is then a view into `work` that the next call overwrites.
-    `target_cdf` may be (the leading rows of) `work[0]`, which the call
-    then overwrites.  The gradient is the same bit for bit either way.
-    The value is sum_t w[t] * |d_t| * |d_t|^(l-1), so it can differ from
-    the literal |d_t|^l in the last bit of each term.
+    `work` is an optional pair of float64 scratch arrays (diff, inner) of
+    shape (at least batch, T).  Every intermediate is written into them, so
+    a training loop allocates no T-wide array per batch; the returned
+    gradient is then a view into `work[1]` that the next call overwrites,
+    and `work[0]` is free once the call returns.  `target_cdf` may be (the
+    leading rows of) `work[0]`, which the call then overwrites.  The
+    gradient is the same bit for bit either way.  The value is
+    sum_t |d_t| * (w[t] l |d_t|^(l-1)) / l (for l = 1, sum_t w[t] |d_t|), so
+    it can differ from the literal w[t] |d_t|^l in the last bits.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
     target_cdf = np.asarray(target_cdf, dtype=np.float64)
@@ -192,26 +193,29 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
         raise ValueError(f"the exponent l must be >= 1, got {l}")
     batch = pmf.shape[0]
     if work is None:
-        work = (None, None, None)
-    if len(work) != 3:
-        raise ValueError(f"work must hold three scratch arrays, got {len(work)}")
-    diff, mag, inner = (_scratch_rows(w, *pmf.shape) for w in work)
-    np.cumsum(pmf, axis=1, out=mag)
-    np.subtract(mag, target_cdf, out=diff)  # diff may be target_cdf itself
-    np.abs(diff, out=mag)
-    # |d|^(l-1); sqrt is what ** itself computes for the default exponent 0.5
-    if l == 1.5:
-        np.sqrt(mag, out=inner)
-    else:
-        np.power(mag, l - 1.0, out=inner)
-    np.multiply(mag, inner, out=mag)
-    np.multiply(weights, mag, out=mag)
-    value = float(np.sum(mag) / batch)
+        work = (None, None)
+    if len(work) != 2:
+        raise ValueError(f"work must hold two scratch arrays, got {len(work)}")
+    diff, inner = (_scratch_rows(w, *pmf.shape) for w in work)
+    np.cumsum(pmf, axis=1, out=inner)
+    np.subtract(inner, target_cdf, out=diff)  # diff may be target_cdf itself
+    np.abs(diff, out=inner)
     # d|d_t|^l / d d_t = l |d_t|^(l-1) sign(d_t); pmf_s feeds every cdf_t with t >= s.
     # Evaluated as ((w*l) * |d|^(l-1)) * sign(d) / batch, the order that fixes its bits.
-    sign = np.sign(diff, out=diff)
-    np.multiply(weights * l, inner, out=inner)
-    np.multiply(inner, sign, out=inner)
+    if l == 1:
+        value = float(np.sum(inner @ weights) / batch)
+        np.sign(diff, out=inner)  # keeps sign(0) = 0
+        np.multiply(weights * l, inner, out=inner)
+    else:
+        # sqrt is what ** itself computes for the default exponent 0.5
+        if l == 1.5:
+            np.sqrt(inner, out=inner)
+        else:
+            np.power(inner, l - 1.0, out=inner)
+        np.multiply(weights * l, inner, out=inner)
+        # exact: the factor is >= 0, sign(d) is +-1, and where d = 0 it is 0^(l-1) = 0
+        np.copysign(inner, diff, out=inner)
+        value = float(np.vdot(diff, inner) / l / batch)
     np.divide(inner, batch, out=inner)
     reversed_view = inner[:, ::-1]
     np.cumsum(reversed_view, axis=1, out=reversed_view)

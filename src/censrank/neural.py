@@ -104,8 +104,9 @@ class Network:
 
         Train mode uses batch statistics for batch norm (batch size >= 2
         required), draws fresh dropout masks, updates the running statistics
-        and caches what `backward` needs.  Eval mode uses the running
-        statistics, applies no dropout, and mutates nothing.  The scalar head
+        and caches what `backward` needs, releasing the previous train cache
+        (outputs included) before it computes anything.  Eval mode uses the
+        running statistics, applies no dropout, and mutates nothing.  The scalar head
         returns shape (n,), the softmax head (n, num_outputs) rows summing to 1.
         """
         X = np.asarray(batch, dtype=np.float64)
@@ -113,6 +114,8 @@ class Network:
             raise ValueError(f"batch must be (n, {self.config.input_dim}), got {X.shape}")
         if train and X.shape[0] < 2:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
+        if train:
+            self._cache = None  # so the last batch's outputs die before this one's logits
         p = self.params
         layers = []
         a = X
@@ -224,6 +227,11 @@ class Network:
     def restore(self, snap):
         self.params = _copies(snap["params"])
         self.running = _copies(snap["running"])
+        self.release_cache()
+
+    def release_cache(self):
+        """Drop the last train-mode forward's cache, outputs included, so
+        its arrays can be freed; `backward` then needs a new forward."""
         self._cache = None
 
 
@@ -244,7 +252,10 @@ class Adam:
         self.v = {}
 
     def step(self, params, grads):
-        """Update `params` in place from `grads`; raises on non-finite gradients."""
+        """Update `params` in place from `grads`; raises on non-finite gradients.
+
+        `grads` are consumed: each array is overwritten as scratch once its
+        moments are updated, so pass copies to keep them."""
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise TrainingDivergedError(f"non-finite gradient in {name}")
@@ -263,7 +274,7 @@ class Adam:
             v += step
             np.divide(m, 1.0 - _ADAM_BETA1**t, out=step)
             step *= self.learning_rate
-            denom = v / (1.0 - _ADAM_BETA2**t)
+            denom = np.divide(v, 1.0 - _ADAM_BETA2**t, out=g)  # g is spent
             np.sqrt(denom, out=denom)
             denom += _ADAM_EPS
             step /= denom

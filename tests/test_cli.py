@@ -316,6 +316,25 @@ def test_evaluate_releases_the_loaded_table_before_scoring(capsys, toy, checkpoi
     assert code == 0 and len(loaded) == 1 and alive == [False]
 
 
+def test_train_releases_the_loaded_table_before_training(capsys, toy, tmp_path, monkeypatch):
+    load_csv, train_model, loaded, alive = pipeline.load_csv, harness.train_model, [], []
+
+    def loading(*args, **kwargs):
+        table = load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(table))
+        return table
+
+    def training(*args, **kwargs):
+        alive.append(loaded[0]() is not None)
+        return train_model(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_csv", loading)
+    monkeypatch.setattr(harness, "train_model", training)
+    code, _, _ = run_cli(capsys, ["train", *data_args(toy), "--loss", "wm", "--bin-width", "5",
+                                  "--seed", "3", *KNOBS, "--checkpoint", str(tmp_path / "m.bin")])
+    assert code == 0 and len(loaded) == 1 and alive == [False]
+
+
 def test_only_commands_that_encode_features_reject_an_unparseable_cell(capsys, toy, checkpoint,
                                                                       tmp_path):
     lines = open(toy["csv"], encoding="utf-8").read().splitlines()

@@ -269,6 +269,37 @@ class TestTrainModel:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_wm_validation_runs_with_no_batch_wide_array_alive(self, monkeypatch):
+        # T ~ 1,000 bins, batch 64 and 8 hidden units: each (batch, T) array
+        # (0.5 MB) outweighs every other array of the run
+        rng = np.random.default_rng(22)
+        n = 680
+        data = make_dataset(rng.uniform(0.0, 1000.0, size=n), rng.random(n) < 0.7,
+                            features=rng.normal(size=(n, 4)))
+        train, val = data.subset(np.arange(640)), data.subset(np.arange(640, n))
+        wide = 64 * data.grid.num_bins * 8  # bytes of one (batch, T) float64 array
+        run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=64,
+                       max_epochs=2, patience=2, seed=5)
+        predict_scores, alive = harness.predict_scores, []
+
+        def scoring(*args, **kwargs):
+            traces = tracemalloc.take_snapshot().traces
+            alive.append(sum(trace.size >= wide for trace in traces))
+            return predict_scores(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "predict_scores", scoring)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_model(run, train, val)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert alive == [0, 0]  # one validation per epoch
+        # measured: 3.98 arrays' worth; 4.85 when the previous pmf outlives the
+        # next forward's logits, 5.85 with three scratch arrays kept throughout
+        assert peak < 4.5 * wide
+
     def test_returned_network_scores_the_best_recorded_epoch(self, fold):
         train, val, _ = fold
         run = TrainRun(loss="cox-efron", seed=3, **FAST)

@@ -1,0 +1,57 @@
+"""`scripts/identity_check.py` finds the working tree's outputs byte-equal
+to HEAD's on a tiny synth table, and names an output that differs."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "identity_check.py"
+
+
+@pytest.fixture(scope="module")
+def identity_check():
+    spec = importlib.util.spec_from_file_location("_censrank_identity_check", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def outputs(identity_check, tmp_path_factory):
+    """The synth commands' output directories for HEAD and the working tree."""
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    tmp = tmp_path_factory.mktemp("identity")
+    identity_check.bench_ab.export("HEAD", tmp / "head", ROOT)
+    grid = tmp / "grid.json"
+    grid.write_text(json.dumps({"learning_rate": [1e-2], "l2": [0.0, 1e-4]}))
+    commands = identity_check.synth_commands(str(grid), n=120)
+    for side, root in (("parent", tmp / "head"), ("change", ROOT)):
+        assert identity_check.run_commands(str(root), str(tmp / side), commands) == []
+    return tmp / "parent", tmp / "change"
+
+
+def test_the_working_tree_matches_head(identity_check, outputs):
+    rows, same = identity_check.compare(*outputs)
+    names = {name for name, _, _ in rows}
+    assert {"synth.csv", "ablate-1.csv", "ablate-2.csv", "sweep-1.json", "sweep-2.json",
+            "sweep-censoring-2.stdout"} <= names
+    assert same and all(base == change != "missing" for _, base, change in rows)
+
+
+def test_an_altered_output_is_named(identity_check, outputs, tmp_path):
+    parent, change = outputs
+    altered = tmp_path / "change"
+    altered.mkdir()
+    for path in change.iterdir():
+        altered.joinpath(path.name).write_bytes(path.read_bytes())
+    report = altered / "ablate-2.csv"
+    report.write_bytes(report.read_bytes().replace(b"0.", b"1.", 1))
+    rows, same = identity_check.compare(parent, altered)
+    assert not same
+    assert [name for name, base, change in rows if base != change] == ["ablate-2.csv"]

@@ -559,8 +559,8 @@ class TestWmLoss:
         rng = np.random.default_rng(12)
         num_bins = 37
         # stale contents would show as NaN
-        work = [np.full((9, num_bins), np.nan) for _ in range(3)]
-        for l in (1.0, 1.5, 2.0, 3.0):
+        work = [np.full((9, num_bins), np.nan) for _ in range(2)]
+        for l in (1.0, 1.25, 1.5, 2.0, 3.0):
             for batch in (9, 5):  # a batch shorter than the scratch arrays
                 pmf = rng.dirichlet(np.ones(num_bins), size=batch)
                 target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
@@ -569,10 +569,12 @@ class TestWmLoss:
                 target[0] = np.cumsum(pmf[0])  # zero differences: sign 0, 0^(l-1)
                 weights = rng.dirichlet(np.ones(num_bins))
                 expected_value, expected_grad = literal(pmf, target, weights, l)
-                for scratch in (work, None):
-                    value, grad = wm_batch_with_grad(pmf, target, weights, l=l, work=scratch)
+                aliased = work[0][:batch]  # the target sits in the first work array
+                aliased[:] = target
+                for scratch, given in ((work, aliased), (work, target), (None, target)):
+                    value, grad = wm_batch_with_grad(pmf, given, weights, l=l, work=scratch)
                     assert np.array_equal(grad, expected_grad)
-                    # |d| * |d|^(l-1) may differ from |d|^l in the last bit
+                    # |d| * (w l |d|^(l-1)) / l may differ from w |d|^l in the last bits
                     assert value == pytest.approx(expected_value, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("l", [1.5, 2.0])
@@ -585,8 +587,8 @@ class TestWmLoss:
         target[0] = np.cumsum(pmf[0])  # zero differences
         weights = rng.dirichlet(np.ones(num_bins))
         expected_value, expected_grad = wm_batch_with_grad(
-            pmf, target, weights, l=l, work=[np.empty((batch, num_bins)) for _ in range(3)])
-        work = [np.full((batch + 2, num_bins), np.nan) for _ in range(3)]
+            pmf, target, weights, l=l, work=[np.empty((batch, num_bins)) for _ in range(2)])
+        work = [np.full((batch + 2, num_bins), np.nan) for _ in range(2)]
         work[0][:batch] = target  # the target rows sit in the scratch the loss overwrites
         value, grad = wm_batch_with_grad(pmf, work[0][:batch], weights, l=l, work=work)
         assert value == expected_value
@@ -596,6 +598,6 @@ class TestWmLoss:
         pmf = np.full((4, 5), 0.2)
         target = np.cumsum(pmf, axis=1)
         weights = np.full(5, 0.2)
-        for work in ([np.empty((3, 5))] * 3, [np.empty((4, 6))] * 3, [np.empty((4, 5))] * 2):
+        for work in ([np.empty((3, 5))] * 2, [np.empty((4, 6))] * 2, [np.empty((4, 5))] * 3):
             with pytest.raises(ValueError):
                 wm_batch_with_grad(pmf, target, weights, work=work)

@@ -322,6 +322,10 @@ class _TwoPathNetwork(Network):
         return grads
 
 
+def _copies(arrays):
+    return {name: arr.copy() for name, arr in arrays.items()}
+
+
 class _ReferenceAdam(Adam):
     """A literal copy of the earlier `Adam.step`, which built new m, v and
     step arrays; the in-place step must match it bit for bit."""
@@ -372,8 +376,9 @@ class TestMatchesTheTwoPathNetwork:
             tol = 1e-12 * max(np.abs(g).max() for n, g in want_grads.items() if n.startswith("W"))
             for name in want_grads:
                 assert np.max(np.abs(got_grads[name] - want_grads[name])) <= tol, name
-            new_adam.step(new.params, want_grads)
-            old_adam.step(old.params, want_grads)
+            # the in-place Adam consumes its gradients, so each steps on its own copy
+            new_adam.step(new.params, _copies(want_grads))
+            old_adam.step(old.params, _copies(want_grads))
             for name in old.params:
                 assert np.array_equal(new.params[name], old.params[name]), name
         assert np.array_equal(new.forward(batch, train=False), old.forward(batch, train=False))
@@ -389,8 +394,8 @@ class TestMatchesTheTwoPathNetwork:
         for step in range(200):
             out = net.forward(rng.normal(size=(32, 6)), train=True)
             grads = net.backward(rng.normal(size=out.shape))
-            adam.step(net.params, grads)
-            ref_adam.step(reference, grads)
+            adam.step(net.params, _copies(grads))  # consumed: each Adam gets its own copy
+            ref_adam.step(reference, _copies(grads))
             for name in reference:
                 assert np.array_equal(net.params[name], reference[name]), (step, name)
 
