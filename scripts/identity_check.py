@@ -10,6 +10,10 @@ pinned to one thread:
   `cv` for wm, cox-efron and rank-sigmoid (the benchmark's epochs, grid and
   k), the wm `train` checkpoint and its sidecar, and `evaluate --checkpoint`
   and `evaluate --scores`;
+- on the same table, `km`; and on a copy of it with a few corrupted rows
+  and one quoted cell that spans two lines, `km --on-bad-rows drop` and
+  `evaluate --checkpoint --on-bad-rows drop`, so the CSV loader's parse,
+  its dropped rows and its feature columns are compared end to end;
 - on a `censrank synth` table, `ablate-censoring` and a wm
   `sweep-censoring`, each at `--n-jobs 1` and `--n-jobs 2`.
 
@@ -22,6 +26,7 @@ Files under `perfbench/` are only read.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -44,8 +49,24 @@ SCHEMA = os.path.join(ROOT, "data", "support2.schema.json")
 _CLI = "import sys; from censrank.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def corrupt_copy(src, dest):
+    """Write `src` to `dest` with an unparseable time, an unknown event, a
+    short row and one categorical cell that holds a newline, so the bad
+    rows after that cell sit one file line below their record number."""
+    with open(src, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    rows[5][header.index("sex")] = "fe\nmale"
+    rows[10][header.index("d.time")] = "oops"
+    rows[20][header.index("death")] = "maybe"
+    rows[30] = rows[30][:-1]
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def bench_commands(inputs):
-    """(label, argv) of the benchmark's commands on the table written to `inputs`."""
+    """(label, argv) of the benchmark's commands on the table written to
+    `inputs`, then the loader's commands on that table and its corrupted copy."""
     paths, _ = tablegen.write_inputs(inputs, BENCH_SEED, SCHEMA)
     paths["checkpoint"] = "model.ckpt"
     commands = []
@@ -53,6 +74,15 @@ def bench_commands(inputs):
         setup, cycle = workloads.commands(name, paths, BENCH_SEED, ".")
         commands += [(f"{name}-setup-{i}", argv) for i, argv in enumerate(setup)]
         commands += [(label, argv) for label, argv, _ in cycle]
+    corrupt = os.path.join(inputs, "corrupt.csv")
+    corrupt_copy(paths["dataset"], corrupt)
+    drop = ["--dataset", corrupt, "--schema", paths["schema"], "--on-bad-rows", "drop"]
+    commands += [
+        ("km", ["km", "--dataset", paths["dataset"], "--schema", paths["schema"],
+                "--bin-width", "1"]),
+        ("km-drop", ["km", *drop, "--bin-width", "1"]),
+        ("evaluate-checkpoint-drop", ["evaluate", *drop, "--checkpoint", paths["checkpoint"]]),
+    ]
     return commands
 
 

@@ -169,9 +169,9 @@ def _eval_scores(run: TrainRun, outputs, cdf_out):  # a median writes the CDF in
     return outputs @ np.arange(outputs.shape[1], dtype=np.float64)
 
 
-# Output bytes one scoring forward may hold: 516 rows of a 2,030-bin pmf
-# head, while a scalar head scores any realistic table in one block.
-_SCORE_BLOCK_BYTES = 8 << 20
+# Output bytes one scoring forward may hold: 64 rows of a 2,030-bin pmf head, which
+# fit a 2 MiB L2 cache with their hidden activations; a scalar head, 131,072 rows.
+_SCORE_BLOCK_BYTES = 1 << 20
 
 
 def predict_scores(run: TrainRun, net: Network, features):

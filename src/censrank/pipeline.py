@@ -22,14 +22,17 @@ Exactly one column must be declared "time" and one "event_indicator".
 CSV columns not named in the schema are ignored.  Per-column "missing"
 overrides the file-level sentinel list.
 
-Each feature column is parsed as the table loads (an unparseable numeric
-cell anywhere raises CsvParseError naming its column) and no cell strings
-are kept, so every fold's stats and encoding are array gathers of its rows.
+Each feature cell is parsed as its row is read, into typed arrays (float64
+values or int64 level codes, and missing flags), so no cell string outlives
+its row; an unparseable numeric cell raises CsvParseError naming its column.
+Every fold's stats and encoding are array gathers of its rows, written into
+one preallocated feature matrix.
 """
 
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,31 +109,36 @@ class DatasetSchema:
         return tuple(c for c in self.columns if c.kind in ("continuous", "categorical"))
 
 
+def _strings(path, key, value):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{path}: {key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_schema(path) -> DatasetSchema:
     """Read a schema file; raises ValueError naming a missing or malformed key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise ValueError(f"{path}: 'columns' must be an object of column declarations")
-    default_missing = tuple(doc.get("missing", [""]))
+    default_missing = _strings(path, "'missing'", doc.get("missing", [""]))
     columns = []
     for name, decl in doc["columns"].items():
         if isinstance(decl, str):
             decl = {"kind": decl}
         if not isinstance(decl, dict) or "kind" not in decl:
             raise ValueError(f"{path}: column {name!r} has no 'kind'")
-        columns.append(
-            ColumnSpec(
-                name=name,
-                kind=decl["kind"],
-                missing=tuple(decl.get("missing", default_missing)),
-            )
-        )
+        missing = decl.get("missing", list(default_missing))
+        columns.append(ColumnSpec(name=name, kind=decl["kind"],
+                                  missing=_strings(path, f"column {name!r}: 'missing'", missing)))
+    delimiter = doc.get("delimiter", ",")
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError(f"{path}: 'delimiter' must be one character, got {delimiter!r}")
     return DatasetSchema(
         columns=tuple(columns),
-        event_true=tuple(doc.get("event_true", ["1"])),
-        event_false=tuple(doc.get("event_false", ["0"])),
-        delimiter=doc.get("delimiter", ","),
+        event_true=_strings(path, "'event_true'", doc.get("event_true", ["1"])),
+        event_false=_strings(path, "'event_false'", doc.get("event_false", ["0"])),
+        delimiter=delimiter,
     )
 
 
@@ -177,37 +185,26 @@ class RawTable:
         return len(self.times)
 
 
-def _parse_column(spec, cells):
-    missing = set(spec.missing)
-    is_missing = np.array([cell in missing for cell in cells], dtype=bool)
-    # first-seen order, so a parse error names the first bad cell of the column
-    distinct = dict.fromkeys(cells)
-    missing_cells = tuple(cell for cell in distinct if cell in missing)
-    distinct = [cell for cell in distinct if cell not in missing]
-    if spec.kind == "categorical":
-        vocabulary = tuple(sorted(distinct))
-        code = {level: k for k, level in enumerate(vocabulary)}
-        codes = np.array([code.get(cell, -1) for cell in cells], dtype=np.int64)
-        return Column(codes, is_missing, vocabulary, missing_cells)
-    number = {}
-    for cell in distinct:
-        try:
-            number[cell] = float(cell)
-        except ValueError:
-            raise CsvParseError(
-                f"column {spec.name!r}: unparseable numeric value {cell!r}"
-            ) from None
-    values = np.array([number.get(cell, 0.0) for cell in cells], dtype=np.float64)
-    return Column(values, is_missing, None, missing_cells)
+def _column(values, flags, missing_cells, levels):
+    """The Column of one feature's parsed arrays; level codes move from
+    first-seen to sorted order."""
+    is_missing = np.frombuffer(flags, dtype=bool)
+    if levels is None:
+        return Column(np.frombuffer(values, dtype=np.float64), is_missing, None, missing_cells)
+    vocabulary = tuple(sorted(levels))
+    rank = np.full(len(levels) + 1, -1, dtype=np.int64)  # -1 (missing) stays -1
+    rank[[levels[level] for level in vocabulary]] = np.arange(len(vocabulary))
+    return Column(rank[np.frombuffer(values, dtype=np.int64)], is_missing, vocabulary, missing_cells)
 
 
 def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
     """Read a delimited file against `schema`.
 
-    Rows whose time or event field does not parse are rejected with their
-    1-based line numbers; on_bad_rows selects whether that raises or drops.
-    A header that repeats a schema column, or a numeric feature cell that
-    does not parse, raises CsvParseError naming the column.
+    Rows whose time or event field does not parse are rejected with the
+    1-based file line each starts on; on_bad_rows selects whether that
+    raises or drops.  A header that repeats a schema column, or a numeric
+    feature cell that does not parse, raises CsvParseError naming the
+    column (the first such column in schema order, and its first bad cell).
     """
     if on_bad_rows not in ("error", "drop"):
         raise ValueError(f"on_bad_rows must be 'error' or 'drop', got {on_bad_rows!r}")
@@ -226,10 +223,15 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
             if header.count(name) > 1:
                 raise CsvParseError(f"{path}: column {name!r} repeats in the header")
         time_at, event_at = positions[schema.time_column.name], positions[schema.event_column.name]
-        # per feature column: position, cells, and one str per distinct cell for repeats to share
-        features = [(positions[spec.name], [], {}) for spec in schema.feature_columns]
-        times, observed, bad = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        # per feature column: its index, position and sentinels, values (0.0 or -1 where
+        # missing), missing flags, then missing cells and (categorical) levels by first sight
+        features = [(k, positions[spec.name], frozenset(spec.missing),
+                     *((array("q"), -1) if spec.kind == "categorical" else (array("d"), 0.0)),
+                     bytearray(), {}, {} if spec.kind == "categorical" else None)
+                    for k, spec in enumerate(schema.feature_columns)]
+        times, observed, bad, unparseable, start = array("d"), bytearray(), [], {}, 2
+        for row in reader:
+            lineno, start = start, reader.line_num + 1  # a quoted cell may span lines
             if not row:
                 continue
             if len(row) != len(header):
@@ -252,25 +254,33 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
                 continue
             times.append(t)
             observed.append(obs)
-            for at, cells, distinct in features:
+            for k, at, missing, values, fill, flags, missing_cells, levels in features:
                 cell = row[at].strip()
-                cells.append(distinct.setdefault(cell, cell))
+                flags.append(is_missing := cell in missing)
+                if is_missing:
+                    values.append(fill)
+                    missing_cells.setdefault(cell)
+                elif levels is not None:
+                    values.append(levels.setdefault(cell, len(levels)))
+                else:
+                    try:
+                        values.append(float(cell))
+                    except ValueError:  # raised below, after any bad rows
+                        values.append(0.0)
+                        unparseable.setdefault(k, cell)
         if bad and on_bad_rows == "error":
             shown = "; ".join(f"line {ln}: {why}" for ln, why in bad[:10])
             more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
             raise CsvParseError(f"{path}: {len(bad)} bad rows: {shown}{more}")
-    try:
-        columns = {spec.name: _parse_column(spec, cells)
-                   for spec, (_, cells, _) in zip(schema.feature_columns, features)}
-    except CsvParseError as err:
-        raise CsvParseError(f"{path}: {err}") from None
-    return RawTable(
-        schema=schema,
-        columns=columns,
-        times=np.asarray(times, dtype=np.float64),
-        observed=np.asarray(observed, dtype=bool),
-        dropped_rows=tuple(ln for ln, _ in bad),
-    )
+    if unparseable:
+        k = min(unparseable)
+        raise CsvParseError(f"{path}: column {schema.feature_columns[k].name!r}: "
+                            f"unparseable numeric value {unparseable[k]!r}")
+    columns = {spec.name: _column(values, flags, tuple(missing_cells), levels)
+               for spec, (*_, values, _, flags, missing_cells, levels)
+               in zip(schema.feature_columns, features)}
+    return RawTable(schema, columns, np.frombuffer(times, dtype=np.float64),
+                    np.frombuffer(observed, dtype=bool), tuple(ln for ln, _ in bad))
 
 
 # ---------------------------------------------------------------------------
@@ -363,40 +373,39 @@ def preprocess(table: RawTable, stats: PreprocessStats = None, rows=None) -> Pre
     training vocabulary (unseen levels encode all-zero), and any column
     with training-fold missing cells gains one 0/1 indicator column;
     missing entries themselves encode as 0 after scaling (all-zero for
-    categorical).  Every call only gathers `rows` from `table.columns`.
+    categorical).  Each call gathers `rows` of `table.columns` into one matrix.
     """
     rows = np.arange(len(table)) if rows is None else np.asarray(rows, dtype=np.int64)
     if stats is None:
         stats = _fit_stats(table, rows)
-    blocks, names = [], []
+    names = []
     for spec in table.schema.feature_columns:
-        values, is_missing, vocabulary, _ = table.columns[spec.name]
-        values, is_missing = values[rows], is_missing[rows]
         if spec.name not in (stats.continuous if spec.kind == "continuous" else stats.categorical):
             raise ValueError(f"stats do not cover {spec.kind} column {spec.name!r}")
+        names.extend([spec.name] if spec.kind == "continuous" else
+                     [f"{spec.name}={level}" for level in stats.categorical[spec.name]])
+        if stats.has_missing.get(spec.name, False):
+            names.append(f"{spec.name}__missing")
+    features, j = np.zeros((len(rows), len(names))), 0  # every block is written in place
+    for spec in table.schema.feature_columns:
+        values, is_missing, vocabulary, _ = table.columns[spec.name]
         if spec.kind == "continuous":
             lo, hi = stats.continuous[spec.name]
-            scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros(len(rows))
-            blocks.append(np.where(is_missing, 0.0, scaled)[:, None])
-            names.append(spec.name)
-        else:
-            levels = stats.categorical[spec.name]
-            column = {level: k for k, level in enumerate(levels)}
-            # vocabulary code -> one-hot column; -1 (missing, unseen) stays all-zero
-            hot = np.array([column.get(level, -1) for level in vocabulary] + [-1])[values]
-            blocks.append((hot[:, None] == np.arange(len(levels))).astype(np.float64))
-            names.extend(f"{spec.name}={level}" for level in levels)
+            if hi > lo:  # a degenerate column stays 0
+                column = np.subtract(values[rows], lo, out=features[:, j])
+                column /= hi - lo
+                column[is_missing[rows]] = 0.0
+            j += 1
+        else:  # one-hot over the training levels; missing and unseen cells stay all-zero
+            codes, code = values[rows], {level: c for c, level in enumerate(vocabulary)}
+            for level in stats.categorical[spec.name]:
+                np.equal(codes, code.get(level, -2), out=features[:, j])  # -2 matches no row
+                j += 1
+            del codes  # so no gathered column outlives its block
         if stats.has_missing.get(spec.name, False):
-            blocks.append(is_missing.astype(np.float64)[:, None])
-            names.append(f"{spec.name}__missing")
-    features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
-    return PreprocessResult(
-        features=features,
-        times=table.times[rows],
-        observed=table.observed[rows],
-        feature_names=tuple(names),
-        stats=stats,
-    )
+            features[:, j] = is_missing[rows]
+            j += 1
+    return PreprocessResult(features, table.times[rows], table.observed[rows], tuple(names), stats)
 
 
 # ---------------------------------------------------------------------------

@@ -288,14 +288,25 @@ def test_evaluate_names_a_malformed_stats_key(capsys, toy, checkpoint, tmp_path,
 
 
 def test_evaluate_scores_never_parses_feature_columns(capsys, toy, tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("feature columns parsed")
+    # the loader parses a cell with the float its module sees: only the 120
+    # time cells may pass through it, and the loaded table holds no column
+    load_csv, parsed, tables = pipeline.load_csv, [], []
 
-    monkeypatch.setattr(pipeline, "_parse_column", refuse)
+    def parsing(value):
+        parsed.append(value)
+        return float(value)
+
+    def loading(*args, **kwargs):
+        tables.append(load_csv(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(pipeline, "float", parsing, raising=False)
+    monkeypatch.setattr(pipeline, "load_csv", loading)
     scores = tmp_path / "s.csv"
     scores.write_text("".join(f"{k}\n" for k in range(120)))
     code, lines, _ = run_cli(capsys, ["evaluate", *data_args(toy), "--scores", str(scores)])
     assert code == 0 and lines[-1]["n"] == 120
+    assert len(parsed) == 120 and [table.columns for table in tables] == [{}]
 
 
 def test_evaluate_releases_the_loaded_table_before_scoring(capsys, toy, checkpoint, monkeypatch):

@@ -168,7 +168,7 @@ class TestEvalScores:
 
 
 class TestPredictScores:
-    # 4,096 bins: 256 rows of outputs fill the scoring budget
+    # 4,096 bins: 32 rows of outputs fill the scoring budget
     BINS = 4096
     BLOCK = harness._SCORE_BLOCK_BYTES // (8 * BINS)
 
@@ -218,6 +218,23 @@ class TestPredictScores:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * self.BINS * rows
+
+    def test_a_2030_bin_head_scores_in_blocks_of_at_most_1_mib(self, monkeypatch):
+        # 64 rows a block, so one block and its hidden activations fit a 2 MiB L2
+        net = Network(NetworkConfig(input_dim=5, hidden_dims=(8,), head="softmax",
+                                    num_outputs=2030, seed=0))
+        forward, rows = Network.forward, []
+
+        def spy(self, batch, train, *args, **kwargs):
+            out = forward(self, batch, train, *args, **kwargs)
+            assert out.nbytes <= 1 << 20
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(Network, "forward", spy)
+        features = np.random.default_rng(0).normal(size=(200, 5))
+        predict_scores(TrainRun(loss="wm"), net, features)
+        assert rows == [64, 64, 64, 8]
 
     def test_non_finite_outputs_in_the_last_block_are_rejected(self):
         net, data = self._case(TrainRun(loss="wm"), 2 * self.BLOCK + 37)

@@ -1,5 +1,6 @@
 """`scripts/identity_check.py` finds the working tree's outputs byte-equal
-to HEAD's on a tiny synth table, and names an output that differs."""
+to HEAD's on a tiny synth table, names an output that differs, and writes
+a corrupted table copy whose bad rows follow a multi-line cell."""
 
 import importlib.util
 import json
@@ -7,6 +8,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+from censrank import pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "identity_check.py"
@@ -55,3 +58,19 @@ def test_an_altered_output_is_named(identity_check, outputs, tmp_path):
     rows, same = identity_check.compare(parent, altered)
     assert not same
     assert [name for name, base, change in rows if base != change] == ["ablate-2.csv"]
+
+
+def test_the_corrupted_copy_has_bad_rows_past_a_multiline_cell(identity_check, tmp_path):
+    # the copy's three bad records sit one file line below their record number
+    header = ["age", "sex", "d.time", "death"]
+    rows = [header] + [[f"{60 + r}.5", "female" if r % 2 else "male", str(r + 1), str(r % 2)]
+                       for r in range(40)]
+    src, dest = tmp_path / "table.csv", tmp_path / "corrupt.csv"
+    src.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    identity_check.corrupt_copy(str(src), str(dest))
+    schema = pipeline.DatasetSchema(columns=(
+        pipeline.ColumnSpec("age", "continuous"), pipeline.ColumnSpec("sex", "categorical"),
+        pipeline.ColumnSpec("d.time", "time"), pipeline.ColumnSpec("death", "event_indicator")))
+    table = pipeline.load_csv(str(dest), schema, on_bad_rows="drop")
+    assert table.dropped_rows == (12, 22, 32) and len(table) == 37
+    assert table.columns["sex"].vocabulary == ("fe\nmale", "female", "male")

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +96,43 @@ class TestSchema:
         with pytest.raises(ValueError, match="column 'age' has no 'kind'"):
             load_schema(str(path))
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"missing": "NA"}, "'missing'"),
+        ({"missing": ["", None]}, "'missing'"),
+        ({"event_true": "yes"}, "'event_true'"),
+        ({"event_true": [1]}, "'event_true'"),
+        ({"event_false": "no"}, "'event_false'"),
+        ({"event_false": {"0": 1}}, "'event_false'"),
+        ({"columns": {"age": {"kind": "continuous", "missing": "NA"}}}, "column 'age': 'missing'"),
+        ({"columns": {"age": {"kind": "continuous", "missing": [0]}}}, "column 'age': 'missing'"),
+    ])
+    def test_a_string_or_non_strings_where_a_list_belongs_is_named(self, tmp_path, doc, key):
+        columns = {"days": "time", "dead": "event_indicator", **doc.pop("columns", {})}
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({**doc, "columns": columns}))
+        with pytest.raises(ValueError, match=f"{key} must be a list of strings"):
+            load_schema(str(path))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", 1, None])
+    def test_a_delimiter_of_other_than_one_character_is_named(self, tmp_path, delimiter):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"delimiter": delimiter,
+                                    "columns": {"days": "time", "dead": "event_indicator"}}))
+        with pytest.raises(ValueError, match="'delimiter' must be one character"):
+            load_schema(str(path))
+
+    def test_lists_of_strings_load_as_tuples(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({
+            "delimiter": "\t", "missing": ["", "NA"], "event_true": ["yes", "1"],
+            "event_false": [], "columns": {"days": "time", "dead": "event_indicator",
+                                           "age": {"kind": "continuous", "missing": ["?"]},
+                                           "grp": "categorical"}}))
+        schema = load_schema(str(path))
+        assert schema.delimiter == "\t" and schema.event_true == ("yes", "1")
+        assert schema.event_false == ()
+        assert [c.missing for c in schema.columns] == [("", "NA"), ("", "NA"), ("?",), ("", "NA")]
+
     def test_json_shape_is_documented_format(self, tmp_path):
         path = tmp_path / "schema.json"
         save_schema(_toy_schema(), str(path))
@@ -172,6 +211,23 @@ class TestLoadCsv:
         table = load_csv(path, _toy_schema(), on_bad_rows="drop")
         assert len(table) == 2
         assert table.dropped_rows == (3,)
+
+    # five file lines, four records: the quoted cell of line 3 runs on to line 4
+    MULTILINE = 'age,group,days,dead\n61,a,10,1\n48,"b\nc",20,0\n70,a,oops,1\n'
+
+    def test_bad_rows_are_numbered_by_file_line_past_a_multiline_cell(self, tmp_path):
+        path = _write(tmp_path, self.MULTILINE)
+        with pytest.raises(CsvParseError, match=r"1 bad rows: line 5: unparseable time 'oops'$"):
+            load_csv(path, _toy_schema())
+        table = load_csv(path, _toy_schema(), on_bad_rows="drop")
+        assert table.dropped_rows == (5,)
+        assert table.columns["group"].vocabulary == ("a", "b\nc")
+
+    def test_a_bad_row_that_spans_lines_is_numbered_by_its_first_line(self, tmp_path):
+        path = _write(tmp_path, 'age,group,days,dead\n\n61,"a\n\nb",x,1\n70,a,5,?\n')
+        with pytest.raises(CsvParseError, match="line 3: unparseable time 'x'; "
+                                                "line 6: unparseable event '\\?'"):
+            load_csv(path, _toy_schema())
 
     def test_negative_time_is_a_bad_row(self, tmp_path):
         path = _write(tmp_path, "age,group,days,dead\n61,a,-4,1\n")
@@ -445,28 +501,286 @@ class TestParseOnce:
             _oracle_preprocess(table, cells, rows=rows)
 
     def test_building_every_fold_parses_each_cell_once(self, tmp_path, monkeypatch):
-        parse, parsed = pipeline._parse_column, []
+        # the file is opened once and every numeric cell (each time, each
+        # non-missing continuous cell) parsed once, row by row, all while
+        # loading; building folds and encoding only gather parsed arrays
+        opened, parsed = [], []
 
-        def counting(spec, cells):
-            parsed.append((spec.name, len(cells)))
-            return parse(spec, cells)
+        def opening(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_parse_column", counting)
+        def parsing(value):
+            if isinstance(value, str):
+                parsed.append(value)
+            return float(value)
+
+        monkeypatch.setattr(pipeline, "open", opening, raising=False)
+        monkeypatch.setattr(pipeline, "float", parsing, raising=False)
         table, cells = _mixed_table(tmp_path)
-        # one call per feature column over all its cells, all while loading
-        assert parsed == [(name, len(table)) for name in cells]
+        with open(tmp_path / "mixed.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [cell for row in rows for cell in (
+            row["t"], *(row[name] for name in ("x", "const", "sparse")
+                        if row[name] not in ("", "NA")))]
+        assert len(opened) == 1 and parsed == expected
+        assert len(rows) == len(table) and [row["x"] for row in rows] == cells["x"]
         splits = cv_splits(len(table), 5, 0.2, 3)
         for _ in range(2):
             encode = fold_encoder(table, 1.0)
             for split in splits:
                 encode(split)
         preprocess(table)
-        assert len(parsed) == len(cells)
+        assert len(opened) == 1 and parsed == expected
 
     def test_unparseable_numeric_cell_outside_rows_is_rejected(self, tmp_path):
         path = _write(tmp_path, "age,group,days,dead\n1,a,1,1\n2,b,2,1\nbad,a,3,1\n")
         with pytest.raises(CsvParseError, match="column 'age': unparseable numeric value 'bad'"):
             load_csv(path, _toy_schema())
+
+
+# A slow reference loader for random tables: it splits the file one
+# character at a time (RFC-4180 quoting, "\n" line ends) and parses every
+# cell on its own, so it shares no code with load_csv.
+
+
+def _reference_records(text, delimiter):
+    """(first file line, fields) of every record, blank lines included."""
+    records, fields, cell, quoted, line, start = [], [], "", False, 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if quoted and ch == '"' and text[i + 1 : i + 2] == '"':
+            cell += '"'
+            i += 1
+        elif ch == '"':
+            quoted = not quoted
+        elif quoted or (ch != delimiter and ch != "\n"):
+            cell += ch
+            line += ch == "\n"
+        elif ch == delimiter:
+            fields.append(cell)
+            cell = ""
+        else:
+            records.append((start, fields + [cell]))
+            fields, cell, line = [], "", line + 1
+            start = line
+        i += 1
+    if fields or cell:
+        records.append((start, fields + [cell]))
+    return records
+
+
+def _reference_load(path, schema, on_bad_rows):
+    """(times, observed, {name: (values, is_missing, vocabulary, missing
+    cells)}, dropped lines), or the CsvParseError message load_csv raises."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        records = _reference_records(fh.read(), schema.delimiter)
+    header = [name.strip() for name in records[0][1]]
+    times, observed, kept, bad = [], [], [], []
+    for line, fields in records[1:]:
+        if fields == [""]:
+            continue  # a blank line
+        if len(fields) != len(header):
+            bad.append(f"line {line}: expected {len(header)} fields, got {len(fields)}")
+            continue
+        cell = dict(zip(header, fields))
+        raw_time = cell[schema.time_column.name].strip()
+        try:
+            t = float(raw_time)
+        except ValueError:
+            t = math.nan
+        if not (math.isfinite(t) and t >= 0):
+            bad.append(f"line {line}: unparseable time {raw_time!r}")
+            continue
+        raw_event = cell[schema.event_column.name].strip()
+        if raw_event not in schema.event_true + schema.event_false:
+            bad.append(f"line {line}: unparseable event {raw_event!r}")
+            continue
+        times.append(t)
+        observed.append(raw_event in schema.event_true)
+        kept.append((line, cell))
+    if bad and on_bad_rows == "error":
+        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+        return f"{path}: {len(bad)} bad rows: {'; '.join(bad[:10])}{more}"
+    columns = {}
+    for spec in schema.feature_columns:
+        cells = [cell[spec.name].strip() for _, cell in kept]
+        is_missing = [c in spec.missing for c in cells]
+        missing_cells = tuple(dict.fromkeys(c for c in cells if c in spec.missing))
+        if spec.kind == "categorical":
+            vocabulary = tuple(sorted({c for c in cells if c not in spec.missing}))
+            values = [-1 if m else vocabulary.index(c) for c, m in zip(cells, is_missing)]
+            columns[spec.name] = (values, is_missing, vocabulary, missing_cells)
+            continue
+        values = []
+        for c, m in zip(cells, is_missing):
+            try:
+                values.append(0.0 if m else float(c))
+            except ValueError:
+                return f"{path}: column {spec.name!r}: unparseable numeric value {c!r}"
+        columns[spec.name] = (values, is_missing, None, missing_cells)
+    dropped = tuple(int(why.split(":")[0][5:]) for why in bad)
+    return times, observed, columns, dropped
+
+
+_LEVELS = ("a", "b", "a,b", 'say "hi"', "two\nlines", "x;y", "tab\there", "NA", "1.5", "?")
+_TOKENS = ("", "NA", "?", "null")
+
+
+def _random_table(tmp_path, seed):
+    """A random file and schema: shuffled and extra columns, padded cells,
+    several missing tokens, levels holding delimiters, quotes and newlines,
+    blank lines, bad rows of every kind and (sometimes) unparseable cells."""
+    rng = np.random.default_rng(seed)
+    delimiter = str(rng.choice([",", ";", "\t", "|"]))
+    specs = []
+    for k in range(int(rng.integers(1, 6))):
+        missing = tuple(str(t) for t in rng.choice(_TOKENS, int(rng.integers(1, 4)), replace=False))
+        specs.append(ColumnSpec(f"c{k}", str(rng.choice(["continuous", "categorical"])), missing))
+    schema = DatasetSchema(columns=(*specs, ColumnSpec("t", "time"),
+                                    ColumnSpec("e", "event_indicator")),
+                           event_true=("1", "yes"), event_false=("0",), delimiter=delimiter)
+    header = [spec.name for spec in schema.columns] + ["extra"]
+    header = [header[k] for k in rng.permutation(len(header))]
+    typos = rng.random() < 0.5  # then a few continuous cells do not parse
+    bad = 0.0 if rng.random() < 0.4 else 1.0  # scales the chance of each kind of bad row
+
+    def cell(spec):
+        if rng.random() < 0.2:
+            value = str(rng.choice(spec.missing))
+        elif spec.kind == "categorical":
+            value = str(rng.choice(_LEVELS))
+        elif typos and rng.random() < 0.05:
+            value = str(rng.choice(["abc", "1,5", "--1"]))
+        else:
+            value = str(rng.choice([repr(float(rng.normal(0, 100))), str(int(rng.integers(-9, 99))),
+                                    "1e3", "-0", "nan"]))
+        return " " * int(rng.integers(0, 2)) + value + " " * int(rng.integers(0, 2))
+
+    rows = [header]
+    for _ in range(int(rng.integers(0, 40))):
+        row = {spec.name: cell(spec) for spec in specs}
+        row["t"] = str(rng.choice(["0", "3.5", " 12 ", "1e2", "oops", "-1", "inf"],
+                                  p=[0.2, 0.3, 0.2, 0.3 - 0.1 * bad, *[0.1 * bad / 3] * 3]))
+        row["e"] = str(rng.choice(["1", "0", " yes", "maybe"], p=[0.4, 0.4, 0.2 - 0.03 * bad,
+                                                                   0.03 * bad]))
+        row["extra"] = str(rng.choice(["", "z", "line\nbreak"]))
+        row = [row[name] for name in header]
+        kind = rng.random()
+        if kind < 0.03:
+            row = []  # a blank line
+        elif kind < 0.03 + 0.04 * bad:
+            row = row[:-1]
+        elif kind < 0.03 + 0.07 * bad:
+            row = row + ["surplus"]
+        rows.append(row)
+    path = tmp_path / f"random-{seed}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return str(path), schema
+
+
+class TestLoadCsvMatchesAPerCellReference:
+    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("on_bad_rows", ["error", "drop"])
+    def test_random_tables(self, tmp_path, seed, on_bad_rows):
+        path, schema = _random_table(tmp_path, seed)
+        expected = _reference_load(path, schema, on_bad_rows)
+        if isinstance(expected, str):
+            with pytest.raises(CsvParseError) as err:
+                load_csv(path, schema, on_bad_rows=on_bad_rows)
+            assert str(err.value) == expected
+            return
+        table = load_csv(path, schema, on_bad_rows=on_bad_rows)
+        times, observed, columns, dropped = expected
+        assert table.times.tobytes() == np.array(times, dtype=np.float64).tobytes()
+        assert table.observed.dtype == bool and table.observed.tolist() == observed
+        assert table.dropped_rows == dropped
+        assert list(table.columns) == list(columns)
+        for name, (values, is_missing, vocabulary, missing_cells) in columns.items():
+            column = table.columns[name]
+            dtype = np.float64 if vocabulary is None else np.int64
+            assert column.values.dtype == dtype, name
+            assert column.values.tobytes() == np.array(values, dtype=dtype).tobytes(), name
+            assert column.is_missing.dtype == bool and column.is_missing.tolist() == is_missing
+            assert column.vocabulary == vocabulary and column.missing_cells == missing_cells
+
+    def test_the_seeds_cover_every_case(self, tmp_path):
+        outcomes = set()
+        for seed in range(60):
+            path, schema = _random_table(tmp_path, seed)
+            text = open(path, encoding="utf-8").read()
+            for mode in ("error", "drop"):
+                result = _reference_load(path, schema, mode)
+                if isinstance(result, str):
+                    outcomes.add(f"{mode}: " + ("column" if ": column " in result else "rows"))
+                else:
+                    outcomes.add(f"{mode}: loaded" + (" with drops" if result[3] else ""))
+            outcomes |= {case for case, present in (
+                ("multiline", '"two\nlines"' in text), ("quoted delimiter", '"a,b"' in text
+                                                           or '"x;y"' in text),
+                ("padded", " \n" in text or "  " in text)) if present}
+        assert outcomes >= {"error: rows", "error: column", "error: loaded", "drop: column",
+                            "drop: loaded with drops", "multiline", "quoted delimiter", "padded"}
+
+
+def _wide_table(tmp_path, n=4000):
+    """A file shaped like a clinical table: 16 continuous columns of 4- to
+    6-digit readings and 8 categorical ones, about a tenth of cells "NA"."""
+    rng = np.random.default_rng(7)
+    specs = [ColumnSpec(f"x{k}", "continuous", ("", "NA")) for k in range(16)]
+    specs += [ColumnSpec(f"g{k}", "categorical", ("", "NA")) for k in range(8)]
+    cells = [[f"{v:.{k % 3 + 2}f}" for v in rng.normal(50.0, 20.0, n)] for k in range(16)]
+    cells += [[f"level {v}" for v in rng.integers(0, 3 + k, n)] for k in range(8)]
+    for column in cells:
+        for r in rng.choice(n, n // 10, replace=False):
+            column[r] = "NA"
+    cells += [[str(v) for v in rng.integers(1, 2000, n)], [str(v) for v in rng.integers(0, 2, n)]]
+    schema = DatasetSchema(columns=(*specs, ColumnSpec("t", "time"),
+                                    ColumnSpec("e", "event_indicator")))
+    path = tmp_path / "wide.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([[spec.name for spec in schema.columns], *zip(*cells)])
+    return str(path), schema
+
+
+def _traced_peak(call):
+    """(result, peak bytes traced above those held when `call` starts)."""
+    call()  # warm-up: import-time and first-call allocations are not the call's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_loading_peaks_under_twice_the_columns_it_returns(self, tmp_path):
+        # each cell is parsed as its row is read, into typed arrays, so no
+        # list of cell strings grows with the file (4.4x at a loader that
+        # kept them until the last row was read)
+        path, schema = _wide_table(tmp_path)
+        table, peak = _traced_peak(lambda: load_csv(path, schema))
+        held = table.times.nbytes + table.observed.nbytes + sum(
+            column.values.nbytes + column.is_missing.nbytes for column in table.columns.values())
+        assert peak < 2.0 * held, peak / held
+
+    @pytest.mark.parametrize("fitted", [False, True], ids=["fit", "encode"])
+    def test_encoding_peaks_under_its_output_plus_one_column(self, tmp_path, fitted):
+        # every block is written into the one output matrix, so nothing
+        # beyond one gathered column is held besides it (an output's worth
+        # more where the blocks were stacked at the end)
+        path, schema = _wide_table(tmp_path)
+        table = load_csv(path, schema)
+        rows = np.arange(0, len(table), 2)
+        stats = preprocess(table, rows=rows).stats if fitted else None
+        result, peak = _traced_peak(lambda: preprocess(table, stats=stats, rows=rows))
+        output = result.features.nbytes + result.times.nbytes + result.observed.nbytes
+        assert result.features.shape[1] > 40
+        assert peak < output + 8 * len(rows), (peak - output) / (8 * len(rows))
 
 
 class TestKfoldSplit:
