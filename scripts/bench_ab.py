@@ -14,7 +14,10 @@ commit, with "-dirty" appended when the working tree differs from HEAD
 (untracked files that git does not ignore count).  At the end
 each metric's median [Q1, Q3] per side is printed, with the number of pairs
 each side won (direction from BENCHMARK.json; ties count for neither), the
-median gain and the base side's interquartile range.  With --trace 1 every
+median gain and the base side's interquartile range; for every metric with a
+"bound" in BENCHMARK.json, one more line tells whether the change's median
+is worse than the base's by more than that fraction of it, the test a
+change must pass on every end-to-end metric.  With --trace 1 every
 run is a traced run, and the metrics compared are BENCHMARK.json's per-layer
 ones, so a per-layer difference rests on several pairs rather than one.
 
@@ -101,8 +104,10 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(records, better):
-    """Print per-metric medians, quartiles and pairs won by each side."""
+def summarize(records, better, bounds):
+    """Print per-metric medians, quartiles and pairs won by each side, and
+    for each metric in `bounds` (name -> fraction) whether the change's
+    median is worse than the parent's by more than that fraction of it."""
     pairs = {}
     for rec in records:
         pairs.setdefault(rec["pair"], {})[rec["side"]] = rec["run"]
@@ -127,6 +132,12 @@ def summarize(records, better):
               f"parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
               f"wins parent {wins['parent']} change {wins['change']}  "
               f"median gain {sign * (cmed - pmed) + 0.0:.6g} vs parent IQR {pq3 - pq1:.6g}")
+        if name in bounds and pmed:
+            worse = -sign * (cmed - pmed) / abs(pmed)
+            print(f"  {name}: the change's median is {abs(worse):.2%} "
+                  f"{'worse' if worse > 0 else 'better'} than the parent's: "
+                  f"{'BEYOND' if worse > bounds[name] else 'within'} its bound of "
+                  f"{bounds[name]:.0%}")
 
 
 def main(argv=None):
@@ -146,6 +157,7 @@ def main(argv=None):
     with open(os.path.join(here, "BENCHMARK.json"), "r", encoding="utf-8") as fh:
         declared = json.load(fh)["per_layer" if args.trace else "end_to_end"]
     better = {m["name"]: m["better"] for m in declared}
+    bounds = {m["name"]: m["bound"] for m in declared if "bound" in m}
     base, change = revisions(args.base)
     records = []
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
@@ -168,7 +180,7 @@ def main(argv=None):
                                if k in better}
                     shown = metrics if not args.trace else f"{len(metrics)} per-layer metrics"
                     print(f"pair {i} {side} seed {seed}: {shown}", flush=True)
-    summarize(records, better)
+    summarize(records, better, bounds)
 
 
 if __name__ == "__main__":

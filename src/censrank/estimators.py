@@ -11,9 +11,9 @@ either conditionally on having survived its censoring bin (default) or as
 ``1 - survival`` set to zero through the censoring bin ("global").  Either
 way a censored record's target is exactly zero at and before its censoring
 bin.  A target row depends only on the record's bin, its observed flag and
-the curve, so training builds the rows of each batch into one reused
-buffer (`target_cdf_matrix(rows=, out=)`) and holds O(batch_size x T)
-target memory, not O(n x T).
+the curve, so training builds the rows of each block of a batch (at most
+1 MiB of them) into one reused buffer (`target_cdf_matrix(rows=, out=)`)
+and holds O(block x T) target memory, not O(n x T).
 """
 
 import math

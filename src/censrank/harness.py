@@ -169,9 +169,15 @@ def _eval_scores(run: TrainRun, outputs, cdf_out):  # a median writes the CDF in
     return outputs @ np.arange(outputs.shape[1], dtype=np.float64)
 
 
-# Output bytes one scoring forward may hold: 64 rows of a 2,030-bin pmf head, which
-# fit a 2 MiB L2 cache with their hidden activations; a scalar head, 131,072 rows.
+# Output bytes one scoring forward, or one block of the wm loss, may hold: 64 rows of a
+# 2,030-bin pmf head, which fit a 2 MiB L2 cache with their hidden activations.
 _SCORE_BLOCK_BYTES = 1 << 20
+
+
+def _finite(out):
+    """Whether network outputs are all finite.  A softmax row is all finite or all NaN (a
+    NaN, +inf or all -inf row maximum makes it NaN; else its sum is >= 1): column 0 decides."""
+    return bool(np.isfinite(out if out.ndim == 1 else out[:, 0]).all())
 
 
 def predict_scores(run: TrainRun, net: Network, features):
@@ -192,7 +198,7 @@ def predict_scores(run: TrainRun, net: Network, features):
     for start in range(0, len(features), block):
         # the block is positional: the benchmark's tracer counts rows from it
         out = net.forward(features[start : start + block], train=False)
-        if not np.all(np.isfinite(out)):
+        if not _finite(out):
             raise TrainingDivergedError(
                 f"non-finite network outputs in rows {start} to {start + len(out) - 1}"
             )
@@ -210,6 +216,18 @@ def _check_trainable(run: TrainRun, train: Dataset):
         obs_bins = train.bins[train.observed]
         if obs_bins.size == 0 or obs_bins.min() >= train.bins.max():
             raise UndefinedMetricError(f"{run.loss}: the training set admits no acceptable pairs")
+
+
+def _wm_step(run: TrainRun, train: Dataset, km, weights, idx, pmf, work):
+    """The wm loss of the batch `train[idx]` with pmf `pmf`, in blocks of len(work[0])
+    rows whose targets go into work[0]; d(loss)/d(logits) is written over `pmf`."""
+    value, block = 0.0, len(work[0])
+    for start in range(0, len(idx), block):
+        rows = slice(start, start + block)
+        targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx[rows], out=work[0])
+        value += wm_batch_with_grad(pmf[rows], targets, weights, run.wm_l, work=work,
+                                    out=pmf[rows], batch_size=len(idx))[0]
+    return value
 
 
 def train_model(run: TrainRun, train: Dataset, val: Dataset):
@@ -236,14 +254,13 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
 
     tie_method = _COX_TIES.get(run.loss)
     rank_kind = _RANK_KINDS.get(run.loss)
-    backward_work = None
     if run.loss == "wm":
         km = kaplan_meier(train)
         weights = bin_weights(train, run.wm_smoothing)
-        # two (batch, T) arrays per epoch: the loss's scratch, whose first
-        # array takes each batch's target rows and, once the loss has
-        # returned, the softmax backward step; released while validating
-        shape = (min(run.batch_size, n), train.grid.num_bins)
+        # the loss's two (block, T) scratch arrays, released while validating; the
+        # batch's pmf, which becomes its logit gradient, is its one (batch, T) array
+        block = max(1, _SCORE_BLOCK_BYTES // (8 * train.grid.num_bins))
+        shape = (min(run.batch_size, n, block), train.grid.num_bins)
     else:
         train_bins = train.bins
 
@@ -256,7 +273,6 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     for epoch in range(1, run.max_epochs + 1):
         if run.loss == "wm":
             wm_work = (np.empty(shape), np.empty(shape))
-            backward_work = wm_work[0]
         perm = batch_rng.permutation(n)
         batch_losses = []
         for start in range(0, n, run.batch_size):
@@ -273,7 +289,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
                     continue
                 batch_pairs = AcceptablePairSet(i=bi, j=bj, num_records=len(idx))
             out = net.forward(train.features[idx], train=True)
-            if not np.all(np.isfinite(out)):
+            if not _finite(out):
                 raise TrainingDivergedError("non-finite network outputs", epoch=epoch)
             if tie_method is not None:
                 value, grad_out = cox_nll_with_grad(
@@ -289,19 +305,13 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
                     out, batch_pairs, rank_kind, run.rank_sign, run.hinge_clip
                 )
             else:
-                targets = target_cdf_matrix(
-                    train, km, mode=run.km_impute, rows=idx, out=wm_work[0]
-                )
-                value, grad_out = wm_batch_with_grad(
-                    out, targets, weights, run.wm_l, work=wm_work
-                )
-                del targets
+                value, grad_out = _wm_step(run, train, km, weights, idx, out, wm_work), out
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite training loss {value!r}", epoch=epoch
                 )
             try:
-                adam.step(net.params, net.backward(grad_out, work=backward_work))
+                adam.step(net.params, net.backward(grad_out))
             except TrainingDivergedError as err:
                 raise TrainingDivergedError(str(err), epoch=epoch) from None
             del out, grad_out  # so the next forward runs with no other batch's outputs alive
@@ -311,7 +321,7 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
         )
         # nothing T-wide outlives the epoch: validation scores with no batch's
         # scratch, outputs or train cache alive
-        backward_work = wm_work = None
+        wm_work = None
         net.release_cache()
         try:
             val_scores = predict_scores(run, net, val.features)

@@ -1,10 +1,10 @@
 """Training objectives: Cox partial likelihood, pairwise ranking
 surrogates, and the CDF-matching (discrete Wasserstein) loss.
 
-Every objective is a pure function of the raw network outputs and ships
-with an analytic gradient (`*_with_grad`) so the fixed-architecture
-network can backpropagate without an autodiff engine.  Risk sets and
-ranking ties follow grid-binned times: records sharing a bin are tied.
+Every objective is a pure function of the network outputs with an analytic
+gradient (`*_with_grad`; w.r.t. the logits for the softmax head), so the
+network backpropagates without an autodiff engine.  Risk sets and ranking
+ties follow grid-binned times: records sharing a bin are tied.
 """
 
 import numpy as np
@@ -163,24 +163,26 @@ def bin_weights(train: Dataset, smoothing):
     return counts / counts.sum()
 
 
-def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
-    """Mean CDF-matching loss of a batch and its gradient w.r.t. the pmfs.
+def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None, out=None, batch_size=None):
+    """Mean CDF-matching loss of a batch of softmax rows and its gradient
+    w.r.t. the logits those rows came from.
 
     Per record the loss is the weighted l-th power CDF mismatch
     sum_t w[t] * |cdf_t - target_t|^l, where cdf is the running sum of the
     pmf: symmetric, non-negative, and zero iff the CDFs agree on every
     positively weighted bin.
 
-    pmf: (batch, T) rows from the softmax head; target_cdf: (batch, T);
-    weights: (T,).  Returns (value, gradient of the same shape as pmf).
+    pmf: (rows, T) softmax outputs; target_cdf: (rows, T); weights: (T,).
+    Returns (value, d(value)/d(logits) of pmf's shape), the softmax step
+    p * (g - <g, p>) taken on the pmf gradient g.  The mean divides by
+    `batch_size` (default: the rows), so one batch's row blocks, each given
+    its size, sum to its value and give the same gradient rows bit for bit.
 
     `work` is an optional pair of float64 scratch arrays (diff, inner) of
-    shape (at least batch, T).  Every intermediate is written into them, so
-    a training loop allocates no T-wide array per batch; the returned
-    gradient is then a view into `work[1]` that the next call overwrites,
-    and `work[0]` is free once the call returns.  `target_cdf` may be (the
-    leading rows of) `work[0]`, which the call then overwrites.  The
-    gradient is the same bit for bit either way.  The value is
+    shape (at least rows, T) that takes every intermediate; `target_cdf` may
+    be (the leading rows of) `work[0]`, which the call overwrites.  The
+    gradient goes into `out` (shape (at least rows, T); may be `pmf`), else
+    into the leading rows of `work[0]`, else a new array.  The value is
     sum_t |d_t| * (w[t] l |d_t|^(l-1)) / l (for l = 1, sum_t w[t] |d_t|), so
     it can differ from the literal w[t] |d_t|^l in the last bits.
     """
@@ -191,9 +193,8 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
         raise ValueError("pmf and target_cdf must be (batch, T) with T matching weights")
     if not (l >= 1):  # also rejects NaN
         raise ValueError(f"the exponent l must be >= 1, got {l}")
-    batch = pmf.shape[0]
-    if work is None:
-        work = (None, None)
+    batch = pmf.shape[0] if batch_size is None else batch_size
+    work = (None, None) if work is None else work
     if len(work) != 2:
         raise ValueError(f"work must hold two scratch arrays, got {len(work)}")
     diff, inner = (_scratch_rows(w, *pmf.shape) for w in work)
@@ -219,4 +220,9 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None):
     np.divide(inner, batch, out=inner)
     reversed_view = inner[:, ::-1]
     np.cumsum(reversed_view, axis=1, out=reversed_view)
-    return value, inner
+    # the softmax step in the order that fixes its bits: product, row sum, subtraction, product
+    np.multiply(inner, pmf, out=diff)
+    dot = np.sum(diff, axis=1, keepdims=True)
+    np.subtract(inner, dot, out=diff)
+    grad = diff if out is None else _scratch_rows(out, *pmf.shape)
+    return value, np.multiply(pmf, diff, out=grad)

@@ -6,20 +6,21 @@ layer followed by a row softmax (event-time pmfs).  Reverse-mode gradients
 are exact for the composite loss + l2 * sum ||W||^2, with the l2 penalty on
 weight matrices only (not biases or batch-norm parameters).
 
-There is no autodiff here: `backward` consumes d(loss)/d(outputs) supplied
-by one of the loss functions and walks the cache of the last train-mode
-`forward` (eval mode caches nothing): the head's input and outputs, and per
-hidden layer (input, batch std, xhat, gate), where xhat is computed in place
-in the affine output z and gate is one boolean array: the ReLU passes and
-dropout keeps; both passes derive the dropout scale 1 / keep from the
-config.  Batch norm's gradient takes the compact form of Ioffe & Szegedy
-(2015), with g = gate * d(loss)/d(layer output) over m rows:
+There is no autodiff here: `backward` consumes d(loss)/d(outputs) of the
+scalar head or d(loss)/d(logits) of the softmax head (the wm loss takes the
+softmax step) and walks the cache of the last train-mode `forward` (eval
+mode caches nothing): the head's input and outputs, and per hidden layer
+(input, batch std, xhat, gate), where xhat is computed in place in the
+affine output z and gate is one boolean array: the ReLU passes and dropout
+keeps; both passes derive the dropout scale 1 / keep from the config.
+Batch norm's gradient takes the compact form of Ioffe & Szegedy (2015),
+with g = gate * d(loss)/d(layer output) over m rows:
 dz = gamma / (keep std) (g - mean(g) - xhat mean(g xhat)).
 
 Checkpoint format (version 1, little-endian): the 8-byte magic
 b"CENSRANK", a uint32 format version, a uint32 header length, a UTF-8 JSON
 header {"config": {...}, "arrays": [{"name", "shape"}, ...]}, then each
-array's raw float64 data in the listed order.
+array's raw float64 data in the listed order; loading one draws nothing.
 """
 
 import json
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import _scratch_rows
 from .errors import TrainingDivergedError
 
 __all__ = ["NetworkConfig", "Network", "Adam", "save_checkpoint", "load_checkpoint"]
@@ -76,25 +76,34 @@ def _he_uniform(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _layout(config):
+    """(name, shape) of every array a network of `config` holds, W's in draw order."""
+    dims = (config.input_dim, *config.hidden_dims)
+    for i, width in enumerate(config.hidden_dims):
+        yield f"W{i}", (dims[i], width)
+        yield from ((f"{kind}{i}", (width,)) for kind in ("b", "gamma", "beta", "mean", "var"))
+    yield "W_out", (dims[-1], config.num_outputs)
+    yield "b_out", (config.num_outputs,)
+
+
 class Network:
     """Mutable parameter container plus forward/backward for the fixed MLP."""
 
-    def __init__(self, config: NetworkConfig):
+    def __init__(self, config: NetworkConfig, arrays=None):
+        """He-uniform weight matrices from default_rng(config.seed), whose stream then
+        gives the dropout masks.  Given `arrays` (by name) the network takes them and draws
+        nothing; trained, it would draw its masks from a new default_rng(config.seed)."""
         self.config = config
-        self._rng = np.random.default_rng(config.seed)
-        self.params = {}
-        self.running = {}
-        fan_in = config.input_dim
-        for i, width in enumerate(config.hidden_dims):
-            self.params[f"W{i}"] = _he_uniform(self._rng, fan_in, width)
-            self.params[f"b{i}"] = np.zeros(width)
-            self.params[f"gamma{i}"] = np.ones(width)
-            self.params[f"beta{i}"] = np.zeros(width)
-            self.running[f"mean{i}"] = np.zeros(width)
-            self.running[f"var{i}"] = np.ones(width)
-            fan_in = width
-        self.params["W_out"] = _he_uniform(self._rng, fan_in, config.num_outputs)
-        self.params["b_out"] = np.zeros(config.num_outputs)
+        self._rng = None if arrays is not None else np.random.default_rng(config.seed)
+        self.params, self.running = {}, {}
+        for name, shape in _layout(config):
+            if arrays is not None:
+                value = arrays[name]
+            elif name.startswith("W"):
+                value = _he_uniform(self._rng, *shape)
+            else:
+                value = (np.ones if name.startswith(("gamma", "var")) else np.zeros)(shape)
+            (self.running if name.startswith(("mean", "var")) else self.params)[name] = value
         self._cache = None
 
     # -- forward -----------------------------------------------------------
@@ -116,6 +125,8 @@ class Network:
             raise ValueError("train-mode forward needs a batch of at least 2 rows")
         if train:
             self._cache = None  # so the last batch's outputs die before this one's logits
+            if self._rng is None and self.config.dropout_rate > 0.0:  # a loaded network
+                self._rng = np.random.default_rng(self.config.seed)
         p = self.params
         layers = []
         a = X
@@ -163,16 +174,15 @@ class Network:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, grad_outputs, work=None):
+    def backward(self, grad_outputs):
         """Gradients of loss + l2 * sum ||W||^2 w.r.t. every parameter.
 
-        `grad_outputs` is d(loss)/d(outputs) of the last train-mode
-        forward, whose cache (see the module docstring) this walks; it has
-        the shape that forward returned and is never written to.  The
-        compact batch-norm gradient equals the long form up to rounding.  For the
-        softmax head, `work` is an optional float64 scratch array of
-        shape (at least batch, num_outputs) that the softmax step writes
-        into instead of allocating; the gradients are the same bit for bit.
+        `grad_outputs` belongs to the last train-mode forward, whose cache
+        (see the module docstring) this walks: d(loss)/d(outputs) for the
+        scalar head, d(loss)/d(logits) for the softmax head, whose softmax
+        step the loss has taken (`losses.wm_batch_with_grad`).  It has the
+        shape that forward returned and is never written to.  The compact
+        batch-norm gradient equals the long form up to rounding.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a train-mode forward pass")
@@ -184,15 +194,7 @@ class Network:
             raise ValueError(f"gradient shape {grad_outputs.shape} does not match the outputs' "
                              f"{cache['outputs'].shape}")
 
-        if self.config.head == "softmax":
-            pmf = cache["outputs"]
-            dlogits = _scratch_rows(work, *pmf.shape)
-            np.multiply(grad_outputs, pmf, out=dlogits)
-            dot = np.sum(dlogits, axis=1, keepdims=True)
-            np.subtract(grad_outputs, dot, out=dlogits)
-            np.multiply(pmf, dlogits, out=dlogits)
-        else:
-            dlogits = grad_outputs[:, None]
+        dlogits = grad_outputs if self.config.head == "softmax" else grad_outputs[:, None]
         grads["W_out"] = cache["head_input"].T @ dlogits
         grads["b_out"] = dlogits.sum(axis=0)
         da = dlogits @ p["W_out"].T
@@ -347,8 +349,8 @@ def load_checkpoint(path):
                     f"{path}: config {f.name!r} must be {f.type.__name__}, "
                     f"got {cfg[f.name]!r}"
                 )
-        network = Network(NetworkConfig(**cfg))
-        expected = {**network.params, **network.running}
+        config = NetworkConfig(**cfg)
+        expected = dict(_layout(config))
         try:
             layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
         except (KeyError, TypeError):
@@ -356,19 +358,18 @@ def load_checkpoint(path):
         names = sorted(name for name, _ in layout)
         if names != sorted(expected):
             raise ValueError(f"{path}: holds arrays {names}, the config implies {sorted(expected)}")
+        arrays = {}
         for name, shape in layout:
-            want = expected[name]
-            if shape != want.shape:
+            if shape != expected[name]:
                 raise ValueError(
-                    f"{path}: array {name!r} has shape {shape}, the config implies {want.shape}"
+                    f"{path}: array {name!r} has shape {shape}, the config implies {expected[name]}"
                 )
-            raw = fh.read(want.size * 8)
-            if len(raw) != want.size * 8:
+            raw = fh.read(8 * int(np.prod(shape)))
+            if len(raw) != 8 * int(np.prod(shape)):
                 raise ValueError(f"{path}: the file ends inside array {name!r}")
-            data = np.frombuffer(raw, dtype="<f8").reshape(want.shape).copy()
-            if not np.all(np.isfinite(data)):
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.all(np.isfinite(arrays[name])):
                 raise ValueError(f"{path}: array {name!r} holds non-finite values")
-            (network.params if name in network.params else network.running)[name] = data
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
-    return network
+    return Network(config, arrays)

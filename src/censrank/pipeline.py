@@ -62,6 +62,12 @@ __all__ = [
 COLUMN_KINDS = ("continuous", "categorical", "time", "event_indicator")
 
 
+def _strings(key, value):
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
@@ -71,7 +77,8 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        object.__setattr__(self, "missing", tuple(self.missing))
+        object.__setattr__(self, "missing", _strings(f"column {self.name!r}: 'missing'",
+                                                     self.missing))
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,10 @@ class DatasetSchema:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "event_true", tuple(self.event_true))
-        object.__setattr__(self, "event_false", tuple(self.event_false))
+        for key in ("event_true", "event_false"):
+            object.__setattr__(self, key, _strings(f"{key!r}", getattr(self, key)))
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ValueError(f"'delimiter' must be one character, got {self.delimiter!r}")
         times = [c for c in self.columns if c.kind == "time"]
         events = [c for c in self.columns if c.kind == "event_indicator"]
         if len(times) != 1 or len(events) != 1:
@@ -109,37 +118,25 @@ class DatasetSchema:
         return tuple(c for c in self.columns if c.kind in ("continuous", "categorical"))
 
 
-def _strings(path, key, value):
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ValueError(f"{path}: {key} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def load_schema(path) -> DatasetSchema:
     """Read a schema file; raises ValueError naming a missing or malformed key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise ValueError(f"{path}: 'columns' must be an object of column declarations")
-    default_missing = _strings(path, "'missing'", doc.get("missing", [""]))
-    columns = []
-    for name, decl in doc["columns"].items():
-        if isinstance(decl, str):
-            decl = {"kind": decl}
-        if not isinstance(decl, dict) or "kind" not in decl:
-            raise ValueError(f"{path}: column {name!r} has no 'kind'")
-        missing = decl.get("missing", list(default_missing))
-        columns.append(ColumnSpec(name=name, kind=decl["kind"],
-                                  missing=_strings(path, f"column {name!r}: 'missing'", missing)))
-    delimiter = doc.get("delimiter", ",")
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ValueError(f"{path}: 'delimiter' must be one character, got {delimiter!r}")
-    return DatasetSchema(
-        columns=tuple(columns),
-        event_true=_strings(path, "'event_true'", doc.get("event_true", ["1"])),
-        event_false=_strings(path, "'event_false'", doc.get("event_false", ["0"])),
-        delimiter=delimiter,
-    )
+    try:  # ColumnSpec and DatasetSchema check each value; errors get the path
+        default_missing = _strings("'missing'", doc.get("missing", [""]))
+        columns = []
+        for name, decl in doc["columns"].items():
+            if isinstance(decl, str):
+                decl = {"kind": decl}
+            if not isinstance(decl, dict) or "kind" not in decl:
+                raise ValueError(f"column {name!r} has no 'kind'")
+            columns.append(ColumnSpec(name, decl["kind"], decl.get("missing", default_missing)))
+        return DatasetSchema(tuple(columns), doc.get("event_true", ["1"]),
+                             doc.get("event_false", ["0"]), doc.get("delimiter", ","))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_schema(schema: DatasetSchema, path):

@@ -99,3 +99,27 @@ def test_every_line_names_the_base_and_the_change(bench_ab, checkout, monkeypatc
     records = [json.loads(text) for text in (checkout / "bench_ab.jsonl").read_text().splitlines()]
     assert exported == [first] and len(records) == 4
     assert all(rec["base"] == first and rec["change"] == second for rec in records)
+
+
+def test_the_summary_tells_each_bounded_metric_within_or_beyond_its_bound(bench_ab, capsys):
+    def run(setup_s, rows_per_s):
+        return {"failed": 0, "attempted": 1, "metrics": {
+            "setup_s": {"value": setup_s, "unit": "s"},
+            "rows_per_s": {"value": rows_per_s, "unit": "rows/s"}}}
+
+    records = [{"pair": i, "side": side, "run": run(*values)}
+               for i in range(3) for side, values in (("parent", (1.0, 100.0 + i)),
+                                                      ("change", (1.3, 90.0 + i)))]
+    bench_ab.summarize(records, NAMES, {"setup_s": 0.25, "rows_per_s": 0.25})
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  setup_s: the change's median is 30.00% worse than the parent's: "
+            "BEYOND its bound of 25%") in lines
+    assert ("  rows_per_s: the change's median is 9.90% worse than the parent's: "
+            "within its bound of 25%") in lines
+    records = [{**rec, "run": run(0.9, 120.0)} if rec["side"] == "change" else rec
+               for rec in records]
+    bench_ab.summarize(records, NAMES, {"rows_per_s": 0.25})
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  rows_per_s: the change's median is 18.81% better than the parent's: "
+            "within its bound of 25%") in lines
+    assert not any(line.startswith("  setup_s:") for line in lines)  # no bound given

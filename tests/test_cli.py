@@ -186,6 +186,16 @@ class TestTrainEvaluate:
         assert 0.5 < payload["c_index"] <= 1.0
         assert json.loads(out.read_text()) == payload
 
+    def test_evaluate_checkpoint_does_not_import_numpy_random(self, toy, checkpoint):
+        # a loaded network draws no initialization, so nothing needs a generator
+        argv = ["evaluate", *data_args(toy), "--checkpoint", checkpoint]
+        cmd, env = cli_launch(argv)
+        script = ("import sys\nfrom censrank.cli import main\n"
+                  f"code = main({argv!r})\nprint(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([cmd[0], "-c", script], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
     def test_evaluate_scores_file_with_perfect_ranking(self, capsys, toy, tmp_path):
         schema = pipeline.load_schema(toy["schema"])
         table = pipeline.load_csv(toy["csv"], schema)

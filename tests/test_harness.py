@@ -38,6 +38,8 @@ from censrank.harness import (
     run_cv,
     train_model,
 )
+from censrank.estimators import kaplan_meier, target_cdf_matrix
+from censrank.losses import bin_weights
 from censrank.metrics import acceptable_pairs, c_index, c_index_from_pairs
 from censrank.neural import Network, NetworkConfig
 from censrank.pipeline import generate_synthetic, load_csv, save_csv, schema_for_features
@@ -244,6 +246,76 @@ class TestPredictScores:
             predict_scores(TrainRun(loss="wm"), net, features)
 
 
+def _whole_batch_reference(pmf, target, weights, l):
+    """A literal copy of the whole-batch wm step as it was before the loss took
+    row blocks: `wm_batch_with_grad` with its two (batch, T) scratch arrays, then
+    the softmax step of `Network.backward` in a third."""
+    batch = pmf.shape[0]
+    diff, inner = np.empty(pmf.shape), np.empty(pmf.shape)
+    np.cumsum(pmf, axis=1, out=inner)
+    np.subtract(inner, target, out=diff)
+    np.abs(diff, out=inner)
+    if l == 1:
+        value = float(np.sum(inner @ weights) / batch)
+        np.sign(diff, out=inner)
+        np.multiply(weights * l, inner, out=inner)
+    else:
+        if l == 1.5:
+            np.sqrt(inner, out=inner)
+        else:
+            np.power(inner, l - 1.0, out=inner)
+        np.multiply(weights * l, inner, out=inner)
+        np.copysign(inner, diff, out=inner)
+        value = float(np.vdot(diff, inner) / l / batch)
+    np.divide(inner, batch, out=inner)
+    reversed_view = inner[:, ::-1]
+    np.cumsum(reversed_view, axis=1, out=reversed_view)
+    dlogits = np.empty(pmf.shape)
+    np.multiply(inner, pmf, out=dlogits)
+    dot = np.sum(dlogits, axis=1, keepdims=True)
+    np.subtract(inner, dot, out=dlogits)
+    np.multiply(pmf, dlogits, out=dlogits)
+    return value, dlogits
+
+
+class TestWmStep:
+    @pytest.mark.parametrize("bins, batch, blocks", [
+        (2030, 256, [64] * 4),  # the bench table's bins: the batch splits evenly
+        (2030, 195, [64, 64, 64, 3]),  # the short last batch of each bench fold
+        (37, 256, [256]),  # a small T: one block
+    ], ids=["even", "short-last", "one-block"])
+    @pytest.mark.parametrize("l", [1.5, 1.0, 2.0])
+    def test_blocked_logit_gradient_equals_the_whole_batch_step_bit_for_bit(
+            self, monkeypatch, bins, batch, blocks, l):
+        rng = np.random.default_rng(bins + batch)
+        n = 300
+        train = make_dataset(np.append(rng.uniform(0.0, bins - 1.0, size=n - 1), bins - 0.5),
+                             rng.random(n) < 0.7, features=rng.normal(size=(n, 3)))
+        assert train.grid.num_bins == bins
+        run = TrainRun(loss="wm", wm_l=l, km_impute="global" if l == 2.0 else "conditional")
+        km, weights = kaplan_meier(train), bin_weights(train, run.wm_smoothing)
+        idx = rng.permutation(n)[:batch]
+        pmf = rng.dirichlet(np.full(bins, 0.5), size=batch)
+        targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx)
+        want_value, want = _whole_batch_reference(pmf, targets, weights, l)
+
+        rows = min(batch, harness._SCORE_BLOCK_BYTES // (8 * bins))
+        work = (np.full((rows, bins), np.nan), np.full((rows, bins), np.nan))
+        loss, seen = harness.wm_batch_with_grad, []
+
+        def spy(pmf_rows, *args, **kwargs):
+            seen.append(len(pmf_rows))
+            return loss(pmf_rows, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "wm_batch_with_grad", spy)
+        got = pmf.copy()
+        value = harness._wm_step(run, train, km, weights, idx, got, work)
+        assert seen == blocks
+        assert np.array_equal(got, want)
+        # the value is summed block by block, so only its last bits may move
+        assert value == pytest.approx(want_value, rel=1e-13, abs=0.0)
+
+
 class TestTrainModel:
     def test_scripted_early_stopping_returns_best_epoch_params(self, fold, monkeypatch):
         # validation C sequence 0.6, 0.7, 0.65 with patience 1: stop after
@@ -316,6 +388,62 @@ class TestTrainModel:
         # measured: 3.98 arrays' worth; 4.85 when the previous pmf outlives the
         # next forward's logits, 5.85 with three scratch arrays kept throughout
         assert peak < 4.5 * wide
+
+    def test_a_wm_step_holds_one_batch_wide_array(self, monkeypatch):
+        # T = 2,048 bins and batch 256: the loss takes blocks of 64 rows, and with
+        # 8 hidden units each (batch, T) array (4 MiB) outweighs all the rest
+        rng = np.random.default_rng(23)
+        n = 560
+        times = np.append(rng.uniform(0.0, 2047.0, size=n - 1), 2047.5)
+        data = make_dataset(times, rng.random(n) < 0.7, features=rng.normal(size=(n, 4)))
+        train, val = data.subset(np.arange(512)), data.subset(np.arange(512, n))
+        assert data.grid.num_bins == 2048
+        wide = 256 * 2048 * 8  # bytes of one (batch, T) float64 array
+        run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=256,
+                       max_epochs=1, patience=1, seed=5)
+        loss, alive = harness.wm_batch_with_grad, []
+
+        def counting(*args, **kwargs):
+            traces = tracemalloc.take_snapshot().traces
+            alive.append(sum(trace.size >= wide for trace in traces))
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "wm_batch_with_grad", counting)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_model(run, train, val)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert alive == [1] * 8  # the pmf alone, in each of 4 blocks of 2 batches
+        # measured: 1.71 arrays' worth (the pmf and two (64, T) scratch arrays);
+        # 3.26, and 3 such arrays alive in the loss, with (batch, T) scratch
+        assert peak < 2 * wide
+
+    @pytest.mark.parametrize("logits", ["nan", "+inf", "all -inf"])
+    def test_a_non_finite_softmax_row_diverges_in_training_and_scoring(self, fold, monkeypatch,
+                                                                      logits):
+        # the bad logit sits in the last column: column 0 still shows it
+        def poison(net):
+            if logits == "all -inf":
+                net.params["b_out"][:] = -np.inf
+            else:
+                net.params["b_out"][-1] = float(logits)
+            return net
+
+        network_for = harness._network_for
+        monkeypatch.setattr(harness, "_network_for", lambda *args: poison(network_for(*args)))
+        train, val, _ = fold
+        run = TrainRun(loss="wm", seed=3, **FAST)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDivergedError, match="non-finite network outputs") as err:
+                train_model(run, train, val)
+            assert err.value.epoch == 1
+            net = poison(Network(NetworkConfig(input_dim=val.n_features, hidden_dims=(8,),
+                                               head="softmax", num_outputs=40, seed=1)))
+            with pytest.raises(TrainingDivergedError, match="non-finite network outputs"):
+                predict_scores(run, net, val.features)
 
     def test_returned_network_scores_the_best_recorded_epoch(self, fold):
         train, val, _ = fold

@@ -531,6 +531,7 @@ class TestWmLoss:
         assert value == pytest.approx(float(np.mean(per_record)), abs=1e-14)
 
     def test_batch_gradient_matches_finite_differences(self):
+        # the gradient is w.r.t. the logits of the softmax that gave the pmf
         rng = np.random.default_rng(11)
         for l in (1.5, 2.0, 3.0):
             pmf = rng.dirichlet(np.ones(5), size=4)
@@ -539,22 +540,25 @@ class TestWmLoss:
             target = np.clip(target + 0.05, None, 1.0)
             weights = rng.dirichlet(np.ones(5))
 
-            def f(flat_pmf):
-                return wm_batch_with_grad(flat_pmf.reshape(4, 5), target, weights, l=l)[0]
+            def f(flat_logits):
+                e = np.exp(flat_logits.reshape(4, 5))
+                return wm_batch_with_grad(e / e.sum(axis=1, keepdims=True), target, weights,
+                                          l=l)[0]
 
             _, grad = wm_batch_with_grad(pmf, target, weights, l=l)
-            numeric = central_difference(f, pmf.reshape(-1)).reshape(4, 5)
+            numeric = central_difference(f, np.log(pmf).reshape(-1)).reshape(4, 5)
             assert max_relative_error(grad, numeric) < 1e-5
-
 
     def test_work_arrays_give_the_literal_gradient_bit_for_bit(self):
         def literal(pmf, target, weights, l):
-            # the batch loss as first written, one fresh array per step
+            # the batch loss as first written, one fresh array per step, then
+            # the softmax step as the network's backward first took it
             batch = pmf.shape[0]
             diff = np.cumsum(pmf, axis=1) - target
             value = float(np.sum(weights * np.abs(diff) ** l) / batch)
             inner = weights * l * np.abs(diff) ** (l - 1.0) * np.sign(diff) / batch
-            return value, np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+            grad = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+            return value, pmf * (grad - np.sum(grad * pmf, axis=1, keepdims=True))
 
         rng = np.random.default_rng(12)
         num_bins = 37
@@ -576,6 +580,14 @@ class TestWmLoss:
                     assert np.array_equal(grad, expected_grad)
                     # |d| * (w l |d|^(l-1)) / l may differ from w |d|^l in the last bits
                     assert value == pytest.approx(expected_value, rel=1e-13, abs=0.0)
+                # the gradient written over the pmf itself, or into a taller array
+                for out in (pmf.copy(), np.full((batch + 2, num_bins), np.nan)):
+                    aliased[:] = target
+                    given_pmf = out if len(out) == batch else pmf
+                    _, grad = wm_batch_with_grad(given_pmf, aliased, weights, l=l, work=work,
+                                                 out=out)
+                    assert np.shares_memory(grad, out)
+                    assert np.array_equal(grad, expected_grad)
 
     @pytest.mark.parametrize("l", [1.5, 2.0])
     def test_target_in_the_first_work_array_gives_the_same_bits(self, l):
@@ -601,3 +613,22 @@ class TestWmLoss:
         for work in ([np.empty((3, 5))] * 2, [np.empty((4, 6))] * 2, [np.empty((4, 5))] * 3):
             with pytest.raises(ValueError):
                 wm_batch_with_grad(pmf, target, weights, work=work)
+        for out in (np.empty((3, 5)), np.empty((4, 6)), np.empty((4, 5), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                wm_batch_with_grad(pmf, target, weights, out=out)
+
+    @pytest.mark.parametrize("l", [1.0, 1.5])
+    def test_row_blocks_given_the_batch_size_sum_to_the_batch(self, l):
+        rng = np.random.default_rng(32)
+        num_bins, batch = 23, 11
+        pmf = rng.dirichlet(np.ones(num_bins), size=batch)
+        target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
+        target[:, -1] = 1.0
+        weights = rng.dirichlet(np.ones(num_bins))
+        value, grad = wm_batch_with_grad(pmf, target, weights, l=l)
+        blocked = pmf.copy()
+        values = [wm_batch_with_grad(blocked[rows], target[rows], weights, l=l,
+                                     out=blocked[rows], batch_size=batch)[0]
+                  for rows in (slice(0, 4), slice(4, 8), slice(8, batch))]
+        assert np.array_equal(blocked, grad)
+        assert sum(values) == pytest.approx(value, rel=1e-14, abs=0.0)

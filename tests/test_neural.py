@@ -6,7 +6,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from censrank.core import _scratch_rows
 from censrank.errors import TrainingDivergedError
 from censrank.neural import Adam, Network, NetworkConfig, load_checkpoint, save_checkpoint
 
@@ -191,28 +190,27 @@ class TestBackward:
                 assert np.allclose(diff, 0.0, atol=1e-12)
 
 
-    def test_softmax_work_array_gives_the_same_gradients(self):
+    def test_softmax_head_takes_the_logit_gradient_as_given(self):
+        # the wm loss takes the softmax step, so the head's gradients are those
+        # of a linear layer whose output gradient is the logit gradient
         net = _small_net(seed=13, head="softmax", num_outputs=7, dropout_rate=0.5)
         rng = np.random.default_rng(13)
         net.forward(rng.normal(size=(6, 4)), train=True)
-        g_out = rng.normal(size=(6, 7))
-        g_copy = g_out.copy()
-        plain = net.backward(g_out)
-        # stale contents would show as NaN; more rows than the batch
-        reused = net.backward(g_out, work=np.full((8, 7), np.nan))
-        assert np.array_equal(g_out, g_copy)
-        assert plain.keys() == reused.keys()
-        for name in plain:
-            assert np.array_equal(plain[name], reused[name])
+        g_logits = rng.normal(size=(6, 7))
+        g_copy = g_logits.copy()
+        grads = net.backward(g_logits)
+        assert np.array_equal(g_logits, g_copy)
+        assert np.array_equal(grads["W_out"], net._cache["head_input"].T @ g_copy)
+        assert np.array_equal(grads["b_out"], g_copy.sum(axis=0))
 
 
 class _TwoPathNetwork(Network):
     """Reference network with a second backward path: a literal copy of
     the earlier `forward` (with its `cache_for_backward` option) and
-    `backward` (with its running-statistics branch and the long-form
-    batch-norm gradient).  The network must match its outputs, running
-    statistics and dropout draws bit for bit in train mode, and its
-    gradients up to rounding."""
+    `backward` (with its softmax step, which the wm loss now takes, its
+    running-statistics branch and the long-form batch-norm gradient).  The
+    network must match its outputs, running statistics and dropout draws
+    bit for bit in train mode, and its gradients up to rounding."""
 
     def forward(self, batch, train, cache_for_backward=None):
         X = np.asarray(batch, dtype=np.float64)
@@ -268,7 +266,7 @@ class _TwoPathNetwork(Network):
             self._cache = {"layers": layers, "head_input": a, "outputs": outputs, "train": train}
         return outputs
 
-    def backward(self, grad_outputs, work=None):
+    def backward(self, grad_outputs):
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")
         cache = self._cache
@@ -280,7 +278,7 @@ class _TwoPathNetwork(Network):
             pmf = cache["outputs"]
             if grad_outputs.shape != pmf.shape:
                 raise ValueError("gradient shape does not match the softmax outputs")
-            dlogits = _scratch_rows(work, *pmf.shape)
+            dlogits = np.empty(pmf.shape)
             np.multiply(grad_outputs, pmf, out=dlogits)
             dot = np.sum(dlogits, axis=1, keepdims=True)
             np.subtract(grad_outputs, dot, out=dlogits)
@@ -367,8 +365,11 @@ class TestMatchesTheTwoPathNetwork:
                 assert np.array_equal(new.running[name], old.running[name]), name
             assert new._rng.bit_generator.state == old._rng.bit_generator.state
             g_out = rng.normal(size=want.shape)
-            work = np.full((rows + 1, outputs), np.nan) if step == 1 else None
-            got_grads, want_grads = new.backward(g_out, work=work), old.backward(g_out, work=work)
+            # the reference takes d/d(pmf) and its own softmax step; the network
+            # takes d/d(logits), here from the same step on the same pmf
+            g_new = g_out if head == "scalar_linear" else want * (
+                g_out - np.sum(g_out * want, axis=1, keepdims=True))
+            got_grads, want_grads = new.backward(g_new), old.backward(g_out)
             assert got_grads.keys() == want_grads.keys()
             # the compact batch-norm gradient differs from the long form in
             # rounding only; the hidden biases' true gradient is 0, so both
@@ -478,6 +479,42 @@ class TestAdam:
 
 
 class TestCheckpoints:
+    def test_a_new_network_draws_its_weights_as_before(self):
+        # a literal copy of the earlier initialization: every weight matrix in
+        # layer order from default_rng(seed), then the dropout masks go on from there
+        config = NetworkConfig(input_dim=5, hidden_dims=(7, 3), head="softmax", num_outputs=4,
+                               dropout_rate=0.5, seed=31)
+        net = Network(config)
+        rng, params, running, fan_in = np.random.default_rng(31), {}, {}, 5
+        for i, width in enumerate((7, 3)):
+            limit = np.sqrt(6.0 / fan_in)
+            params[f"W{i}"] = rng.uniform(-limit, limit, size=(fan_in, width))
+            params[f"b{i}"], params[f"gamma{i}"] = np.zeros(width), np.ones(width)
+            params[f"beta{i}"] = np.zeros(width)
+            running[f"mean{i}"], running[f"var{i}"] = np.zeros(width), np.ones(width)
+            fan_in = width
+        params["W_out"] = rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in), size=(3, 4))
+        params["b_out"] = np.zeros(4)
+        for mine, want in ((net.params, params), (net.running, running)):
+            assert list(mine) == list(want)  # the checkpoint's array order
+            for name in want:
+                assert np.array_equal(mine[name], want[name]), name
+        assert net._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_a_loaded_network_draws_nothing_and_would_train_on_a_new_stream(self, tmp_path):
+        net = _small_net(seed=17, dropout_rate=0.5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, str(path))
+        loaded = load_checkpoint(str(path))
+        assert loaded._rng is None
+        assert list(loaded.params) == list(net.params)
+        assert list(loaded.running) == list(net.running)
+        # trained, it draws its dropout masks from a new default_rng(seed)
+        net._rng = np.random.default_rng(17)
+        batch = np.random.default_rng(17).normal(size=(8, 4))
+        assert np.array_equal(loaded.forward(batch, train=True), net.forward(batch, train=True))
+        assert loaded._rng.bit_generator.state == net._rng.bit_generator.state
+
     def test_round_trip_is_bitwise(self, tmp_path):
         net = _small_net(seed=16, head="softmax", num_outputs=5, dropout_rate=0.3)
         batch = np.random.default_rng(12).normal(size=(9, 4))

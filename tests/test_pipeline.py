@@ -76,6 +76,29 @@ class TestSchema:
         with pytest.raises(ValueError):
             ColumnSpec("x", "ordinal")
 
+    @pytest.mark.parametrize("options, key", [
+        ({"event_true": "yes"}, "'event_true' must be a list of strings"),
+        ({"event_true": ["yes", 1]}, "'event_true' must be a list of strings"),
+        ({"event_false": "no"}, "'event_false' must be a list of strings"),
+        ({"event_false": None}, "'event_false' must be a list of strings"),
+        ({"delimiter": ";;"}, "'delimiter' must be one character"),
+        ({"delimiter": ""}, "'delimiter' must be one character"),
+        ({"delimiter": 1}, "'delimiter' must be one character"),
+    ])
+    def test_a_schema_built_in_code_is_checked(self, options, key):
+        with pytest.raises(ValueError, match=key):
+            _toy_schema(**options)
+
+    @pytest.mark.parametrize("missing", ["NA", ["", None], 0])
+    def test_a_column_built_in_code_is_checked(self, missing):
+        with pytest.raises(ValueError, match="column 'e': 'missing' must be a list of strings"):
+            ColumnSpec("e", "event_indicator", missing=missing)
+
+    def test_lists_given_in_code_are_kept_as_tuples(self):
+        schema = _toy_schema(event_true=["yes", "1"], event_false=[])
+        assert schema.event_true == ("yes", "1") and schema.event_false == ()
+        assert ColumnSpec("age", "continuous", missing=["", "NA"]).missing == ("", "NA")
+
     def test_round_trip_through_file(self, tmp_path):
         schema = _toy_schema(event_true=("yes", "1"), event_false=("no",), delimiter=";")
         path = tmp_path / "schema.json"
