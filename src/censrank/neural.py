@@ -1,10 +1,11 @@
 """Fixed-architecture feed-forward network with hand-derived gradients.
 
-Layout per hidden layer: affine -> batch norm -> ReLU -> inverted dropout;
-the head is either a single linear unit (risk/ranking scores) or a linear
-layer followed by a row softmax (event-time pmfs).  Reverse-mode gradients
-are exact for the composite loss + l2 * sum ||W||^2, with the l2 penalty on
-weight matrices only (not biases or batch-norm parameters).
+Layout per hidden layer i: W{i} -> batch norm (gamma{i}, beta{i}; running mean{i},
+var{i}) -> ReLU -> inverted dropout.  The head W_out is one linear unit (risk or
+ranking scores) or T units plus per-bin biases b_out under a row softmax (event-time
+pmfs).  No other bias exists, as no loss could move it: batch norm subtracts a hidden
+bias again, and every scalar loss sees only score differences.  Gradients are exact
+for loss + l2 * sum ||W||^2, with the l2 penalty on weight matrices only.
 
 There is no autodiff here: `backward` consumes d(loss)/d(outputs) of the
 scalar head or d(loss)/d(logits) of the softmax head (the wm loss takes the
@@ -17,7 +18,7 @@ Batch norm's gradient takes the compact form of Ioffe & Szegedy (2015),
 with g = gate * d(loss)/d(layer output) over m rows:
 dz = gamma / (keep std) (g - mean(g) - xhat mean(g xhat)).
 
-Checkpoint format (version 1, little-endian): the 8-byte magic
+Checkpoint format (version 2, little-endian): the 8-byte magic
 b"CENSRANK", a uint32 format version, a uint32 header length, a UTF-8 JSON
 header {"config": {...}, "arrays": [{"name", "shape"}, ...]}, then each
 array's raw float64 data in the listed order; loading one draws nothing.
@@ -37,7 +38,7 @@ _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1  # fraction of the new batch statistic mixed into the running one
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _MAGIC = b"CENSRANK"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -81,9 +82,10 @@ def _layout(config):
     dims = (config.input_dim, *config.hidden_dims)
     for i, width in enumerate(config.hidden_dims):
         yield f"W{i}", (dims[i], width)
-        yield from ((f"{kind}{i}", (width,)) for kind in ("b", "gamma", "beta", "mean", "var"))
+        yield from ((f"{kind}{i}", (width,)) for kind in ("gamma", "beta", "mean", "var"))
     yield "W_out", (dims[-1], config.num_outputs)
-    yield "b_out", (config.num_outputs,)
+    if config.head == "softmax":
+        yield "b_out", (config.num_outputs,)
 
 
 class Network:
@@ -133,7 +135,6 @@ class Network:
         keep = 1.0 - self.config.dropout_rate
         for i in range(len(self.config.hidden_dims)):
             z = a @ p[f"W{i}"]
-            z += p[f"b{i}"]
             if train:
                 mu = z.mean(axis=0)
                 z -= mu  # centered, in place
@@ -159,9 +160,8 @@ class Network:
                 a *= gate
                 a *= 1.0 / keep
         logits = a @ p["W_out"]
-        logits += p["b_out"]
         if self.config.head == "softmax":
-            # in place: one n x T array instead of four
+            logits += p["b_out"]  # in place throughout: one n x T array, not four
             logits -= logits.max(axis=1, keepdims=True)
             np.exp(logits, out=logits)
             logits /= logits.sum(axis=1, keepdims=True)
@@ -196,7 +196,8 @@ class Network:
 
         dlogits = grad_outputs if self.config.head == "softmax" else grad_outputs[:, None]
         grads["W_out"] = cache["head_input"].T @ dlogits
-        grads["b_out"] = dlogits.sum(axis=0)
+        if "b_out" in p:  # the softmax head's; the scalar head has none
+            grads["b_out"] = dlogits.sum(axis=0)
         da = dlogits @ p["W_out"].T
 
         inv_keep = 1.0 / (1.0 - self.config.dropout_rate)
@@ -210,7 +211,6 @@ class Network:
             dz -= xhat * (sum_xhat / len(dz))
             dz *= p[f"gamma{i}"] * inv_keep / std
             grads[f"W{i}"] = input_.T @ dz
-            grads[f"b{i}"] = dz.sum(axis=0)
             if i > 0:  # nothing consumes the gradient of the network's input
                 da = dz @ p[f"W{i}"].T
 
@@ -331,11 +331,15 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: the file ends inside the header")
         version, header_len = struct.unpack("<II", prefix)
         if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        raw = fh.read(header_len)
+        try:  # a short, non-UTF-8 or non-JSON header leaves None
+            header = json.loads(raw.decode("utf-8")) if len(raw) == header_len else None
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
+            header = None
         if not (isinstance(header, dict) and {"config", "arrays"} <= header.keys()
                 and isinstance(header["config"], dict)):
-            raise ValueError(f"{path}: the header needs a 'config' object and 'arrays'")
+            raise ValueError(f"{path}: the header is not a JSON object with 'config' and 'arrays'")
         cfg = header["config"]
         keys = {f.name for f in fields(NetworkConfig)}
         if cfg.keys() != keys:

@@ -75,6 +75,8 @@ class ColumnSpec:
     missing: tuple = ("",)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"a column name must be a string, got {self.name!r}")
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"column {self.name!r}: unknown kind {self.kind!r}")
         object.__setattr__(self, "missing", _strings(f"column {self.name!r}: 'missing'",
@@ -89,6 +91,9 @@ class DatasetSchema:
     delimiter: str = ","
 
     def __post_init__(self):
+        if not isinstance(self.columns, (tuple, list)) or not all(
+                isinstance(column, ColumnSpec) for column in self.columns):
+            raise ValueError(f"'columns' must be a tuple of ColumnSpec, got {self.columns!r}")
         object.__setattr__(self, "columns", tuple(self.columns))
         for key in ("event_true", "event_false"):
             object.__setattr__(self, key, _strings(f"{key!r}", getattr(self, key)))
@@ -199,8 +204,8 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
 
     Rows whose time or event field does not parse are rejected with the
     1-based file line each starts on; on_bad_rows selects whether that
-    raises or drops.  A header that repeats a schema column, or a numeric
-    feature cell that does not parse, raises CsvParseError naming the
+    raises or drops.  A header that repeats a schema column, or a numeric feature
+    cell that does not parse to a finite number, raises CsvParseError naming the
     column (the first such column in schema order, and its first bad cell).
     """
     if on_bad_rows not in ("error", "drop"):
@@ -261,7 +266,9 @@ def load_csv(path, schema: DatasetSchema, on_bad_rows="error") -> RawTable:
                     values.append(levels.setdefault(cell, len(levels)))
                 else:
                     try:
-                        values.append(float(cell))
+                        if not math.isfinite(number := float(cell)):
+                            raise ValueError  # like a time, a feature value is finite
+                        values.append(number)
                     except ValueError:  # raised below, after any bad rows
                         values.append(0.0)
                         unparseable.setdefault(k, cell)

@@ -5,6 +5,7 @@ batch norm uses batch statistics, the only mode `backward` serves.
 """
 
 import numpy as np
+import pytest
 
 from conftest import make_dataset, max_relative_error
 from censrank.losses import (
@@ -33,6 +34,10 @@ _RANK_KIND = {
     "rank-exp": "exponential",
 }
 _H = 1e-5
+# measured on the networks below: an array no loss can move (the hidden and
+# scalar-head biases of the earlier layout) peaks at 1e-18 to 1e-14, every
+# other array's largest entry at 3.4e-3 or more (seeds 0-5, each loss)
+_DEAD = 1e-8
 
 
 def _context(rng):
@@ -110,11 +115,14 @@ def _numeric_param_grads(net, f):
     return numeric
 
 
-def _check_one(name, seed):
-    rng = np.random.default_rng(seed)
-    data, pairs = _context(rng)
+def _setup(name, seed):
+    data, pairs = _context(np.random.default_rng(seed))
     targets, weights = _wm_targets(data) if name == "wm" else (None, None)
-    net = _build_network(name, data, seed)
+    return data, pairs, targets, weights, _build_network(name, data, seed)
+
+
+def _check_one(name, seed):
+    data, pairs, targets, weights, net = _setup(name, seed)
     X = data.features
     outputs = net.forward(X, train=True)
     if name == "rank-hinge" and _margins_near_hinge_kinks(outputs, pairs):
@@ -129,8 +137,7 @@ def _check_one(name, seed):
 
     numeric = _numeric_param_grads(net, f)
     # the floor sits above the FD cancellation noise eps*|loss|/(2h), which
-    # otherwise dominates entries the loss is exactly invariant to (b_out
-    # under the shift-invariant losses, analytically zero)
+    # otherwise dominates entries whose true gradient is near zero
     worst = max(
         max_relative_error(analytic[pname], numeric[pname], floor=1e-5)
         for pname in net.params
@@ -171,6 +178,21 @@ class TestFullNetworkGradients:
 
     def test_wm_batch_stats(self):
         self._run("wm")
+
+    @pytest.mark.parametrize("name", LOSS_CONFIGS)
+    def test_no_parameter_array_is_dead(self, name):
+        # Adam normalizes a gradient that is rounding noise into steps of
+        # about the learning rate, so such an array would random-walk
+        largest = {}
+        for seed in range(6):
+            data, pairs, targets, weights, net = _setup(name, seed)
+            outputs = net.forward(data.features, train=True)
+            _, out_grad = _loss_and_outgrad(name, outputs, data, pairs, targets, weights)
+            for pname, g in net.backward(out_grad).items():
+                largest[pname] = max(largest.get(pname, 0.0), float(np.abs(g).max()))
+        assert largest.keys() == net.params.keys()
+        dead = {pname: peak for pname, peak in largest.items() if peak <= _DEAD}
+        assert not dead, f"{name}: arrays whose gradient is rounding noise: {dead}"
 
     def test_l2_gradients_also_match(self):
         # decay folds into the weight-matrix gradients; FD sees it too

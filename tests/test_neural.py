@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import struct
 from dataclasses import asdict
 
@@ -158,8 +159,8 @@ class TestBackward:
             net.backward(np.zeros(3))
 
     def test_head_gradient_matches_linear_regression_form(self):
-        # the head is linear in its cached input H, so under the squared
-        # error its gradient must equal the classic 2 H^T (Hw + b - y) / n
+        # the scalar head is linear in its cached input H, with no bias, so
+        # under the squared error its gradient must equal 2 H^T (Hw - y) / n
         rng = np.random.default_rng(8)
         net = Network(NetworkConfig(input_dim=3, hidden_dims=(3,), dropout_rate=0.5, seed=0))
         X = rng.uniform(0.5, 2.0, size=(6, 3))
@@ -168,9 +169,21 @@ class TestBackward:
         grads = net.backward(2.0 * (out - y) / len(y))
         H = net._cache["head_input"]
         w = net.params["W_out"][:, 0]
-        b = net.params["b_out"][0]
-        expected = 2.0 * H.T @ (H @ w + b - y) / len(y)
+        expected = 2.0 * H.T @ (H @ w - y) / len(y)
         assert np.max(np.abs(grads["W_out"][:, 0] - expected)) < 1e-10
+        assert np.array_equal(out, H @ w)
+
+    @pytest.mark.parametrize("head, outputs", [("scalar_linear", 1), ("softmax", 7)])
+    def test_only_the_softmax_head_has_a_bias(self, head, outputs):
+        # batch norm subtracts a hidden bias and every scalar loss is
+        # shift-invariant, so neither holds one; each bin keeps its own
+        net = _small_net(head=head, num_outputs=outputs)
+        names = ["W0", "gamma0", "beta0", "W1", "gamma1", "beta1", "W_out"]
+        assert list(net.params) == names + (["b_out"] if head == "softmax" else [])
+        assert list(net.running) == ["mean0", "var0", "mean1", "var1"]
+        net.forward(np.random.default_rng(0).normal(size=(5, 4)), train=True)
+        grads = net.backward(np.ones((5, outputs) if head == "softmax" else 5))
+        assert grads.keys() == net.params.keys()
 
     def test_l2_term_added_to_weight_matrices_only(self):
         l2 = 0.01
@@ -208,9 +221,10 @@ class _TwoPathNetwork(Network):
     """Reference network with a second backward path: a literal copy of
     the earlier `forward` (with its `cache_for_backward` option) and
     `backward` (with its softmax step, which the wm loss now takes, its
-    running-statistics branch and the long-form batch-norm gradient).  The
-    network must match its outputs, running statistics and dropout draws
-    bit for bit in train mode, and its gradients up to rounding."""
+    running-statistics branch and the long-form batch-norm gradient), less
+    the hidden and scalar-head biases that no loss can move.  The network
+    must match its outputs, running statistics and dropout draws bit for
+    bit in train mode, and its gradients up to rounding."""
 
     def forward(self, batch, train, cache_for_backward=None):
         X = np.asarray(batch, dtype=np.float64)
@@ -226,7 +240,7 @@ class _TwoPathNetwork(Network):
         layers = []
         a = X
         for i in range(len(self.config.hidden_dims)):
-            z = a @ p[f"W{i}"] + p[f"b{i}"]
+            z = a @ p[f"W{i}"]
             if train:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)  # population variance, matching the running stats
@@ -253,9 +267,8 @@ class _TwoPathNetwork(Network):
             )
             a = out
         logits = a @ p["W_out"]
-        logits += p["b_out"]
         if self.config.head == "softmax":
-            # in place: one n x T array instead of four
+            logits += p["b_out"]
             logits -= logits.max(axis=1, keepdims=True)
             np.exp(logits, out=logits)
             logits /= logits.sum(axis=1, keepdims=True)
@@ -288,7 +301,8 @@ class _TwoPathNetwork(Network):
                 raise ValueError("gradient shape does not match the scalar outputs")
             dlogits = grad_outputs[:, None]
         grads["W_out"] = cache["head_input"].T @ dlogits
-        grads["b_out"] = dlogits.sum(axis=0)
+        if self.config.head == "softmax":
+            grads["b_out"] = dlogits.sum(axis=0)
         da = dlogits @ p["W_out"].T
 
         for i in reversed(range(len(self.config.hidden_dims))):
@@ -309,7 +323,6 @@ class _TwoPathNetwork(Network):
             else:
                 dz = dxhat / layer["std"]
             grads[f"W{i}"] = layer["input"].T @ dz
-            grads[f"b{i}"] = dz.sum(axis=0)
             if i > 0:  # nothing consumes the gradient of the network's input
                 da = dz @ p[f"W{i}"].T
 
@@ -372,8 +385,7 @@ class TestMatchesTheTwoPathNetwork:
             got_grads, want_grads = new.backward(g_new), old.backward(g_out)
             assert got_grads.keys() == want_grads.keys()
             # the compact batch-norm gradient differs from the long form in
-            # rounding only; the hidden biases' true gradient is 0, so both
-            # give noise there, and the bound is absolute
+            # rounding only; the bound is absolute, from the largest W gradient
             tol = 1e-12 * max(np.abs(g).max() for n, g in want_grads.items() if n.startswith("W"))
             for name in want_grads:
                 assert np.max(np.abs(got_grads[name] - want_grads[name])) <= tol, name
@@ -489,8 +501,7 @@ class TestCheckpoints:
         for i, width in enumerate((7, 3)):
             limit = np.sqrt(6.0 / fan_in)
             params[f"W{i}"] = rng.uniform(-limit, limit, size=(fan_in, width))
-            params[f"b{i}"], params[f"gamma{i}"] = np.zeros(width), np.ones(width)
-            params[f"beta{i}"] = np.zeros(width)
+            params[f"gamma{i}"], params[f"beta{i}"] = np.ones(width), np.zeros(width)
             running[f"mean{i}"], running[f"var{i}"] = np.zeros(width), np.ones(width)
             fan_in = width
         params["W_out"] = rng.uniform(-np.sqrt(6.0 / fan_in), np.sqrt(6.0 / fan_in), size=(3, 4))
@@ -537,14 +548,14 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
 
-    def _write(self, path, config, arrays, tail=b""):
-        """A version-1 file written literally: magic, version, header length,
-        JSON header, then each array's float64 bytes."""
+    def _write(self, path, config, arrays, tail=b"", version=2):
+        """A file written literally: magic, version, header length, JSON
+        header, then each array's float64 bytes."""
         header = {"config": asdict(config),
                   "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays]}
         head = json.dumps(header).encode("utf-8")
         body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays)
-        path.write_bytes(b"CENSRANK" + struct.pack("<II", 1, len(head)) + head + body + tail)
+        path.write_bytes(b"CENSRANK" + struct.pack("<II", version, len(head)) + head + body + tail)
 
     def _arrays(self, net):
         return [*net.params.items(), *net.running.items()]
@@ -556,6 +567,21 @@ class TestCheckpoints:
         self._write(path, net.config, self._arrays(net))
         assert np.array_equal(load_checkpoint(str(path)).running["var0"], net.running["var0"])
 
+    @pytest.mark.parametrize("head, outputs", [("scalar_linear", 1), ("softmax", 3)])
+    def test_rejects_a_version_1_file_by_its_version(self, tmp_path, head, outputs):
+        # the earlier layout: a bias after each W{i} and after W_out, on either head
+        net = _small_net(head=head, num_outputs=outputs)
+        arrays = []
+        for name, arr in net.params.items():
+            arrays.append((name, arr))
+            if name.startswith("W") and f"b{name[1:]}" not in net.params:
+                arrays.append((f"b{name[1:]}", np.zeros(arr.shape[1])))
+        path = tmp_path / "model.ckpt"
+        self._write(path, net.config, [*arrays, *net.running.items()], version=1)
+        message = re.escape(f"{path}: unsupported checkpoint version 1")
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(str(path))
+
     def test_rejects_a_missing_array(self, tmp_path):
         net = _small_net()
         path = tmp_path / "model.ckpt"
@@ -566,17 +592,18 @@ class TestCheckpoints:
     def test_rejects_an_unknown_or_repeated_array(self, tmp_path):
         net = _small_net()
         path = tmp_path / "model.ckpt"
-        for extra in (("extra", np.zeros(3)), ("b0", net.params["b0"])):
+        for extra in (("extra", np.zeros(3)), ("b0", np.zeros(6)), ("beta0", net.params["beta0"]),
+                      ("b_out", np.zeros(1))):
             self._write(path, net.config, [*self._arrays(net), extra])
             with pytest.raises(ValueError, match="config implies"):
                 load_checkpoint(str(path))
 
     def test_rejects_a_shape_the_config_does_not_imply(self, tmp_path):
         net = _small_net()
-        arrays = [(n, a[:-1] if n == "b1" else a) for n, a in self._arrays(net)]
+        arrays = [(n, a[:-1] if n == "beta1" else a) for n, a in self._arrays(net)]
         path = tmp_path / "model.ckpt"
         self._write(path, net.config, arrays)
-        with pytest.raises(ValueError, match="'b1' has shape"):
+        with pytest.raises(ValueError, match="'beta1' has shape"):
             load_checkpoint(str(path))
 
     def test_rejects_a_malformed_header(self, tmp_path):
@@ -603,6 +630,27 @@ class TestCheckpoints:
             path.write_bytes(whole[:cut])
             with pytest.raises(ValueError):
                 load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("head, outputs", [("scalar_linear", 1), ("softmax", 5)])
+    def test_every_truncation_is_rejected_naming_the_file(self, tmp_path, head, outputs):
+        net = _small_net(seed=18, head=head, num_outputs=outputs)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(net, str(path))
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+                load_checkpoint(str(path))
+            assert type(err.value) is ValueError, (cut, err.value)
+
+    @pytest.mark.parametrize("head", [b"\xff\xfe{}", b'{"config": {', b"[]", b"null"])
+    def test_a_header_that_is_not_utf8_json_is_rejected_naming_the_file(self, tmp_path, head):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"CENSRANK" + struct.pack("<II", 2, len(head)) + head)
+        message = re.escape(f"{path}: the header is not a JSON object")
+        with pytest.raises(ValueError, match=message) as err:
+            load_checkpoint(str(path))
+        assert type(err.value) is ValueError
 
     @pytest.mark.parametrize("name, value", [("W_out", np.nan), ("var0", np.inf)])
     def test_rejects_a_non_finite_array_by_name(self, tmp_path, name, value):

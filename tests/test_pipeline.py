@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -93,6 +94,20 @@ class TestSchema:
     def test_a_column_built_in_code_is_checked(self, missing):
         with pytest.raises(ValueError, match="column 'e': 'missing' must be a list of strings"):
             ColumnSpec("e", "event_indicator", missing=missing)
+
+    @pytest.mark.parametrize("columns", [
+        ("days",), [ColumnSpec("days", "time"), {"name": "dead"}], None, "days",
+        (ColumnSpec("days", "time"), ColumnSpec("dead", "event_indicator"), ["age"]),
+    ])
+    def test_schema_columns_built_in_code_are_checked(self, columns):
+        message = re.escape(f"'columns' must be a tuple of ColumnSpec, got {columns!r}")
+        with pytest.raises(ValueError, match=message):
+            DatasetSchema(columns=columns)
+
+    @pytest.mark.parametrize("name", [1, None, ("days",), b"days"])
+    def test_a_column_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match="a column name must be a string"):
+            ColumnSpec(name, "time")
 
     def test_lists_given_in_code_are_kept_as_tuples(self):
         schema = _toy_schema(event_true=["yes", "1"], event_false=[])
@@ -640,6 +655,8 @@ def _reference_load(path, schema, on_bad_rows):
         for c, m in zip(cells, is_missing):
             try:
                 values.append(0.0 if m else float(c))
+                if not math.isfinite(values[-1]):
+                    raise ValueError
             except ValueError:
                 return f"{path}: column {spec.name!r}: unparseable numeric value {c!r}"
         columns[spec.name] = (values, is_missing, None, missing_cells)
@@ -746,6 +763,123 @@ class TestLoadCsvMatchesAPerCellReference:
                 ("padded", " \n" in text or "  " in text)) if present}
         assert outcomes >= {"error: rows", "error: column", "error: loaded", "drop: column",
                             "drop: loaded with drops", "multiline", "quoted delimiter", "padded"}
+
+
+_FUZZ_KINDS = ("spread", "constant", "all missing", "levels", "one level", "rare levels")
+
+
+def _fuzz_table(tmp_path, seed):
+    """A random file for `preprocess`: feature columns of every degenerate
+    kind in `_FUZZ_KINDS`, missing cells under several tokens, levels some
+    rows of which a training subset will not see, and (sometimes) one
+    unparseable numeric cell.  Returns the path, the schema, each column's
+    kind and the name of the column whose cell does not parse (or None)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    kinds = [str(k) for k in rng.choice(_FUZZ_KINDS, int(rng.integers(1, 7)))]
+    specs = [ColumnSpec(f"c{k}", "continuous" if kind in _FUZZ_KINDS[:3] else "categorical",
+                        ("", "NA", "?")) for k, kind in enumerate(kinds)]
+    schema = DatasetSchema(columns=(*specs, ColumnSpec("t", "time"),
+                                    ColumnSpec("e", "event_indicator")))
+    p_missing = float(rng.choice([0.0, 0.1, 0.5]))
+    cells = []
+    for kind in kinds:
+        column = {"spread": [repr(float(v)) for v in rng.normal(0, 50, n)],
+                  "constant": ["4.25"] * n, "all missing": ["NA"] * n,
+                  "levels": [f"L{v}" for v in rng.integers(0, 4, n)], "one level": ["only"] * n,
+                  "rare levels": [f"r{v}" for v in rng.integers(0, n, n)]}[kind]
+        column = [str(rng.choice(["", "NA", "?"])) if rng.random() < p_missing else c
+                  for c in column]
+        cells.append(column)
+    bad = None
+    numeric = [k for k, kind in enumerate(kinds) if kind in _FUZZ_KINDS[:3]]
+    if numeric and rng.random() < 0.25:
+        k = int(rng.choice(numeric))
+        cells[k][int(rng.integers(n))] = str(rng.choice(["abc", "1,5", "nan", "-inf"]))
+        bad = f"c{k}"
+    cells += [[str(v) for v in rng.integers(0, 30, n)], [str(v) for v in rng.integers(0, 2, n)]]
+    path = tmp_path / f"fuzz-{seed}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [[spec.name for spec in schema.columns], *zip(*cells)])
+    return str(path), schema, kinds, bad
+
+
+def _fuzz_rows(n, seed):
+    """(sorted training rows, every row in a random order) of an n-row table."""
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False)), rng.permutation(n)
+
+
+def _untrained_categorical(table, train):
+    """The categorical columns that hold no level in the training rows."""
+    return [spec.name for spec in table.schema.feature_columns if spec.kind == "categorical"
+            and table.columns[spec.name].is_missing[train].all()]
+
+
+class TestPreprocessFuzz:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_tables_encode_within_their_invariants(self, tmp_path, seed):
+        path, schema, kinds, bad = _fuzz_table(tmp_path, seed)
+        if bad is not None:
+            with pytest.raises(CsvParseError, match=f"column '{bad}': unparseable numeric"):
+                load_csv(path, schema)
+            return
+        table = load_csv(path, schema)
+        train, rows = _fuzz_rows(len(table), seed)
+        untrained = _untrained_categorical(table, train)
+        if untrained:
+            with pytest.raises(ValueError, match=f"column '{untrained[0]}': no levels"):
+                preprocess(table, rows=train)
+            return
+        stats = preprocess(table, rows=train).stats
+        result = preprocess(table, stats, rows=rows)  # every row, unseen levels included
+        features, names = result.features, result.feature_names
+        assert np.all(np.isfinite(features))
+        assert features.shape == (len(rows), len(names))
+        j = 0
+        for spec in schema.feature_columns:
+            column = table.columns[spec.name]
+            if spec.kind == "continuous":
+                assert names[j] == spec.name
+                j += 1
+            else:
+                width = len(stats.categorical[spec.name])
+                assert names[j:j + width] == tuple(
+                    f"{spec.name}={level}" for level in stats.categorical[spec.name])
+                block = features[:, j:j + width]
+                assert np.all((block == 0.0) | (block == 1.0))
+                assert np.all(block.sum(axis=1) <= 1.0)
+                assert not block[column.is_missing[rows]].any()
+                j += width
+            if stats.has_missing[spec.name]:
+                assert names[j] == f"{spec.name}__missing"
+                assert np.array_equal(features[:, j], column.is_missing[rows])
+                j += 1
+        assert j == len(names)
+
+    def test_the_seeds_cover_every_case(self, tmp_path):
+        outcomes, kinds_seen = set(), set()
+        for seed in range(60):
+            path, schema, kinds, bad = _fuzz_table(tmp_path, seed)
+            kinds_seen.update(kinds)
+            if bad is not None:
+                outcomes.add("unparseable")
+                continue
+            table = load_csv(path, schema)
+            train, _ = _fuzz_rows(len(table), seed)
+            if _untrained_categorical(table, train):
+                outcomes.add("no training level")
+                continue
+            for spec in schema.feature_columns:
+                column = table.columns[spec.name]
+                if column.is_missing.any():
+                    outcomes.add("missing cells")
+                if spec.kind == "categorical" and not set(column.values[~column.is_missing]) \
+                        <= set(column.values[train][~column.is_missing[train]]):
+                    outcomes.add("unseen levels")
+        assert kinds_seen == set(_FUZZ_KINDS)
+        assert outcomes == {"unparseable", "no training level", "missing cells", "unseen levels"}
 
 
 def _wide_table(tmp_path, n=4000):
