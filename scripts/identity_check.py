@@ -15,7 +15,11 @@ pinned to one thread:
   `evaluate --checkpoint --on-bad-rows drop`, so the CSV loader's parse,
   its dropped rows and its feature columns are compared end to end;
 - on a `censrank synth` table, `ablate-censoring` and a wm
-  `sweep-censoring`, each at `--n-jobs 1` and `--n-jobs 2`.
+  `sweep-censoring`, each at `--n-jobs 1` and `--n-jobs 2`;
+- on a 90%-censored `censrank synth` table, one `cv` per loss at
+  `--batch-size 8`, plus wm scored by its median bin with global
+  Kaplan-Meier imputation, so batches with no event or no acceptable pair
+  are skipped.
 
 Each command runs in its side's own output directory and writes its files
 there under the same relative names, and its exit code and stdout are kept
@@ -37,11 +41,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "scripts"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.dont_write_bytecode = True  # no bytecode cache next to the modules below
 
 import bench_ab  # noqa: E402
 import tablegen  # noqa: E402
 import workloads  # noqa: E402
+from censrank.harness import LOSSES  # noqa: E402
 
 BENCH_SEED = 17
 SCHEMA = os.path.join(ROOT, "data", "support2.schema.json")
@@ -103,6 +109,22 @@ def synth_commands(grid, n=500):
     return commands
 
 
+def skip_commands(grid, n=400):
+    """(label, argv) of a synth table of `n` rows, 90% censored, and a `cv` of
+    every loss on it in batches of 8 with the two-point grid file `grid`."""
+    data = ["--dataset", "censored.csv", "--schema", "censored.schema.json"]
+    knobs = ["--bin-width", "5", "--k", "3", "--epochs", "3", "--patience", "3",
+             "--batch-size", "8", "--hidden-dims", "16", "--grid", grid, "--seed", "3"]
+    runs = [(loss, ["--loss", loss]) for loss in LOSSES]
+    runs.append(("wm-median-global", ["--loss", "wm", "--wm-score", "median",
+                                      "--km-impute", "global"]))
+    return [("synth-censored", ["synth", "--n", str(n), "--censor-fraction", "0.9",
+                                "--seed", "3", "--out", "censored"])] + [
+        (f"skip-cv-{name}", ["cv", *data, *options, *knobs, "--out", f"skip-cv-{name}.csv"])
+        for name, options in runs
+    ]
+
+
 def run_commands(root, out, commands):
     """Run each (label, argv) with the censrank under `root`/src, in `out`,
     keeping its exit code and stdout in `out`/<label>.stdout; returns the
@@ -151,7 +173,7 @@ def main(argv=None):
         inputs = os.path.join(tmp, "inputs")
         commands = bench_commands(inputs)
         grid = os.path.join(inputs, "grid.json")
-        commands += synth_commands(grid)
+        commands += synth_commands(grid) + skip_commands(grid)
         roots = {"parent": tree, "change": ROOT}
         failed = [label for side in bench_ab.SIDES
                   for label in run_commands(roots[side], os.path.join(tmp, side), commands)]

@@ -181,10 +181,10 @@ def _cmd_km(args):
 
 def _cmd_train(args):
     table = _load_table(args)
+    run = replace(_template_from(args, args.loss), learning_rate=args.learning_rate, l2=args.l2)
     split = harness.cv_splits(len(table), args.k, args.val_fraction, args.seed)[0]
     (train, val, test), (feature_names, stats) = harness.fold_encoder(table, args.bin_width)(split)
     del table  # the encoded fold replaces its parsed columns before training
-    run = replace(_template_from(args, args.loss), learning_rate=args.learning_rate, l2=args.l2)
     net, history = harness.train_model(run, train, val)
     test_c = c_index(test, harness.predict_scores(run, net, test.features))
     save_checkpoint(net, args.checkpoint)

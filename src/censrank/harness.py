@@ -13,14 +13,19 @@ is encoded once, just before its first job.  With n_jobs > 1 that list
 runs in a single process pool; each (cell, fold) is reduced in job order
 as soon as its grid points are in, so serial and parallel runs emit
 identical reports.
+
+Each loss name is one entry of the `_FAMILIES` table (network head, score
+map, per-batch loss), so `train_model` has no per-loss branch and adding a
+loss means adding one entry.
 """
 
 import json
 import math
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 from zlib import crc32
 
@@ -59,13 +64,8 @@ __all__ = [
     "emit_report",
 ]
 
-LOSSES = ("cox", "cox-efron", "rank-sigmoid", "rank-logsigmoid", "rank-hinge", "rank-exp", "wm")
 CENSORING_MODES = ("with_censored", "no_censored", "death_at_censoring")
 DEFAULT_GRID = tuple((lr, l2) for lr in (1e-2, 1e-3, 1e-4) for l2 in (0.0, 1e-4, 1e-3, 1e-2))
-
-_RANK_KINDS = {"rank-sigmoid": "sigmoid", "rank-logsigmoid": "log_sigmoid",
-               "rank-hinge": "hinge", "rank-exp": "exponential"}
-_COX_TIES = {"cox": "breslow", "cox-efron": "efron"}
 
 
 def derived_seed(master, *parts):
@@ -113,60 +113,120 @@ class TrainRun:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
-        if not (self.wm_l >= 1):  # also rejects NaN
-            raise ValueError(f"wm_l must be >= 1, got {self.wm_l}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (1 <= self.wm_l < math.inf):  # also rejects NaN
+            raise ValueError(f"wm_l must be >= 1 and finite, got {self.wm_l}")
         if not (self.hinge_clip is None or self.hinge_clip > 0):
             raise ValueError(f"hinge_clip must be positive or None, got {self.hinge_clip}")
-        if not (self.wm_smoothing > 0):  # also rejects NaN
-            raise ValueError(f"wm_smoothing must be positive, got {self.wm_smoothing}")
+        if not (0 < self.wm_smoothing < math.inf):  # also rejects NaN
+            raise ValueError(f"wm_smoothing must be positive and finite, got {self.wm_smoothing}")
         # the network's own checks of the widths, dropout and l2, before any fold is built
         NetworkConfig(input_dim=1, hidden_dims=self.hidden_dims, dropout_rate=self.dropout,
                       l2_coefficient=self.l2)
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
-def _head_for(loss):
-    """The network head a loss trains: a pmf over the bins for wm, else one score."""
-    return "softmax" if loss == "wm" else "scalar_linear"
+def _pmf_scores(run, outputs, cdf_out):
+    if run.wm_score == "median":
+        cdf = np.cumsum(outputs, axis=1, out=cdf_out)
+        return np.argmax(cdf >= 0.5, axis=1).astype(np.float64)
+    return outputs @ np.arange(outputs.shape[1], dtype=np.float64)
+
+
+def _cox_batches(ties, run, train):
+    if not train.observed.any():
+        raise UndefinedMetricError(f"{run.loss}: the training set has no observed events")
+
+    def batch(idx):
+        bins, observed = train.bins[idx], train.observed[idx]
+        events = int(observed.sum())
+        if events == 0:
+            return None
+
+        # per-event scaling keeps the learning-rate grid comparable
+        # across batch compositions; the optimum is unchanged
+        def loss(out):
+            value, grad_out = cox_nll_with_grad(out, bins, observed, ties)
+            return value / events, grad_out / events
+
+        return loss
+
+    return batch
+
+
+def _rank_batches(kind, run, train):
+    event_bins = train.bins[train.observed]
+    if event_bins.size == 0 or event_bins.min() >= train.bins.max():
+        raise UndefinedMetricError(f"{run.loss}: the training set admits no acceptable pairs")
+
+    def batch(idx):
+        i, j = _enumerate_pairs(train.bins[idx], train.observed[idx])
+        if len(i) == 0:
+            return None
+        pairs = AcceptablePairSet(i=i, j=j, num_records=len(idx))
+        return lambda out: ranking_loss_with_grad(out, pairs, kind, run.rank_sign, run.hinge_clip)
+
+    return batch
+
+
+def _wm_batches(run, train):
+    km, weights = kaplan_meier(train), bin_weights(train, run.wm_smoothing)
+    return lambda idx: lambda pmf: (_wm_step(run, train, km, weights, idx, pmf), pmf)
+
+
+def _wm_step(run: TrainRun, train: Dataset, km, weights, idx, pmf):
+    """The wm loss of the batch `train[idx]` with pmf `pmf`, in row blocks of at most
+    `_SCORE_BLOCK_BYTES` of outputs; d(loss)/d(logits) is written over `pmf`.  The step
+    holds two (block, T) scratch arrays, the first taking each block's targets."""
+    block = max(1, _SCORE_BLOCK_BYTES // (8 * pmf.shape[1]))
+    work = tuple(np.empty((min(block, len(idx)), pmf.shape[1])) for _ in range(2))
+    value = 0.0
+    for start in range(0, len(idx), block):
+        rows = slice(start, start + block)
+        targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx[rows], out=work[0])
+        value += wm_batch_with_grad(pmf[rows], targets, weights, run.wm_l, work=work,
+                                    out=pmf[rows], batch_size=len(idx))[0]
+    return value
+
+
+# A family's network head, its map from outputs to C-index scores (see `eval_scores`), and
+# `batches(run, train)`: it raises UndefinedMetricError if the training set has no signal,
+# else returns a function of one batch's row indices that, before the forward, gives None
+# to skip the batch or a `loss(outputs) -> (value, d(value)/d(outputs))`.
+_Family = namedtuple("_Family", "head scores batches")
+_COX = ("scalar_linear", lambda run, outputs, cdf_out: -outputs)  # outputs rank hazard
+_RANK = ("scalar_linear", lambda run, outputs, cdf_out: outputs)
+_FAMILIES = {
+    "cox": _Family(*_COX, partial(_cox_batches, "breslow")),
+    "cox-efron": _Family(*_COX, partial(_cox_batches, "efron")),
+    "rank-sigmoid": _Family(*_RANK, partial(_rank_batches, "sigmoid")),
+    "rank-logsigmoid": _Family(*_RANK, partial(_rank_batches, "log_sigmoid")),
+    "rank-hinge": _Family(*_RANK, partial(_rank_batches, "hinge")),
+    "rank-exp": _Family(*_RANK, partial(_rank_batches, "exponential")),
+    "wm": _Family("softmax", _pmf_scores, _wm_batches),  # a pmf over the grid's bins
+}
+LOSSES = tuple(_FAMILIES)
 
 
 def _network_for(run: TrainRun, train: Dataset) -> Network:
-    head = _head_for(run.loss)
-    return Network(
-        NetworkConfig(
-            input_dim=train.n_features,
-            hidden_dims=run.hidden_dims,
-            head=head,
-            num_outputs=train.grid.num_bins if head == "softmax" else 1,
-            dropout_rate=run.dropout,
-            l2_coefficient=run.l2,
-            seed=derived_seed(run.seed, "init"),
-        )
-    )
+    head = _FAMILIES[run.loss].head
+    return Network(NetworkConfig(
+        input_dim=train.n_features, hidden_dims=run.hidden_dims, head=head,
+        num_outputs=train.grid.num_bins if head == "softmax" else 1, dropout_rate=run.dropout,
+        l2_coefficient=run.l2, seed=derived_seed(run.seed, "init")))
 
 
-def eval_scores(run: TrainRun, outputs):
+def eval_scores(run: TrainRun, outputs, cdf_out=None):
     """Map network outputs to C-index scores (higher = later event).
 
     Cox outputs rank hazard, so they are negated; ranking outputs are used
     raw; a pmf head scores by its expected bin index (or the median bin).
     Each row's score depends on that row alone, so `predict_scores` can
-    apply it block by block.  `outputs` is never written to.
+    apply it block by block.  `outputs` is never written to unless it is
+    also `cdf_out`, where a median score writes the running CDF.
     """
-    return _eval_scores(run, outputs, cdf_out=None)
-
-
-def _eval_scores(run: TrainRun, outputs, cdf_out):  # a median writes the CDF into cdf_out
-    if run.loss in _COX_TIES:
-        return -outputs
-    if run.loss in _RANK_KINDS:
-        return outputs
-    if run.wm_score == "median":
-        cdf = np.cumsum(outputs, axis=1, out=cdf_out)
-        return np.argmax(cdf >= 0.5, axis=1).astype(np.float64)
-    return outputs @ np.arange(outputs.shape[1], dtype=np.float64)
+    return _FAMILIES[run.loss].scores(run, outputs, cdf_out)
 
 
 # Output bytes one scoring forward, or one block of the wm loss, may hold: 64 rows of a
@@ -190,8 +250,9 @@ def predict_scores(run: TrainRun, net: Network, features):
     `run.loss` trains, and TrainingDivergedError if any block's outputs are
     not finite.
     """
-    if net.config.head != _head_for(run.loss):
-        raise ValueError(f"loss {run.loss!r} scores a {_head_for(run.loss)!r} head, "
+    head = _FAMILIES[run.loss].head
+    if net.config.head != head:
+        raise ValueError(f"loss {run.loss!r} scores a {head!r} head, "
                          f"but the network has a {net.config.head!r} head")
     block = max(1, _SCORE_BLOCK_BYTES // (8 * net.config.num_outputs))
     scores = np.empty(len(features))
@@ -202,32 +263,9 @@ def predict_scores(run: TrainRun, net: Network, features):
             raise TrainingDivergedError(
                 f"non-finite network outputs in rows {start} to {start + len(out) - 1}"
             )
-        scores[start : start + block] = _eval_scores(run, out, cdf_out=out)  # ours to overwrite
+        scores[start : start + block] = eval_scores(run, out, cdf_out=out)  # ours to overwrite
         del out  # so the next block's forward runs with no other block alive
     return scores
-
-
-def _check_trainable(run: TrainRun, train: Dataset):
-    # Degenerate training signals (e.g. a fully censored training fold)
-    # must raise, not silently train on nothing.
-    if run.loss in _COX_TIES and not train.observed.any():
-        raise UndefinedMetricError(f"{run.loss}: the training set has no observed events")
-    if run.loss in _RANK_KINDS:
-        obs_bins = train.bins[train.observed]
-        if obs_bins.size == 0 or obs_bins.min() >= train.bins.max():
-            raise UndefinedMetricError(f"{run.loss}: the training set admits no acceptable pairs")
-
-
-def _wm_step(run: TrainRun, train: Dataset, km, weights, idx, pmf, work):
-    """The wm loss of the batch `train[idx]` with pmf `pmf`, in blocks of len(work[0])
-    rows whose targets go into work[0]; d(loss)/d(logits) is written over `pmf`."""
-    value, block = 0.0, len(work[0])
-    for start in range(0, len(idx), block):
-        rows = slice(start, start + block)
-        targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx[rows], out=work[0])
-        value += wm_batch_with_grad(pmf[rows], targets, weights, run.wm_l, work=work,
-                                    out=pmf[rows], batch_size=len(idx))[0]
-    return value
 
 
 def train_model(run: TrainRun, train: Dataset, val: Dataset):
@@ -245,24 +283,12 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     val_event_times = val.times[val.observed]
     if val_event_times.size == 0 or val_event_times.min() >= val.times.max():
         raise UndefinedMetricError("validation set has no acceptable pairs")
-    _check_trainable(run, train)
+    batch_loss = _FAMILIES[run.loss].batches(run, train)
 
     net = _network_for(run, train)
     adam = Adam(run.learning_rate)
     batch_rng = np.random.default_rng(derived_seed(run.seed, "batches"))
     n = len(train)
-
-    tie_method = _COX_TIES.get(run.loss)
-    rank_kind = _RANK_KINDS.get(run.loss)
-    if run.loss == "wm":
-        km = kaplan_meier(train)
-        weights = bin_weights(train, run.wm_smoothing)
-        # the loss's two (block, T) scratch arrays, released while validating; the
-        # batch's pmf, which becomes its logit gradient, is its one (batch, T) array
-        block = max(1, _SCORE_BLOCK_BYTES // (8 * train.grid.num_bins))
-        shape = (min(run.batch_size, n, block), train.grid.num_bins)
-    else:
-        train_bins = train.bins
 
     history = {"train_loss": [], "val_c_index": []}
     best_c = -np.inf
@@ -271,57 +297,29 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
     since_best = 0
     epoch = 0
     for epoch in range(1, run.max_epochs + 1):
-        if run.loss == "wm":
-            wm_work = (np.empty(shape), np.empty(shape))
         perm = batch_rng.permutation(n)
         batch_losses = []
         for start in range(0, n, run.batch_size):
             idx = perm[start : start + run.batch_size]
-            if len(idx) < 2:  # batch norm cannot standardize a single row
+            # batch norm cannot standardize a single row; a batch is skipped before its
+            # forward, so the dropout stream sees only the batches that train
+            if len(idx) < 2 or (loss := batch_loss(idx)) is None:
                 continue
-            if run.loss != "wm":
-                batch_bins, batch_observed = train_bins[idx], train.observed[idx]
-            if tie_method is not None and not batch_observed.any():
-                continue
-            if rank_kind is not None:
-                bi, bj = _enumerate_pairs(batch_bins, batch_observed)
-                if len(bi) == 0:
-                    continue
-                batch_pairs = AcceptablePairSet(i=bi, j=bj, num_records=len(idx))
             out = net.forward(train.features[idx], train=True)
             if not _finite(out):
                 raise TrainingDivergedError("non-finite network outputs", epoch=epoch)
-            if tie_method is not None:
-                value, grad_out = cox_nll_with_grad(
-                    out, batch_bins, batch_observed, tie_method
-                )
-                events = int(batch_observed.sum())
-                # per-event scaling keeps the learning-rate grid comparable
-                # across batch compositions; the optimum is unchanged
-                value /= events
-                grad_out = grad_out / events
-            elif rank_kind is not None:
-                value, grad_out = ranking_loss_with_grad(
-                    out, batch_pairs, rank_kind, run.rank_sign, run.hinge_clip
-                )
-            else:
-                value, grad_out = _wm_step(run, train, km, weights, idx, out, wm_work), out
+            value, grad_out = loss(out)
             if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite training loss {value!r}", epoch=epoch
-                )
+                raise TrainingDivergedError(f"non-finite training loss {value!r}", epoch=epoch)
             try:
                 adam.step(net.params, net.backward(grad_out))
             except TrainingDivergedError as err:
                 raise TrainingDivergedError(str(err), epoch=epoch) from None
             del out, grad_out  # so the next forward runs with no other batch's outputs alive
             batch_losses.append(value)
-        history["train_loss"].append(
-            float(np.mean(batch_losses)) if batch_losses else float("nan")
-        )
+        history["train_loss"].append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
         # nothing T-wide outlives the epoch: validation scores with no batch's
-        # scratch, outputs or train cache alive
-        wm_work = None
+        # outputs or train cache alive
         net.release_cache()
         try:
             val_scores = predict_scores(run, net, val.features)

@@ -68,8 +68,8 @@ class NetworkConfig:
             raise ValueError("the scalar head has exactly one output")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if not (self.l2_coefficient >= 0):  # also rejects NaN
-            raise ValueError(f"l2_coefficient must be >= 0, got {self.l2_coefficient}")
+        if not (0 <= self.l2_coefficient < np.inf):  # also rejects NaN
+            raise ValueError(f"l2_coefficient must be >= 0 and finite, got {self.l2_coefficient}")
 
 
 def _he_uniform(rng, fan_in, fan_out):

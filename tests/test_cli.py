@@ -396,6 +396,23 @@ def test_train_rejects_a_zero_width_hidden_layer(capsys, toy, tmp_path):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("option, named", [
+    ("--learning-rate", "learning_rate"), ("--l2", "l2_coefficient"),
+])
+def test_train_rejects_an_infinite_rate_or_penalty(capsys, toy, tmp_path, monkeypatch, option,
+                                                   named):
+    encoded = []
+    monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
+    code, err = _error_line(capsys, [
+        "train", *data_args(toy), "--loss", "wm", "--bin-width", "5", *KNOBS, option, "inf",
+        "--checkpoint", str(tmp_path / "m.bin"),
+    ])
+    assert code == 2
+    assert err["error"] == "ValueError" and named in err["message"]
+    assert not (tmp_path / "m.bin").exists()
+    assert encoded == []  # rejected before the fold is encoded
+
+
 def _with_config(checkpoint, tmp_path, edit):
     """A copy of the checkpoint (and its sidecar) whose header config
     `edit` has changed."""
@@ -499,6 +516,8 @@ def test_no_eval_forward_holds_more_than_the_scoring_budget(capsys, toy, tmp_pat
     ("--wm-smoothing", "0", "wm_smoothing"),
     ("--hidden-dims", "0", "hidden width must be >= 1"),
     ("--wm-l", "nan", "wm_l"),
+    ("--wm-l", "inf", "wm_l"),
+    ("--wm-smoothing", "inf", "wm_smoothing"),
     ("--hinge-clip", "nan", "hinge_clip"),
     ("--hinge-clip", "-1", "hinge_clip"),
     ("--n-jobs", "0", "n_jobs"),

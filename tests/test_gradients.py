@@ -126,9 +126,11 @@ def _check_one(name, seed):
     X = data.features
     outputs = net.forward(X, train=True)
     if name == "rank-hinge" and _margins_near_hinge_kinks(outputs, pairs):
-        return None  # resampled by the caller
+        return None  # not counted as checked by the caller
     value, out_grad = _loss_and_outgrad(name, outputs, data, pairs, targets, weights)
     assert np.isfinite(value)
+    if not np.any(out_grad):
+        return None  # every gradient is exactly zero, so the case checks nothing
     analytic = net.backward(out_grad)
 
     def f():

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -106,6 +107,10 @@ class TestTrainRunValidation:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainRun(loss="wm", learning_rate=0.0)
 
+    def test_infinite_learning_rate(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainRun(loss="wm", learning_rate=float("inf"))
+
     def test_negative_l2(self):
         with pytest.raises(ValueError, match="l2"):
             TrainRun(loss="wm", l2=-1e-4)
@@ -114,12 +119,16 @@ class TestTrainRunValidation:
         with pytest.raises(ValueError, match="l2"):
             TrainRun(loss="wm", l2=float("nan"))
 
+    def test_infinite_l2(self):
+        with pytest.raises(ValueError, match="l2_coefficient"):
+            TrainRun(loss="wm", l2=float("inf"))
+
     def test_bad_wm_score(self):
         with pytest.raises(ValueError, match="wm_score"):
             TrainRun(loss="wm", wm_score="mode")
 
     def test_wm_exponent_below_one_or_nan(self):
-        for l in (0.5, float("nan")):
+        for l in (0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="wm_l"):
                 TrainRun(loss="wm", wm_l=l)
 
@@ -139,6 +148,7 @@ class TestTrainRunValidation:
         ("hidden_dims", (), "at least one hidden layer"),
         ("wm_smoothing", 0.0, "wm_smoothing"),
         ("wm_smoothing", float("nan"), "wm_smoothing"),
+        ("wm_smoothing", float("inf"), "wm_smoothing"),
         ("km_impute", "bogus", "unknown km_impute 'bogus'"),
         ("rank_sign", "bogus", "unknown rank_sign 'bogus'"),
     ])
@@ -299,8 +309,6 @@ class TestWmStep:
         targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx)
         want_value, want = _whole_batch_reference(pmf, targets, weights, l)
 
-        rows = min(batch, harness._SCORE_BLOCK_BYTES // (8 * bins))
-        work = (np.full((rows, bins), np.nan), np.full((rows, bins), np.nan))
         loss, seen = harness.wm_batch_with_grad, []
 
         def spy(pmf_rows, *args, **kwargs):
@@ -309,7 +317,7 @@ class TestWmStep:
 
         monkeypatch.setattr(harness, "wm_batch_with_grad", spy)
         got = pmf.copy()
-        value = harness._wm_step(run, train, km, weights, idx, got, work)
+        value = harness._wm_step(run, train, km, weights, idx, got)
         assert seen == blocks
         assert np.array_equal(got, want)
         # the value is summed block by block, so only its last bits may move
@@ -385,8 +393,9 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         assert alive == [0, 0]  # one validation per epoch
-        # measured: 3.98 arrays' worth; 4.85 when the previous pmf outlives the
-        # next forward's logits, 5.85 with three scratch arrays kept throughout
+        # measured: 3.85 arrays' worth (3.98 with the scratch arrays kept per epoch);
+        # 4.85 when the previous pmf outlives the next forward's logits, 5.85 with
+        # three scratch arrays kept throughout
         assert peak < 4.5 * wide
 
     def test_a_wm_step_holds_one_batch_wide_array(self, monkeypatch):
@@ -417,7 +426,7 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         assert alive == [1] * 8  # the pmf alone, in each of 4 blocks of 2 batches
-        # measured: 1.71 arrays' worth (the pmf and two (64, T) scratch arrays);
+        # measured: 1.66 arrays' worth (the pmf and two (64, T) scratch arrays);
         # 3.26, and 3 such arrays alive in the loss, with (batch, T) scratch
         assert peak < 2 * wide
 
@@ -477,6 +486,45 @@ class TestTrainModel:
         run = TrainRun(loss=loss, seed=3, **{**FAST, "max_epochs": 40, "patience": 8})
         _, history = train_model(run, train, val)
         assert history["best_val_c_index"] > 0.9
+
+    @pytest.mark.parametrize("loss", harness.LOSSES)
+    def test_a_batch_trains_only_when_its_loss_has_a_signal(self, monkeypatch, loss):
+        # 45 training rows with 5 events in batches of 4: many batches hold no event or
+        # no acceptable pair, and the last holds one row
+        rng = np.random.default_rng(31)
+        n, m = 45, 20
+        observed = np.concatenate([np.isin(np.arange(n), rng.choice(n, 5, replace=False)),
+                                   rng.random(m) < 0.7])
+        data = make_dataset(rng.uniform(0.0, 20.0, size=n + m), observed)
+        train, val = data.subset(np.arange(n)), data.subset(np.arange(n, n + m))
+        run = TrainRun(loss=loss, hidden_dims=(4,), dropout=0.0, batch_size=4, max_epochs=3,
+                       patience=3, seed=7)
+
+        def signal(rows):  # what each family's loss needs, counted literally
+            if loss.startswith("cox"):
+                return any(train.observed[i] for i in rows)
+            if loss.startswith("rank"):
+                return any(train.observed[i] and train.bins[j] > train.bins[i]
+                           for i in rows for j in rows)
+            return True
+
+        batch_rng, want = np.random.default_rng(derived_seed(run.seed, "batches")), []
+        for _ in range(run.max_epochs):
+            perm = batch_rng.permutation(n)
+            batches = [perm[start : start + 4] for start in range(0, n, 4)]
+            want.append(sum(len(rows) >= 2 and signal(rows) for rows in batches))
+        assert want == {"cox": [5, 4, 5], "rank": [2, 3, 2], "wm": [11, 11, 11]}[loss.split("-")[0]]
+
+        forward, modes = Network.forward, []
+
+        def spy(self, batch, train, *args, **kwargs):
+            modes.append(train)
+            return forward(self, batch, train, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward", spy)
+        train_model(run, train, val)
+        # each epoch's train-mode forwards, then its validation's eval-mode one
+        assert [len(list(group)) for mode, group in itertools.groupby(modes) if mode] == want
 
     def test_tiny_training_set_rejected(self, fold):
         _, val, _ = fold

@@ -1,6 +1,7 @@
 """`scripts/identity_check.py` finds the working tree's outputs byte-equal
 to HEAD's on a tiny synth table, names an output that differs, and writes
-a corrupted table copy whose bad rows follow a multi-line cell."""
+a corrupted table copy whose bad rows follow a multi-line cell; its
+small-batch commands cv every loss."""
 
 import importlib.util
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from censrank import pipeline
+from censrank.harness import LOSSES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "identity_check.py"
@@ -74,3 +76,13 @@ def test_the_corrupted_copy_has_bad_rows_past_a_multiline_cell(identity_check, t
     table = pipeline.load_csv(str(dest), schema, on_bad_rows="drop")
     assert table.dropped_rows == (12, 22, 32) and len(table) == 37
     assert table.columns["sex"].vocabulary == ("fe\nmale", "female", "male")
+
+
+def test_the_skip_commands_train_every_loss_in_small_batches(identity_check):
+    commands = dict(identity_check.skip_commands("grid.json"))
+    synth = commands.pop("synth-censored")
+    assert synth[synth.index("--censor-fraction") + 1] == "0.9"
+    assert sorted(commands) == sorted([f"skip-cv-{loss}" for loss in LOSSES]
+                                      + ["skip-cv-wm-median-global"])
+    for argv in commands.values():
+        assert argv[0] == "cv" and argv[argv.index("--batch-size") + 1] == "8"

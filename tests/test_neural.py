@@ -58,6 +58,10 @@ class TestNetworkConfig:
         with pytest.raises(ValueError, match="l2_coefficient"):
             NetworkConfig(input_dim=3, l2_coefficient=float("nan"))
 
+    def test_rejects_infinite_l2(self):
+        with pytest.raises(ValueError, match="l2_coefficient"):
+            NetworkConfig(input_dim=3, l2_coefficient=float("inf"))
+
 
 class TestForward:
     def test_zero_network_maps_to_zero(self):
