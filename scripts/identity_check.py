@@ -17,9 +17,10 @@ pinned to one thread:
 - on a `censrank synth` table, `ablate-censoring` and a wm
   `sweep-censoring`, each at `--n-jobs 1` and `--n-jobs 2`;
 - on a 90%-censored `censrank synth` table, one `cv` per loss at
-  `--batch-size 8`, plus wm scored by its median bin with global
-  Kaplan-Meier imputation, so batches with no event or no acceptable pair
-  are skipped.
+  `--batch-size 8`, so batches with no event or no acceptable pair are
+  skipped, plus wm scored by its median bin with global Kaplan-Meier
+  imputation, wm at `--wm-l 1` and at `--wm-l 2` (each exponent branch
+  of the loss), and rank-hinge with no ceiling.
 
 Each command runs in its side's own output directory and writes its files
 there under the same relative names, and its exit code and stdout are kept
@@ -111,13 +112,18 @@ def synth_commands(grid, n=500):
 
 def skip_commands(grid, n=400):
     """(label, argv) of a synth table of `n` rows, 90% censored, and a `cv` of
-    every loss on it in batches of 8 with the two-point grid file `grid`."""
+    every loss, and of the loss options that take their own code path, on it
+    in batches of 8 with the two-point grid file `grid`."""
     data = ["--dataset", "censored.csv", "--schema", "censored.schema.json"]
     knobs = ["--bin-width", "5", "--k", "3", "--epochs", "3", "--patience", "3",
              "--batch-size", "8", "--hidden-dims", "16", "--grid", grid, "--seed", "3"]
     runs = [(loss, ["--loss", loss]) for loss in LOSSES]
-    runs.append(("wm-median-global", ["--loss", "wm", "--wm-score", "median",
-                                      "--km-impute", "global"]))
+    runs += [
+        ("wm-median-global", ["--loss", "wm", "--wm-score", "median", "--km-impute", "global"]),
+        ("wm-l1", ["--loss", "wm", "--wm-l", "1"]),  # the loss's sign branch
+        ("wm-l2", ["--loss", "wm", "--wm-l", "2"]),  # its np.power branch
+        ("rank-hinge-unclipped", ["--loss", "rank-hinge", "--hinge-clip", "none"]),
+    ]
     return [("synth-censored", ["synth", "--n", str(n), "--censor-fraction", "0.9",
                                 "--seed", "3", "--out", "censored"])] + [
         (f"skip-cv-{name}", ["cv", *data, *options, *knobs, "--out", f"skip-cv-{name}.csv"])

@@ -24,7 +24,6 @@ from . import harness, pipeline
 from .core import Dataset, build_time_grid
 from .errors import CensrankError
 from .estimators import IMPUTE_MODES, kaplan_meier
-from .losses import RANK_SIGNS
 from .metrics import c_index
 from .neural import load_checkpoint, save_checkpoint
 
@@ -67,18 +66,19 @@ def _add_out_args(p, required=True):
 
 
 def _add_train_knobs(p):
-    p.add_argument("--hidden-dims", type=_dims, default=(100, 100, 100),
+    defaults = harness.TrainRun  # each option's default is its TrainRun field's
+    p.add_argument("--hidden-dims", type=_dims, default=defaults.hidden_dims,
                    help="comma-separated layer widths")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--epochs", type=int, default=200, help="max training epochs")
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--wm-smoothing", type=float, default=1.0)
-    p.add_argument("--wm-l", type=float, default=1.5)
-    p.add_argument("--wm-score", choices=("mean", "median"), default="mean")
-    p.add_argument("--km-impute", choices=IMPUTE_MODES, default="conditional")
-    p.add_argument("--rank-sign", choices=RANK_SIGNS, default="concordant")
-    p.add_argument("--hinge-clip", type=_hinge_clip, default=1.0,
+    p.add_argument("--dropout", type=float, default=defaults.dropout)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--epochs", dest="max_epochs", type=int, default=defaults.max_epochs,
+                   help="max training epochs")
+    p.add_argument("--patience", type=int, default=defaults.patience)
+    p.add_argument("--wm-smoothing", type=float, default=defaults.wm_smoothing)
+    p.add_argument("--wm-l", type=float, default=defaults.wm_l)
+    p.add_argument("--wm-score", choices=("mean", "median"), default=defaults.wm_score)
+    p.add_argument("--km-impute", choices=IMPUTE_MODES, default=defaults.km_impute)
+    p.add_argument("--hinge-clip", type=_hinge_clip, default=defaults.hinge_clip,
                    help="hinge surrogate ceiling; 'none' disables")
 
 
@@ -92,13 +92,12 @@ def _add_cv_args(p):
 
 
 # TrainRun fields that a command's option of the same name sets
-_TRAIN_KNOBS = ("hidden_dims", "dropout", "batch_size", "patience", "wm_smoothing", "wm_l",
-                "wm_score", "km_impute", "rank_sign", "hinge_clip", "seed")
+_TRAIN_KNOBS = ("hidden_dims", "dropout", "batch_size", "max_epochs", "patience", "wm_smoothing",
+                "wm_l", "wm_score", "km_impute", "hinge_clip", "seed")
 
 
 def _template_from(args, loss):
-    return harness.TrainRun(loss=loss, max_epochs=args.epochs,
-                            **{name: getattr(args, name) for name in _TRAIN_KNOBS})
+    return harness.TrainRun(loss=loss, **{name: getattr(args, name) for name in _TRAIN_KNOBS})
 
 
 def _experiment_args(args, loss):
@@ -339,8 +338,8 @@ def build_parser():
     _add_data_args(p)
     p.add_argument("--loss", choices=harness.LOSSES, required=True)
     p.add_argument("--bin-width", type=float, required=True)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--l2", type=float, default=0.0)
+    p.add_argument("--learning-rate", type=float, default=harness.TrainRun.learning_rate)
+    p.add_argument("--l2", type=float, default=harness.TrainRun.l2)
     p.add_argument("--k", type=int, default=5, help="split arithmetic: fold 0 of k is used")
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)

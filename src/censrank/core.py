@@ -20,20 +20,6 @@ def _frozen_array(values, dtype):
     return arr
 
 
-def _scratch_rows(work, rows, cols):
-    """The leading `rows` rows of a reusable float64 scratch array of shape
-    (at least rows, cols), or a fresh (rows, cols) array when `work` is None."""
-    if work is None:
-        return np.empty((rows, cols))
-    if work.dtype != np.float64 or work.ndim != 2 or work.shape[0] < rows \
-            or work.shape[1] != cols:
-        raise ValueError(
-            f"a scratch array must be float64 of shape (>= {rows}, {cols}), "
-            f"got {work.dtype} {work.shape}"
-        )
-    return work[:rows]
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform discrete time axis from 0: `num_bins` bins of width

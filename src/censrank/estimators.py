@@ -11,9 +11,9 @@ either conditionally on having survived its censoring bin (default) or as
 ``1 - survival`` set to zero through the censoring bin ("global").  Either
 way a censored record's target is exactly zero at and before its censoring
 bin.  A target row depends only on the record's bin, its observed flag and
-the curve, so training builds the rows of each block of a batch (at most
-1 MiB of them) into one reused buffer (`target_cdf_matrix(rows=, out=)`)
-and holds O(block x T) target memory, not O(n x T).
+the curve, so training builds the rows of one block of a batch at a time
+(at most 1 MiB of them, `target_cdf_matrix(rows=)`), which the loss then
+consumes, and holds O(block x T) target memory, not O(n x T).
 """
 
 import math
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, TimeGrid, _scratch_rows
+from .core import Dataset, TimeGrid
 
 __all__ = ["IMPUTE_MODES", "KaplanMeierCurve", "kaplan_meier", "target_cdf_matrix"]
 
@@ -110,22 +110,18 @@ def _fill_target_rows(out, bins, observed, survival, mode):
             np.subtract(1.0, tail, out=tail)
 
 
-def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional",
-                      rows=None, out=None):
+def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional", rows=None):
     """Stacked target CDFs, shape (n, num_bins); row i is record i's target.
 
     `km` must come from the training fold only, on `dataset`'s grid (a
     ValueError otherwise).  With `rows` (indices into `dataset`) only those
-    records' targets are built, in that order.  With `out`, a float64 array
-    of shape (at least n, num_bins), the rows are written into its leading
-    n rows and that view is returned, so a training loop can reuse one
-    buffer for every batch.
+    records' targets are built, in that order.
     """
     if km.grid != dataset.grid:
         raise ValueError(f"the curve's grid {km.grid} is not the dataset's {dataset.grid}")
     bins, observed = dataset.bins, dataset.observed
     if rows is not None:
         bins, observed = bins[rows], observed[rows]
-    out = _scratch_rows(out, len(bins), km.grid.num_bins)
+    out = np.empty((len(bins), km.grid.num_bins))
     _fill_target_rows(out, bins, observed, km.survival, mode)
     return out

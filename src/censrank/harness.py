@@ -34,10 +34,9 @@ import numpy as np
 from .core import Dataset, build_time_grid
 from .errors import ExperimentFailedError, TrainingDivergedError, UndefinedMetricError
 from .estimators import IMPUTE_MODES, KaplanMeierCurve, kaplan_meier, target_cdf_matrix
-from .losses import (RANK_SIGNS, bin_weights, cox_nll_with_grad, ranking_loss_with_grad,
-                     wm_batch_with_grad)
+from .losses import bin_weights, cox_nll_with_grad, ranking_loss_with_grad, wm_batch_with_grad
 from .metrics import AcceptablePairSet, _enumerate_pairs, c_index
-from .neural import Adam, Network, NetworkConfig
+from .neural import Adam, Network, NetworkConfig, _check_int
 from .pipeline import RawTable, kfold_split, preprocess
 
 __all__ = [
@@ -98,21 +97,17 @@ class TrainRun:
     wm_l: float = 1.5
     wm_smoothing: float = 1.0
     km_impute: str = "conditional"
-    rank_sign: str = "concordant"
     hinge_clip: float = 1.0
     wm_score: str = "mean"  # validation/test score: expected bin or median bin
 
     def __post_init__(self):
         for name, choices in (("loss", LOSSES), ("wm_score", ("mean", "median")),
-                              ("km_impute", IMPUTE_MODES), ("rank_sign", RANK_SIGNS)):
+                              ("km_impute", IMPUTE_MODES)):
             if getattr(self, name) not in choices:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; choose one of {choices}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
+        # batch norm cannot standardize a batch of one row
+        for name, least in (("max_epochs", 1), ("patience", 1), ("batch_size", 2)):
+            _check_int(name, getattr(self, name), least)
         if not (0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (1 <= self.wm_l < math.inf):  # also rejects NaN
@@ -121,9 +116,9 @@ class TrainRun:
             raise ValueError(f"hinge_clip must be positive or None, got {self.hinge_clip}")
         if not (0 < self.wm_smoothing < math.inf):  # also rejects NaN
             raise ValueError(f"wm_smoothing must be positive and finite, got {self.wm_smoothing}")
-        # the network's own checks of the widths, dropout and l2, before any fold is built
+        # the network's own checks of the widths, dropout, l2 and seed, before any fold is built
         NetworkConfig(input_dim=1, hidden_dims=self.hidden_dims, dropout_rate=self.dropout,
-                      l2_coefficient=self.l2)
+                      l2_coefficient=self.l2, seed=self.seed)
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
@@ -165,7 +160,7 @@ def _rank_batches(kind, run, train):
         if len(i) == 0:
             return None
         pairs = AcceptablePairSet(i=i, j=j, num_records=len(idx))
-        return lambda out: ranking_loss_with_grad(out, pairs, kind, run.rank_sign, run.hinge_clip)
+        return lambda out: ranking_loss_with_grad(out, pairs, kind, run.hinge_clip)
 
     return batch
 
@@ -177,16 +172,15 @@ def _wm_batches(run, train):
 
 def _wm_step(run: TrainRun, train: Dataset, km, weights, idx, pmf):
     """The wm loss of the batch `train[idx]` with pmf `pmf`, in row blocks of at most
-    `_SCORE_BLOCK_BYTES` of outputs; d(loss)/d(logits) is written over `pmf`.  The step
-    holds two (block, T) scratch arrays, the first taking each block's targets."""
+    `_SCORE_BLOCK_BYTES` of outputs; d(loss)/d(logits) is written over `pmf`.  Each block's
+    loss consumes that block's target rows and holds one more (block, T) array."""
     block = max(1, _SCORE_BLOCK_BYTES // (8 * pmf.shape[1]))
-    work = tuple(np.empty((min(block, len(idx)), pmf.shape[1])) for _ in range(2))
     value = 0.0
     for start in range(0, len(idx), block):
         rows = slice(start, start + block)
-        targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx[rows], out=work[0])
-        value += wm_batch_with_grad(pmf[rows], targets, weights, run.wm_l, work=work,
-                                    out=pmf[rows], batch_size=len(idx))[0]
+        value += wm_batch_with_grad(
+            pmf[rows], target_cdf_matrix(train, km, mode=run.km_impute, rows=idx[rows]),
+            weights, run.wm_l, out=pmf[rows], batch_size=len(idx))[0]
     return value
 
 

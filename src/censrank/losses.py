@@ -1,20 +1,21 @@
 """Training objectives: Cox partial likelihood, pairwise ranking
 surrogates, and the CDF-matching (discrete Wasserstein) loss.
 
-Every objective is a pure function of the network outputs with an analytic
+Every objective is a function of the network outputs with an analytic
 gradient (`*_with_grad`; w.r.t. the logits for the softmax head), so the
-network backpropagates without an autodiff engine.  Risk sets and ranking
-ties follow grid-binned times: records sharing a bin are tied.
+network backpropagates without an autodiff engine.  Only the CDF-matching
+loss writes to an input: it consumes its target rows as scratch.  Risk
+sets and ranking ties follow grid-binned times: records sharing a bin are
+tied.
 """
 
 import numpy as np
 
-from .core import Dataset, _scratch_rows
+from .core import Dataset
 from .metrics import AcceptablePairSet
 
 __all__ = [
     "PHI_KINDS",
-    "RANK_SIGNS",
     "phi_with_grad",
     "cox_nll_with_grad",
     "ranking_loss_with_grad",
@@ -23,7 +24,6 @@ __all__ = [
 ]
 
 PHI_KINDS = ("sigmoid", "log_sigmoid", "hinge", "exponential")
-RANK_SIGNS = ("concordant", "literal")
 
 
 def phi_with_grad(kind, z, hinge_clip=1.0):
@@ -117,33 +117,19 @@ def cox_nll_with_grad(scores, bins, observed, tie_method="breslow"):
 # Pairwise ranking
 
 
-def _pair_margins(scores, pairs, sign):
-    if sign == "concordant":
-        return scores[pairs.j] - scores[pairs.i], +1.0
-    if sign == "literal":
-        return scores[pairs.i] - scores[pairs.j], -1.0
-    raise ValueError(f"rank sign must be one of {RANK_SIGNS}, got {sign!r}")
-
-
-def ranking_loss_with_grad(scores, pairs: AcceptablePairSet, kind, sign="concordant",
-                           hinge_clip=1.0):
-    """Negated mean surrogate over acceptable pairs and its gradient with
-    respect to the scores.
-
-    The value is -(1/|A|) sum phi(score(j) - score(i)); with sign="literal"
-    the margin is score(i) - score(j) instead, which anti-ranks and exists
-    only for comparison.
-    """
+def ranking_loss_with_grad(scores, pairs: AcceptablePairSet, kind, hinge_clip=1.0):
+    """Negated mean surrogate over acceptable pairs,
+    -(1/|A|) sum phi(score(j) - score(i)), and its gradient with respect to
+    the scores."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if len(pairs) == 0:
         raise ValueError("ranking loss is undefined on an empty pair set")
-    z, direction = _pair_margins(scores, pairs, sign)
-    phi, dphi = phi_with_grad(kind, z, hinge_clip)
+    phi, dphi = phi_with_grad(kind, scores[pairs.j] - scores[pairs.i], hinge_clip)
     value = float(-np.mean(phi))
     per_pair = -dphi / len(pairs)
     grad = np.zeros_like(scores)
-    np.add.at(grad, pairs.j, direction * per_pair)
-    np.add.at(grad, pairs.i, -direction * per_pair)
+    np.add.at(grad, pairs.j, per_pair)
+    np.add.at(grad, pairs.i, -per_pair)
     return value, grad
 
 
@@ -163,7 +149,7 @@ def bin_weights(train: Dataset, smoothing):
     return counts / counts.sum()
 
 
-def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None, out=None, batch_size=None):
+def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, out=None, batch_size=None):
     """Mean CDF-matching loss of a batch of softmax rows and its gradient
     w.r.t. the logits those rows came from.
 
@@ -178,28 +164,26 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None, out=None, bat
     `batch_size` (default: the rows), so one batch's row blocks, each given
     its size, sum to its value and give the same gradient rows bit for bit.
 
-    `work` is an optional pair of float64 scratch arrays (diff, inner) of
-    shape (at least rows, T) that takes every intermediate; `target_cdf` may
-    be (the leading rows of) `work[0]`, which the call overwrites.  The
-    gradient goes into `out` (shape (at least rows, T); may be `pmf`), else
-    into the leading rows of `work[0]`, else a new array.  The value is
+    The call consumes `target_cdf`, as `Adam.step` consumes its gradients:
+    a C-contiguous writeable float64 array is overwritten as scratch, and
+    any other input is copied first.  The loss allocates one more array of
+    pmf's shape.  The gradient goes into `out` (of pmf's shape; may be
+    `pmf`), else over the target's array.  The value is
     sum_t |d_t| * (w[t] l |d_t|^(l-1)) / l (for l = 1, sum_t w[t] |d_t|), so
     it can differ from the literal w[t] |d_t|^l in the last bits.
     """
     pmf = np.asarray(pmf, dtype=np.float64)
-    target_cdf = np.asarray(target_cdf, dtype=np.float64)
+    diff = np.require(target_cdf, np.float64, ["C", "W"])
     weights = np.asarray(weights, dtype=np.float64)
-    if pmf.ndim != 2 or pmf.shape != target_cdf.shape or pmf.shape[1] != len(weights):
+    if pmf.ndim != 2 or pmf.shape != diff.shape or pmf.shape[1] != len(weights):
         raise ValueError("pmf and target_cdf must be (batch, T) with T matching weights")
+    if out is not None and (out.shape != pmf.shape or out.dtype != np.float64):
+        raise ValueError(f"out must be float64 of shape {pmf.shape}, got {out.dtype} {out.shape}")
     if not (l >= 1):  # also rejects NaN
         raise ValueError(f"the exponent l must be >= 1, got {l}")
     batch = pmf.shape[0] if batch_size is None else batch_size
-    work = (None, None) if work is None else work
-    if len(work) != 2:
-        raise ValueError(f"work must hold two scratch arrays, got {len(work)}")
-    diff, inner = (_scratch_rows(w, *pmf.shape) for w in work)
-    np.cumsum(pmf, axis=1, out=inner)
-    np.subtract(inner, target_cdf, out=diff)  # diff may be target_cdf itself
+    inner = np.cumsum(pmf, axis=1)
+    np.subtract(inner, diff, out=diff)
     np.abs(diff, out=inner)
     # d|d_t|^l / d d_t = l |d_t|^(l-1) sign(d_t); pmf_s feeds every cdf_t with t >= s.
     # Evaluated as ((w*l) * |d|^(l-1)) * sign(d) / batch, the order that fixes its bits.
@@ -224,5 +208,4 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, work=None, out=None, bat
     np.multiply(inner, pmf, out=diff)
     dot = np.sum(diff, axis=1, keepdims=True)
     np.subtract(inner, dot, out=diff)
-    grad = diff if out is None else _scratch_rows(out, *pmf.shape)
-    return value, np.multiply(pmf, diff, out=grad)
+    return value, np.multiply(pmf, diff, out=diff if out is None else out)

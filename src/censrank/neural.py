@@ -25,6 +25,7 @@ array's raw float64 data in the listed order; loading one draws nothing.
 """
 
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -41,6 +42,16 @@ _MAGIC = b"CENSRANK"
 _FORMAT_VERSION = 2
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name, value, least):
+    """Raise a ValueError naming `name` unless `value` is an integer (not a bool) >= `least`."""
+    if not (_is_int(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class NetworkConfig:
     input_dim: int
@@ -52,14 +63,19 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        self.hidden_dims = tuple(self.hidden_dims)
         if not self.hidden_dims:
             raise ValueError("at least one hidden layer is required")
+        for name, values in (("input_dim", (self.input_dim,)), ("hidden_dims", self.hidden_dims)):
+            if not all(map(_is_int, values)):
+                raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
         if self.input_dim < 1 or min(self.hidden_dims) < 1:
             raise ValueError(
                 f"input_dim and every hidden width must be >= 1, got input_dim "
                 f"{self.input_dim} and hidden_dims {self.hidden_dims}"
             )
+        _check_int("seed", self.seed, 0)
+        self.hidden_dims = tuple(map(int, self.hidden_dims))  # plain ints for the JSON header
         if self.head not in ("scalar_linear", "softmax"):
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "softmax" and self.num_outputs < 1:

@@ -516,16 +516,11 @@ def oracle_scores(dataset: Dataset) -> np.ndarray:
 # Export helpers
 
 
-def save_csv(dataset: Dataset, path, feature_names=None):
-    """Write a dataset as feature columns + time + event, round-trippable."""
-    d = dataset.n_features
-    if feature_names is None:
-        feature_names = [f"f{i}" for i in range(d)]
-    if len(feature_names) != d:
-        raise ValueError("feature_names length must match the feature count")
+def save_csv(dataset: Dataset, path):
+    """Write a dataset as feature columns f0, f1, ... + time + event, round-trippable."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(feature_names) + ["time", "event"])
+        writer.writerow([f"f{i}" for i in range(dataset.n_features)] + ["time", "event"])
         for i in range(len(dataset)):
             row = [repr(float(v)) for v in dataset.features[i]]
             row.append(repr(float(dataset.times[i])))

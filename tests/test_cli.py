@@ -3,12 +3,13 @@
 import json
 import subprocess
 import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import cli_launch
-from censrank import harness, pipeline
+from censrank import cli, harness, pipeline
 from censrank.cli import load_grid, main
 from censrank.core import Dataset, build_time_grid
 from censrank.estimators import kaplan_meier
@@ -538,6 +539,26 @@ def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, monkeypat
     assert encoded == []  # rejected before any fold is encoded
 
 
+def test_every_training_option_sets_a_train_run_field():
+    assert set(cli._TRAIN_KNOBS) <= {f.name for f in fields(harness.TrainRun)}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("cv", ["--loss", "wm", "--bin-width", "1", "--out", "r.csv"]),
+    ("ablate-censoring", ["--bin-width", "1", "--out", "r.csv"]),
+    ("sweep-censoring", ["--loss", "wm", "--fractions", "0.5", "--bin-width", "1",
+                         "--out", "r.csv"]),
+    ("train", ["--loss", "wm", "--bin-width", "1", "--checkpoint", "m.ckpt"]),
+])
+def test_a_parse_with_no_training_options_builds_the_train_run_defaults(command, options):
+    args = cli.build_parser().parse_args([command, "--dataset", "d.csv", "--schema", "s.json",
+                                          *options])
+    run = cli._template_from(args, "wm")
+    if command == "train":
+        run = replace(run, learning_rate=args.learning_rate, l2=args.l2)
+    assert run == harness.TrainRun(loss="wm")
+
+
 class TestCv:
     def test_report_file_and_summary_line(self, capsys, toy, tmp_path):
         out = tmp_path / "report.csv"
@@ -664,6 +685,16 @@ class TestErrorSurface:
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UsageError"
+
+    def test_the_removed_rank_sign_option_is_a_usage_error(self, capsys, toy, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cv", *data_args(toy), "--loss", "rank-sigmoid", "--bin-width", "5",
+                "--rank-sign", "concordant", "--out", str(tmp_path / "r.csv"),
+            ])
+        assert exc.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_loss_is_a_usage_error(self, capsys, toy, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -228,13 +228,10 @@ class TestTargetRows:
             order = np.random.default_rng(len(data)).permutation(len(data))
             for mode in ("conditional", "global"):
                 full = target_cdf_matrix(data, km, mode=mode)
-                # stale contents would show as NaN
-                buf = np.full((4, num_bins), np.nan)
                 for start in range(0, len(data), 4):  # the last batch may be short
                     idx = order[start : start + 4]
-                    got = target_cdf_matrix(data, km, mode=mode, rows=idx, out=buf)
+                    got = target_cdf_matrix(data, km, mode=mode, rows=idx)
                     assert got.shape == (len(idx), num_bins)
-                    assert np.shares_memory(got, buf)
                     assert np.array_equal(got, full[idx])
                     for row, i in zip(got, idx):
                         k, obs = int(bins[i]), bool(data.observed[i])
@@ -245,13 +242,6 @@ class TestTargetRows:
                             hit_last_bin |= k == num_bins - 1
                             hit_zero_curve |= k + 1 < num_bins and km.survival[k] == 0.0
         assert hit_zero_curve and hit_last_bin
-
-    def test_rejects_a_buffer_of_the_wrong_shape(self):
-        data = make_dataset([0.0, 1.0, 2.0], [True, False, True])
-        km = kaplan_meier(data)
-        for shape in ((2, 3), (3, 4)):
-            with pytest.raises(ValueError):
-                target_cdf_matrix(data, km, out=np.empty(shape))
 
     def test_rejects_a_curve_on_another_grid(self):
         data = make_dataset([0.0, 1.0, 2.0], [True, False, True])

@@ -66,7 +66,7 @@ def _loss_and_outgrad(name, outputs, data, pairs, targets, weights):
         return cox_nll_with_grad(outputs, data.bins, data.observed, ties)
     if name in _RANK_KIND:
         return ranking_loss_with_grad(outputs, pairs, _RANK_KIND[name])
-    return wm_batch_with_grad(outputs, targets, weights)
+    return wm_batch_with_grad(outputs, targets.copy(), weights)  # the loss consumes its target
 
 
 def _loss_value(name, outputs, data, pairs, targets, weights):

@@ -150,7 +150,14 @@ class TestTrainRunValidation:
         ("wm_smoothing", float("nan"), "wm_smoothing"),
         ("wm_smoothing", float("inf"), "wm_smoothing"),
         ("km_impute", "bogus", "unknown km_impute 'bogus'"),
-        ("rank_sign", "bogus", "unknown rank_sign 'bogus'"),
+        # a count, width or seed must be an integer: not a float, a bool or below its least
+        ("batch_size", 64.0, "batch_size must be an integer"),
+        ("max_epochs", 2.0, "max_epochs must be an integer"),
+        ("max_epochs", True, "max_epochs must be an integer"),
+        ("patience", 2.5, "patience must be an integer"),
+        ("hidden_dims", (8.7,), "hidden_dims must hold integers"),
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("seed", 1.5, "seed must be an integer"),
     ])
     def test_every_option_is_checked_when_built(self, option, value, named):
         # rejected here, not when the first fold trains
@@ -426,7 +433,7 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         assert alive == [1] * 8  # the pmf alone, in each of 4 blocks of 2 batches
-        # measured: 1.66 arrays' worth (the pmf and two (64, T) scratch arrays);
+        # measured: 1.66 arrays' worth (the pmf, a block's targets and the loss's one scratch);
         # 3.26, and 3 such arrays alive in the loss, with (batch, T) scratch
         assert peak < 2 * wide
 

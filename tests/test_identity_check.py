@@ -82,7 +82,13 @@ def test_the_skip_commands_train_every_loss_in_small_batches(identity_check):
     commands = dict(identity_check.skip_commands("grid.json"))
     synth = commands.pop("synth-censored")
     assert synth[synth.index("--censor-fraction") + 1] == "0.9"
-    assert sorted(commands) == sorted([f"skip-cv-{loss}" for loss in LOSSES]
-                                      + ["skip-cv-wm-median-global"])
+    assert sorted(commands) == sorted([f"skip-cv-{loss}" for loss in LOSSES] + [
+        "skip-cv-wm-median-global", "skip-cv-wm-l1", "skip-cv-wm-l2",
+        "skip-cv-rank-hinge-unclipped"])
+    # every exponent branch of the wm loss, and the unclipped hinge
+    options = [" ".join(argv) for argv in commands.values()]
+    for option in ("--loss wm --wm-l 1 ", "--loss wm --wm-l 2 ",
+                   "--loss rank-hinge --hinge-clip none "):
+        assert any(option in line for line in options), option
     for argv in commands.values():
         assert argv[0] == "cv" and argv[argv.index("--batch-size") + 1] == "8"

@@ -173,12 +173,9 @@ def _phi_prime_reference(kind, z, hinge_clip=1.0):
     raise ValueError(kind)
 
 
-def ranking_two_call_reference(scores, pairs, kind, sign="concordant", hinge_clip=1.0):
+def ranking_two_call_reference(scores, pairs, kind, hinge_clip=1.0):
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if sign == "concordant":
-        z, direction = scores[pairs.j] - scores[pairs.i], +1.0
-    else:
-        z, direction = scores[pairs.i] - scores[pairs.j], -1.0
+    z, direction = scores[pairs.j] - scores[pairs.i], +1.0
     value = float(-np.mean(_phi_reference(kind, z, hinge_clip)))
     per_pair = -_phi_prime_reference(kind, z, hinge_clip) / len(pairs)
     grad = np.zeros_like(scores)
@@ -341,10 +338,6 @@ class TestRankingLoss:
         assert ranking_loss([0.0, 3.0], self._pair(), "hinge") == -1.0
         assert ranking_loss([0.0, 3.0], self._pair(), "hinge", hinge_clip=None) == -2.0
 
-    def test_literal_sign_uses_opposite_margin(self):
-        loss = ranking_loss([0.0, 3.0], self._pair(), "sigmoid", sign="literal")
-        assert loss == pytest.approx(-_sigma(-3.0), abs=1e-12)
-
     def test_empty_pairs_rejected(self):
         pairs = acceptable_pairs(make_dataset([1.0, 2.0], [False, False]))
         with pytest.raises(ValueError):
@@ -378,26 +371,21 @@ class TestRankingLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         for kind in ("sigmoid", "log_sigmoid", "exponential", "hinge"):
-            for sign in ("concordant", "literal"):
-                for _ in range(6):
-                    times, observed = random_survival_dataset(rng, max_n=20)
-                    data = make_dataset(times, observed)
-                    pairs = acceptable_pairs(data)
-                    if len(pairs) == 0:
+            for _ in range(12):
+                times, observed = random_survival_dataset(rng, max_n=20)
+                data = make_dataset(times, observed)
+                pairs = acceptable_pairs(data)
+                if len(pairs) == 0:
+                    continue
+                scores = rng.uniform(-2.0, 2.0, size=len(times))
+                if kind == "hinge":
+                    # keep margins away from the kinks at z=1 and z=2
+                    z = scores[pairs.j] - scores[pairs.i]
+                    if np.any(np.abs(z - 1.0) < 1e-3) or np.any(np.abs(z - 2.0) < 1e-3):
                         continue
-                    scores = rng.uniform(-2.0, 2.0, size=len(times))
-                    if kind == "hinge":
-                        # keep margins away from the kinks at z=1 and z=2
-                        z = np.concatenate(
-                            (scores[pairs.j] - scores[pairs.i], scores[pairs.i] - scores[pairs.j])
-                        )
-                        if np.any(np.abs(z - 1.0) < 1e-3) or np.any(np.abs(z - 2.0) < 1e-3):
-                            continue
-                    _, grad = ranking_loss_with_grad(scores, pairs, kind, sign=sign)
-                    numeric = central_difference(
-                        lambda s: ranking_loss(s, pairs, kind, sign=sign), scores
-                    )
-                    assert max_relative_error(grad, numeric) < 1e-5
+                _, grad = ranking_loss_with_grad(scores, pairs, kind)
+                numeric = central_difference(lambda s: ranking_loss(s, pairs, kind), scores)
+                assert max_relative_error(grad, numeric) < 1e-5
 
     def test_one_call_equals_the_two_call_formula_bitwise(self):
         rng = np.random.default_rng(17)
@@ -407,12 +395,11 @@ class TestRankingLoss:
         scores = rng.normal(0.0, 3.0, size=len(times))
         scores[:4] = [1.0, 2.0, 0.0, 3.0]  # margins on the hinge kinks
         for kind in ("sigmoid", "log_sigmoid", "exponential", "hinge"):
-            for sign in ("concordant", "literal"):
-                for hinge_clip in (1.0, None):
-                    value, grad = ranking_loss_with_grad(scores, pairs, kind, sign, hinge_clip)
-                    expected = ranking_two_call_reference(scores, pairs, kind, sign, hinge_clip)
-                    assert value == expected[0]
-                    assert np.array_equal(grad, expected[1])
+            for hinge_clip in (1.0, None):
+                value, grad = ranking_loss_with_grad(scores, pairs, kind, hinge_clip)
+                expected = ranking_two_call_reference(scores, pairs, kind, hinge_clip)
+                assert value == expected[0]
+                assert np.array_equal(grad, expected[1])
 
 
 class TestBinWeights:
@@ -466,6 +453,25 @@ def wm_loss(pmf, target_cdf, weights, l=1.5):
 def wm_literal(pmf, target_cdf, weights, l):
     """The loss as defined: sum_t w[t] * |cdf_t - target_t|^l."""
     return float(np.sum(weights * np.abs(np.cumsum(pmf) - target_cdf) ** l))
+
+
+def _target_rows(rng, batch, num_bins):
+    """Random non-decreasing target CDF rows: 0 in the first 3 bins, 1 in the last."""
+    target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
+    target[:, :3] = 0.0
+    target[:, -1] = 1.0
+    return target
+
+
+def _wm_literal_step(pmf, target, weights, l):
+    """The batch loss as first written, one fresh array per step, then the
+    softmax step as the network's backward first took it."""
+    batch = pmf.shape[0]
+    diff = np.cumsum(pmf, axis=1) - target
+    value = float(np.sum(weights * np.abs(diff) ** l) / batch)
+    inner = weights * l * np.abs(diff) ** (l - 1.0) * np.sign(diff) / batch
+    grad = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
+    return value, pmf * (grad - np.sum(grad * pmf, axis=1, keepdims=True))
 
 
 class TestWmLoss:
@@ -526,7 +532,7 @@ class TestWmLoss:
         pmf = rng.dirichlet(np.ones(6), size=8)
         target = np.sort(rng.uniform(0.0, 1.0, size=(8, 6)), axis=1)
         target[:, -1] = 1.0
-        value, _ = wm_batch_with_grad(pmf, target, weights, l=1.5)
+        value, _ = wm_batch_with_grad(pmf, target.copy(), weights, l=1.5)
         per_record = [wm_literal(pmf[i], target[i], weights, l=1.5) for i in range(8)]
         assert value == pytest.approx(float(np.mean(per_record)), abs=1e-14)
 
@@ -542,79 +548,80 @@ class TestWmLoss:
 
             def f(flat_logits):
                 e = np.exp(flat_logits.reshape(4, 5))
-                return wm_batch_with_grad(e / e.sum(axis=1, keepdims=True), target, weights,
-                                          l=l)[0]
+                return wm_batch_with_grad(e / e.sum(axis=1, keepdims=True), target.copy(),
+                                          weights, l=l)[0]
 
-            _, grad = wm_batch_with_grad(pmf, target, weights, l=l)
+            _, grad = wm_batch_with_grad(pmf, target.copy(), weights, l=l)
             numeric = central_difference(f, np.log(pmf).reshape(-1)).reshape(4, 5)
             assert max_relative_error(grad, numeric) < 1e-5
 
-    def test_work_arrays_give_the_literal_gradient_bit_for_bit(self):
-        def literal(pmf, target, weights, l):
-            # the batch loss as first written, one fresh array per step, then
-            # the softmax step as the network's backward first took it
-            batch = pmf.shape[0]
-            diff = np.cumsum(pmf, axis=1) - target
-            value = float(np.sum(weights * np.abs(diff) ** l) / batch)
-            inner = weights * l * np.abs(diff) ** (l - 1.0) * np.sign(diff) / batch
-            grad = np.cumsum(inner[:, ::-1], axis=1)[:, ::-1]
-            return value, pmf * (grad - np.sum(grad * pmf, axis=1, keepdims=True))
-
+    def test_a_consumed_target_gives_the_literal_gradient_bit_for_bit(self):
         rng = np.random.default_rng(12)
         num_bins = 37
-        # stale contents would show as NaN
-        work = [np.full((9, num_bins), np.nan) for _ in range(2)]
         for l in (1.0, 1.25, 1.5, 2.0, 3.0):
-            for batch in (9, 5):  # a batch shorter than the scratch arrays
+            for batch in (9, 5):
                 pmf = rng.dirichlet(np.ones(num_bins), size=batch)
-                target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
-                target[:, :3] = 0.0
-                target[:, -1] = 1.0
+                target = _target_rows(rng, batch, num_bins)
                 target[0] = np.cumsum(pmf[0])  # zero differences: sign 0, 0^(l-1)
                 weights = rng.dirichlet(np.ones(num_bins))
-                expected_value, expected_grad = literal(pmf, target, weights, l)
-                aliased = work[0][:batch]  # the target sits in the first work array
-                aliased[:] = target
-                for scratch, given in ((work, aliased), (work, target), (None, target)):
-                    value, grad = wm_batch_with_grad(pmf, given, weights, l=l, work=scratch)
-                    assert np.array_equal(grad, expected_grad)
-                    # |d| * (w l |d|^(l-1)) / l may differ from w |d|^l in the last bits
-                    assert value == pytest.approx(expected_value, rel=1e-13, abs=0.0)
-                # the gradient written over the pmf itself, or into a taller array
-                for out in (pmf.copy(), np.full((batch + 2, num_bins), np.nan)):
-                    aliased[:] = target
-                    given_pmf = out if len(out) == batch else pmf
-                    _, grad = wm_batch_with_grad(given_pmf, aliased, weights, l=l, work=work,
-                                                 out=out)
-                    assert np.shares_memory(grad, out)
+                expected_value, expected_grad = _wm_literal_step(pmf, target, weights, l)
+                given = target.copy()
+                value, grad = wm_batch_with_grad(pmf, given, weights, l=l)
+                assert np.shares_memory(grad, given)  # the gradient is written over the target
+                assert np.array_equal(grad, expected_grad)
+                # |d| * (w l |d|^(l-1)) / l may differ from w |d|^l in the last bits
+                assert value == pytest.approx(expected_value, rel=1e-13, abs=0.0)
+                # the gradient written over the pmf itself, or into a fresh array
+                over_pmf = pmf.copy()
+                for given_pmf, out in ((over_pmf, over_pmf), (pmf, np.full(pmf.shape, np.nan))):
+                    _, grad = wm_batch_with_grad(given_pmf, target.copy(), weights, l=l, out=out)
+                    assert grad is out
                     assert np.array_equal(grad, expected_grad)
 
     @pytest.mark.parametrize("l", [1.5, 2.0])
-    def test_target_in_the_first_work_array_gives_the_same_bits(self, l):
+    def test_a_target_it_cannot_write_is_left_untouched(self, l):
+        # read-only, float32, a list, or not C-contiguous: the loss works on a copy
         rng = np.random.default_rng(31)
         num_bins, batch = 41, 6
         pmf = rng.dirichlet(np.ones(num_bins), size=batch)
-        target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
-        target[:, -1] = 1.0
-        target[0] = np.cumsum(pmf[0])  # zero differences
         weights = rng.dirichlet(np.ones(num_bins))
-        expected_value, expected_grad = wm_batch_with_grad(
-            pmf, target, weights, l=l, work=[np.empty((batch, num_bins)) for _ in range(2)])
-        work = [np.full((batch + 2, num_bins), np.nan) for _ in range(2)]
-        work[0][:batch] = target  # the target rows sit in the scratch the loss overwrites
-        value, grad = wm_batch_with_grad(pmf, work[0][:batch], weights, l=l, work=work)
+        target = _target_rows(rng, batch, num_bins)
+        target[0] = np.cumsum(pmf[0])  # zero differences
+        read_only = target.copy()
+        read_only.flags.writeable = False
+        for given in (read_only, target.astype(np.float32), target.tolist(),
+                      np.asfortranarray(target)):
+            kept = np.array(given, copy=True)
+            expected = wm_batch_with_grad(pmf, np.array(given, dtype=np.float64), weights, l=l)
+            value, grad = wm_batch_with_grad(pmf, given, weights, l=l)
+            assert np.array_equal(np.asarray(given), kept)
+            assert value == expected[0]
+            assert np.array_equal(grad, expected[1])
+
+    @pytest.mark.parametrize("l", [1.5, 2.0])
+    def test_a_target_view_is_consumed_in_place(self, l):
+        # the leading rows of a taller array: only those rows are written
+        rng = np.random.default_rng(33)
+        num_bins, batch = 41, 6
+        pmf = rng.dirichlet(np.ones(num_bins), size=batch)
+        weights = rng.dirichlet(np.ones(num_bins))
+        target = _target_rows(rng, batch, num_bins)
+        expected_value, expected_grad = wm_batch_with_grad(pmf, target.copy(), weights, l=l)
+        tall = np.full((batch + 2, num_bins), np.nan)
+        tall[:batch] = target
+        value, grad = wm_batch_with_grad(pmf, tall[:batch], weights, l=l)
+        assert np.shares_memory(grad, tall)
+        assert np.isnan(tall[batch:]).all()
         assert value == expected_value
         assert np.array_equal(grad, expected_grad)
 
-    def test_rejects_work_arrays_of_the_wrong_shape(self):
+    def test_rejects_an_out_array_of_the_wrong_shape_or_type(self):
         pmf = np.full((4, 5), 0.2)
         target = np.cumsum(pmf, axis=1)
         weights = np.full(5, 0.2)
-        for work in ([np.empty((3, 5))] * 2, [np.empty((4, 6))] * 2, [np.empty((4, 5))] * 3):
-            with pytest.raises(ValueError):
-                wm_batch_with_grad(pmf, target, weights, work=work)
-        for out in (np.empty((3, 5)), np.empty((4, 6)), np.empty((4, 5), dtype=np.float32)):
-            with pytest.raises(ValueError):
+        for out in (np.empty((3, 5)), np.empty((4, 6)), np.empty((6, 5)),
+                    np.empty((4, 5), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be float64"):
                 wm_batch_with_grad(pmf, target, weights, out=out)
 
     @pytest.mark.parametrize("l", [1.0, 1.5])
@@ -625,7 +632,7 @@ class TestWmLoss:
         target = np.sort(rng.uniform(0.0, 1.0, size=(batch, num_bins)), axis=1)
         target[:, -1] = 1.0
         weights = rng.dirichlet(np.ones(num_bins))
-        value, grad = wm_batch_with_grad(pmf, target, weights, l=l)
+        value, grad = wm_batch_with_grad(pmf, target.copy(), weights, l=l)
         blocked = pmf.copy()
         values = [wm_batch_with_grad(blocked[rows], target[rows], weights, l=l,
                                      out=blocked[rows], batch_size=batch)[0]

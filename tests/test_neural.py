@@ -37,6 +37,18 @@ class TestNetworkConfig:
             with pytest.raises(ValueError, match="must be >= 1"):
                 NetworkConfig(input_dim=input_dim, hidden_dims=hidden_dims)
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("input_dim", 2.0, "input_dim must hold integers"),
+        ("hidden_dims", (8.7,), "hidden_dims must hold integers"),
+        ("hidden_dims", (True,), "hidden_dims must hold integers"),
+        ("seed", -1, "seed must be an integer >= 0"),
+        ("seed", 3.0, "seed must be an integer"),
+    ])
+    def test_rejects_a_width_or_seed_that_is_not_an_integer(self, option, value, named):
+        options = dict(input_dim=3, hidden_dims=(4,), seed=0)
+        with pytest.raises(ValueError, match=named):
+            NetworkConfig(**{**options, option: value})
+
     def test_rejects_unknown_head(self):
         with pytest.raises(ValueError):
             NetworkConfig(input_dim=3, head="linear")
