@@ -19,8 +19,9 @@ pinned to one thread:
 - on a 90%-censored `censrank synth` table, one `cv` per loss at
   `--batch-size 8`, so batches with no event or no acceptable pair are
   skipped, plus wm scored by its median bin with global Kaplan-Meier
-  imputation, wm at `--wm-l 1` and at `--wm-l 2` (each exponent branch
-  of the loss), and rank-hinge with no ceiling.
+  imputation, wm at `--wm-l` 1, 2, 3 and 2.5 (the loss's sign branch and
+  each exponent that numpy's in-place power treats its own way), and
+  rank-hinge with no ceiling.
 
 Each command runs in its side's own output directory and writes its files
 there under the same relative names, and its exit code and stdout are kept
@@ -121,7 +122,11 @@ def skip_commands(grid, n=400):
     runs += [
         ("wm-median-global", ["--loss", "wm", "--wm-score", "median", "--km-impute", "global"]),
         ("wm-l1", ["--loss", "wm", "--wm-l", "1"]),  # the loss's sign branch
-        ("wm-l2", ["--loss", "wm", "--wm-l", "2"]),  # its np.power branch
+        # the exponent l - 1 of the loss's power step at 1 (a copy), 2 (numpy's square)
+        # and 1.5 (the general power); the default 0.5 takes numpy's sqrt
+        ("wm-l2", ["--loss", "wm", "--wm-l", "2"]),
+        ("wm-l3", ["--loss", "wm", "--wm-l", "3"]),
+        ("wm-l2.5", ["--loss", "wm", "--wm-l", "2.5"]),
         ("rank-hinge-unclipped", ["--loss", "rank-hinge", "--hinge-clip", "none"]),
     ]
     return [("synth-censored", ["synth", "--n", str(n), "--censor-fraction", "0.9",

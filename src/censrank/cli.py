@@ -117,14 +117,15 @@ def load_grid(path):
     """Grid file: either {"learning_rate": [...], "l2": [...]} (cross
     product, in listed order) or an explicit list of [lr, l2] pairs.
 
-    Raises ValueError naming a missing key, a document that is neither, or
-    a point that is not a list of 2 finite JSON numbers (not bools or
-    strings)."""
+    Raises ValueError naming a missing or unknown key, a document that is
+    neither, or a point that is not a list of 2 finite JSON numbers (not
+    bools or strings)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, (dict, list)):
         raise ValueError(f"{path}: a grid file must hold an object or a list of points")
     if isinstance(doc, dict):
+        pipeline._known_keys(f"{path}: ", doc, ("learning_rate", "l2"))
         for key in ("learning_rate", "l2"):
             if not isinstance(doc.get(key), list):
                 raise ValueError(f"{path}: grid key {key!r} is missing or not a list")

@@ -7,6 +7,7 @@ outside its grid is an error there, never moved into the last bin.  All
 types are immutable after construction and safe to share across workers.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,19 @@ def _frozen_array(values, dtype):
     return arr
 
 
+def _check_int(name, value, least):
+    """Raise a ValueError naming `name` unless `value` is an integer (not a bool) >= `least`."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name, value):
+    """Raise a ValueError naming `name` unless `value` is a real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform discrete time axis from 0: `num_bins` bins of width
@@ -29,10 +43,10 @@ class TimeGrid:
     num_bins: int
 
     def __post_init__(self):
+        _check_real("bin_width", self.bin_width)
         if not (np.isfinite(self.bin_width) and self.bin_width > 0):
             raise ValueError(f"bin_width must be positive, got {self.bin_width}")
-        if self.num_bins < 1:
-            raise ValueError(f"num_bins must be >= 1, got {self.num_bins}")
+        _check_int("num_bins", self.num_bins, 1)
         object.__setattr__(self, "bin_width", float(self.bin_width))
         object.__setattr__(self, "num_bins", int(self.num_bins))
 
@@ -70,8 +84,11 @@ def build_time_grid(times, bin_width):
         raise ValueError("all times must be finite and >= 0")
     if not (np.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    num_bins = int(np.floor(times.max() / bin_width)) + 1
-    return TimeGrid(bin_width=float(bin_width), num_bins=num_bins)
+    top = float(times.max()) / float(bin_width)  # inf, with no warning, if it overflows
+    if not np.isfinite(top):
+        raise ValueError(f"bin_width {bin_width} is too small to count the grid's bins")
+    num_bins = int(np.floor(top)) + 1
+    return TimeGrid(bin_width=bin_width, num_bins=num_bins)
 
 
 class Dataset:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, TimeGrid
+from .core import Dataset, TimeGrid, _frozen_array
 
 __all__ = ["IMPUTE_MODES", "KaplanMeierCurve", "kaplan_meier", "target_cdf_matrix"]
 
@@ -47,9 +47,7 @@ class KaplanMeierCurve:
             ("event_counts", np.int64),
             ("at_risk", np.int64),
         ):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
 
 
 def kaplan_meier(dataset: Dataset) -> KaplanMeierCurve:

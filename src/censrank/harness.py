@@ -31,12 +31,12 @@ from zlib import crc32
 
 import numpy as np
 
-from .core import Dataset, build_time_grid
+from .core import Dataset, _check_int, _check_real, build_time_grid
 from .errors import ExperimentFailedError, TrainingDivergedError, UndefinedMetricError
 from .estimators import IMPUTE_MODES, KaplanMeierCurve, kaplan_meier, target_cdf_matrix
 from .losses import bin_weights, cox_nll_with_grad, ranking_loss_with_grad, wm_batch_with_grad
 from .metrics import AcceptablePairSet, _enumerate_pairs, c_index
-from .neural import Adam, Network, NetworkConfig, _check_int
+from .neural import Adam, Network, NetworkConfig
 from .pipeline import RawTable, kfold_split, preprocess
 
 __all__ = [
@@ -108,6 +108,10 @@ class TrainRun:
         # batch norm cannot standardize a batch of one row
         for name, least in (("max_epochs", 1), ("patience", 1), ("batch_size", 2)):
             _check_int(name, getattr(self, name), least)
+        for name in ("learning_rate", "wm_l", "wm_smoothing"):
+            _check_real(name, getattr(self, name))
+        if self.hinge_clip is not None:  # None disables the clip
+            _check_real("hinge_clip", self.hinge_clip)
         if not (0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (1 <= self.wm_l < math.inf):  # also rejects NaN
@@ -373,8 +377,7 @@ def _checked_grid(grid, n_jobs, runs):
     grid = [(float(lr), float(l2)) for lr, l2 in grid]
     if not grid:
         raise ValueError("the grid must contain at least one point")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    _check_int("n_jobs", n_jobs, 1)
     for run in runs:
         for lr, l2 in grid:
             replace(run, learning_rate=lr, l2=l2)

@@ -192,11 +192,7 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, out=None, batch_size=Non
         np.sign(diff, out=inner)  # keeps sign(0) = 0
         np.multiply(weights * l, inner, out=inner)
     else:
-        # sqrt is what ** itself computes for the default exponent 0.5
-        if l == 1.5:
-            np.sqrt(inner, out=inner)
-        else:
-            np.power(inner, l - 1.0, out=inner)
+        inner **= l - 1.0  # numpy's scalar power: sqrt at 0.5, a square at 2
         np.multiply(weights * l, inner, out=inner)
         # exact: the factor is >= 0, sign(d) is +-1, and where d = 0 it is 0^(l-1) = 0
         np.copysign(inner, diff, out=inner)

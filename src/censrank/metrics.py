@@ -9,21 +9,20 @@ conversion (e.g. negating Cox risk) happens at the caller.
 
 `c_index` counts the pairs exactly in O(n log n) time and O(n) memory,
 without listing them (the sorted-tree count of Harrell et al., 1982).
-`acceptable_pairs` lists them and `c_index_from_pairs` scores that list;
-no training or evaluation path calls them, they are the reference the
-count is checked against.  Training batches list their pairs with
-`_enumerate_pairs`.
+`acceptable_pairs` lists them by raw time and `c_index_from_pairs` scores
+that list; no training or evaluation path calls them, they are the
+reference the count is checked against.  Training batches list their pairs
+with `_enumerate_pairs` over grid bins, so records sharing a bin never pair.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _frozen_array
 from .errors import UndefinedMetricError
 
 __all__ = ["AcceptablePairSet", "acceptable_pairs", "c_index", "c_index_from_pairs"]
-
-_CHUNK = 512  # rows per broadcast block when enumerating pairs
 
 
 @dataclass(frozen=True)
@@ -36,52 +35,22 @@ class AcceptablePairSet:
 
     def __post_init__(self):
         for name in ("i", "j"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.int64))
 
     def __len__(self):
         return len(self.i)
 
-    @property
-    def pairs(self):
-        return list(zip(self.i.tolist(), self.j.tolist()))
-
 
 def _enumerate_pairs(times, observed):
-    times = np.asarray(times, dtype=np.float64)
-    observed = np.asarray(observed, dtype=bool)
-    n = len(times)
-    i_parts, j_parts = [], []
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        block = np.zeros((stop - start, n), dtype=bool)
-        block[observed[start:stop]] = (
-            times[None, :] > times[start:stop][observed[start:stop], None]
-        )
-        bi, bj = np.nonzero(block)
-        i_parts.append(bi + start)
-        j_parts.append(bj)
-    if i_parts:
-        return np.concatenate(i_parts), np.concatenate(j_parts)
-    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    """(i, j) index arrays of every acceptable pair of the arrays `times` and
+    `observed`, in lexicographic order."""
+    mask = observed[:, None] & (times[None, :] > times[:, None])
+    return np.divmod(np.flatnonzero(mask), len(times))  # np.nonzero's (i, j), faster
 
 
-def acceptable_pairs(dataset, resolution="time"):
-    """Enumerate acceptable pairs of `dataset` in lexicographic order.
-
-    resolution:
-        "time" compares raw record times (evaluation semantics),
-        "grid" compares binned times so records sharing a bin are ties
-        (the convention every training loss uses).
-    """
-    if resolution == "time":
-        times = dataset.times
-    elif resolution == "grid":
-        times = dataset.bins.astype(np.float64)
-    else:
-        raise ValueError(f"unknown resolution {resolution!r}")
-    i_idx, j_idx = _enumerate_pairs(times, dataset.observed)
+def acceptable_pairs(dataset):
+    """Enumerate acceptable pairs of `dataset`, by raw record time, in lexicographic order."""
+    i_idx, j_idx = _enumerate_pairs(dataset.times, dataset.observed)
     return AcceptablePairSet(i=i_idx, j=j_idx, num_records=len(dataset))
 
 

@@ -25,12 +25,12 @@ array's raw float64 data in the listed order; loading one draws nothing.
 """
 
 import json
-import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .core import _check_int, _check_real
 from .errors import TrainingDivergedError
 
 __all__ = ["NetworkConfig", "Network", "Adam", "save_checkpoint", "load_checkpoint"]
@@ -40,16 +40,6 @@ _BN_MOMENTUM = 0.1  # fraction of the new batch statistic mixed into the running
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _MAGIC = b"CENSRANK"
 _FORMAT_VERSION = 2
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_int(name, value, least):
-    """Raise a ValueError naming `name` unless `value` is an integer (not a bool) >= `least`."""
-    if not (_is_int(value) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -63,25 +53,22 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.hidden_dims = tuple(self.hidden_dims)
+        _check_int("input_dim", self.input_dim, 1)
+        if not isinstance(self.hidden_dims, (list, tuple)):
+            raise ValueError(f"hidden_dims must be a list or tuple, got {self.hidden_dims!r}")
         if not self.hidden_dims:
             raise ValueError("at least one hidden layer is required")
-        for name, values in (("input_dim", (self.input_dim,)), ("hidden_dims", self.hidden_dims)):
-            if not all(map(_is_int, values)):
-                raise ValueError(f"{name} must hold integers, got {getattr(self, name)!r}")
-        if self.input_dim < 1 or min(self.hidden_dims) < 1:
-            raise ValueError(
-                f"input_dim and every hidden width must be >= 1, got input_dim "
-                f"{self.input_dim} and hidden_dims {self.hidden_dims}"
-            )
-        _check_int("seed", self.seed, 0)
+        for width in self.hidden_dims:
+            _check_int("every width in hidden_dims", width, 1)
         self.hidden_dims = tuple(map(int, self.hidden_dims))  # plain ints for the JSON header
+        _check_int("seed", self.seed, 0)
         if self.head not in ("scalar_linear", "softmax"):
             raise ValueError(f"unknown head {self.head!r}")
-        if self.head == "softmax" and self.num_outputs < 1:
-            raise ValueError("a softmax head needs num_outputs >= 1")
+        _check_int("num_outputs", self.num_outputs, 1)
         if self.head == "scalar_linear" and self.num_outputs != 1:
             raise ValueError("the scalar head has exactly one output")
+        for name in ("dropout_rate", "l2_coefficient"):
+            _check_real(name, getattr(self, name))
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must lie in [0, 1)")
         if not (0 <= self.l2_coefficient < np.inf):  # also rejects NaN
@@ -320,21 +307,11 @@ def save_checkpoint(network: Network, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _json_is(kind, value):
-    """Whether a JSON header value can stand for a NetworkConfig field of
-    type `kind` (a tuple field is a list of ints; a bool is no number)."""
-    if isinstance(value, bool):
-        return False
-    if kind is tuple:
-        return isinstance(value, list) and all(_json_is(int, v) for v in value)
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def load_checkpoint(path):
     """Read a checkpoint back into a Network.
 
     The header's config must hold exactly NetworkConfig's fields, each
-    with a value of that field's type; the header must list exactly the
+    with a value that NetworkConfig accepts; the header must list exactly the
     arrays that a Network of that config holds, each with that array's
     shape and only finite values; and the file must end with the last of
     them.  Anything else raises ValueError naming the key or array.
@@ -363,13 +340,10 @@ def load_checkpoint(path):
                 f"{path}: config keys missing {sorted(keys - cfg.keys())}, "
                 f"unknown {sorted(cfg.keys() - keys)}"
             )
-        for f in fields(NetworkConfig):
-            if not _json_is(f.type, cfg[f.name]):
-                raise ValueError(
-                    f"{path}: config {f.name!r} must be {f.type.__name__}, "
-                    f"got {cfg[f.name]!r}"
-                )
-        config = NetworkConfig(**cfg)
+        try:  # NetworkConfig checks each value's type; errors get the path
+            config = NetworkConfig(**cfg)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         expected = dict(_layout(config))
         try:
             layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, build_time_grid
+from .core import Dataset, _check_int, build_time_grid
 from .errors import CsvParseError
 
 __all__ = [
@@ -123,13 +123,20 @@ class DatasetSchema:
         return tuple(c for c in self.columns if c.kind in ("continuous", "categorical"))
 
 
+def _known_keys(where, doc, known):
+    unknown = sorted(doc.keys() - set(known))
+    if unknown:
+        raise ValueError(f"{where}unknown key {unknown[0]!r}; known keys are {list(known)}")
+
+
 def load_schema(path) -> DatasetSchema:
-    """Read a schema file; raises ValueError naming a missing or malformed key."""
+    """Read a schema file; raises ValueError naming a missing, malformed or unknown key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), dict):
         raise ValueError(f"{path}: 'columns' must be an object of column declarations")
     try:  # ColumnSpec and DatasetSchema check each value; errors get the path
+        _known_keys("", doc, ("columns", "missing", "event_true", "event_false", "delimiter"))
         default_missing = _strings("'missing'", doc.get("missing", [""]))
         columns = []
         for name, decl in doc["columns"].items():
@@ -137,6 +144,7 @@ def load_schema(path) -> DatasetSchema:
                 decl = {"kind": decl}
             if not isinstance(decl, dict) or "kind" not in decl:
                 raise ValueError(f"column {name!r} has no 'kind'")
+            _known_keys(f"column {name!r}: ", decl, ("kind", "missing"))
             columns.append(ColumnSpec(name, decl["kind"], decl.get("missing", default_missing)))
         return DatasetSchema(tuple(columns), doc.get("event_true", ["1"]),
                              doc.get("event_false", ["0"]), doc.get("delimiter", ","))
@@ -419,8 +427,7 @@ def preprocess(table: RawTable, stats: PreprocessStats = None, rows=None) -> Pre
 def kfold_split(n, k, val_fraction, seed):
     """k train/val/test index triples: disjoint, exhaustive tests,
     validation carved from each fold's training portion, sorted arrays."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_int("k", k, 2)
     if n < k:
         raise ValueError(f"cannot split {n} records into {k} folds")
     if not (0.0 < val_fraction < 1.0):
@@ -475,10 +482,8 @@ def generate_synthetic(n, num_features, censor_fraction, tie_density, seed) -> D
     grid sees the whole range; tie_density in [0, 1] sets the bin width as
     a fraction of that horizon (1 forces nearly all records into one bin).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if num_features < 1:
-        raise ValueError("num_features must be >= 1")
+    _check_int("n", n, 1)
+    _check_int("num_features", num_features, 1)
     if not (0.0 <= censor_fraction < 1.0):
         raise ValueError(f"censor_fraction must be in [0, 1), got {censor_fraction}")
     if not (0.0 <= tie_density <= 1.0):

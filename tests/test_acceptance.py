@@ -260,7 +260,7 @@ class TestSyntheticLearnability:
         data = generate_synthetic(5000, 150, 0.3, 1.0 / 256.0, seed=61)
         tr, va, te = cv_splits(len(data), 2, 0.2, 61)[0]
         train, val, test = data.subset(tr), data.subset(va), data.subset(te)
-        test_pairs = acceptable_pairs(test, resolution="time")
+        test_pairs = acceptable_pairs(test)
 
         per_loss = {}
         for loss in LOSS_CONFIGS:

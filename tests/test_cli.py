@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in-process via main(argv)."""
 
 import json
+import re
 import subprocess
 import weakref
 from dataclasses import fields, replace
@@ -100,6 +101,11 @@ class TestKm:
         assert all(0.0 <= s <= 1.0 for s in survival)
         assert survival == sorted(survival, reverse=True)
 
+
+    def test_a_width_too_small_for_the_grid_is_a_json_error(self, capsys, toy):
+        code, err = _error_line(capsys, ["km", *data_args(toy), "--bin-width", "1e-320"])
+        assert code == 2
+        assert err["error"] == "ValueError" and "bin_width 1e-320" in err["message"]
 
     def test_reads_only_times_and_events(self, capsys, tmp_path):
         # an unparseable feature cell cannot matter to Kaplan-Meier
@@ -393,7 +399,7 @@ def test_train_rejects_a_zero_width_hidden_layer(capsys, toy, tmp_path):
         *KNOBS, "--hidden-dims", "8,0", "--checkpoint", str(tmp_path / "m.bin"),
     ])
     assert code == 2
-    assert err["error"] == "ValueError" and "hidden width must be >= 1" in err["message"]
+    assert err["error"] == "ValueError" and "width in hidden_dims must be an integer >= 1" in err["message"]
     assert not (tmp_path / "m.bin").exists()
 
 
@@ -431,10 +437,11 @@ def _with_config(checkpoint, tmp_path, edit):
 @pytest.mark.parametrize("edit, named", [
     (lambda cfg: cfg.pop("hidden_dims"), "missing ['hidden_dims']"),
     (lambda cfg: cfg.update(momentum=0.9), "unknown ['momentum']"),
-    (lambda cfg: cfg.update(input_dim=0), "input_dim 0"),
-    (lambda cfg: cfg.update(hidden_dims=5), "'hidden_dims'"),
-    (lambda cfg: cfg.update(dropout_rate="0.5"), "'dropout_rate'"),
-    (lambda cfg: cfg.update(seed="x"), "'seed'"),
+    (lambda cfg: cfg.update(input_dim=0), "input_dim must be an integer >= 1, got 0"),
+    (lambda cfg: cfg.update(hidden_dims=5), "hidden_dims must be a list or tuple"),
+    (lambda cfg: cfg.update(dropout_rate="0.5"), "dropout_rate must be a real number"),
+    (lambda cfg: cfg.update(seed="x"), "seed must be an integer"),
+    (lambda cfg: cfg.update(num_outputs=1.0), "num_outputs must be an integer"),
 ])
 def test_evaluate_names_a_damaged_checkpoint_config(capsys, toy, checkpoint, tmp_path,
                                                     edit, named):
@@ -515,7 +522,7 @@ def test_no_eval_forward_holds_more_than_the_scoring_budget(capsys, toy, tmp_pat
 @pytest.mark.parametrize("option, value, named", [
     ("--dropout", "1.5", "dropout_rate"),
     ("--wm-smoothing", "0", "wm_smoothing"),
-    ("--hidden-dims", "0", "hidden width must be >= 1"),
+    ("--hidden-dims", "0", "width in hidden_dims must be an integer >= 1"),
     ("--wm-l", "nan", "wm_l"),
     ("--wm-l", "inf", "wm_l"),
     ("--wm-smoothing", "inf", "wm_smoothing"),
@@ -772,6 +779,17 @@ class TestGridFiles:
         ])
         assert code == 2
         assert err["error"] == "ValueError" and repr(key) in err["message"]
+
+    def test_an_unknown_key_is_named(self, capsys, toy, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"learning_rate": [0.01], "l2": [0.0], "lr": [5]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown key 'lr'")):
+            load_grid(path)
+        code, err = _error_line(capsys, [
+            "cv", *data_args(toy), "--loss", "cox", "--bin-width", "5",
+            "--grid", str(path), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2 and err["error"] == "ValueError" and "'lr'" in err["message"]
 
     @pytest.mark.parametrize("text", [
         "[[0.01, NaN]]",

@@ -22,9 +22,21 @@ class TestBuildTimeGrid:
             build_time_grid([], 1.0)
 
     def test_bad_width_rejected(self):
-        for width in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        # 1e-320 is positive, but 1 / 1e-320 bins is more than a float can count
+        for width in (0.0, -1.0, float("nan"), float("inf"), 1e-320, True):
+            with pytest.raises(ValueError, match=f"bin_width {width}|got {width}"):
                 build_time_grid([1.0], width)
+
+    @pytest.mark.parametrize("width, bins, named", [
+        (1.0, 2.9, "num_bins must be an integer >= 1"),
+        (1.0, True, "num_bins must be an integer >= 1"),
+        (1.0, 0, "num_bins must be an integer >= 1"),
+        (True, 3, "bin_width must be a real number"),
+        ("1", 3, "bin_width must be a real number"),
+    ])
+    def test_a_grid_checks_the_types_of_its_fields(self, width, bins, named):
+        with pytest.raises(ValueError, match=named):
+            TimeGrid(bin_width=width, num_bins=bins)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

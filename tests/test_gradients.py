@@ -15,7 +15,7 @@ from censrank.losses import (
     wm_batch_with_grad,
 )
 from censrank.estimators import kaplan_meier, target_cdf_matrix
-from censrank.metrics import acceptable_pairs
+from censrank.metrics import AcceptablePairSet, _enumerate_pairs
 from censrank.neural import Network, NetworkConfig
 
 LOSS_CONFIGS = (
@@ -48,7 +48,7 @@ def _context(rng):
         times = rng.integers(0, 6, size=n).astype(np.float64)
         observed = rng.random(n) < 0.7
         data = make_dataset(times, observed, features=features)
-        pairs = acceptable_pairs(data, resolution="grid")
+        pairs = AcceptablePairSet(*_enumerate_pairs(data.bins, data.observed), num_records=n)
         if int(observed.sum()) >= 2 and len(pairs) >= 3:
             return data, pairs
 

@@ -144,7 +144,7 @@ class TestTrainRunValidation:
     @pytest.mark.parametrize("option, value, named", [
         ("dropout", 1.5, "dropout_rate"),
         ("dropout", -0.1, "dropout_rate"),
-        ("hidden_dims", (0,), "hidden width must be >= 1"),
+        ("hidden_dims", (0,), "width in hidden_dims must be an integer >= 1"),
         ("hidden_dims", (), "at least one hidden layer"),
         ("wm_smoothing", 0.0, "wm_smoothing"),
         ("wm_smoothing", float("nan"), "wm_smoothing"),
@@ -155,9 +155,17 @@ class TestTrainRunValidation:
         ("max_epochs", 2.0, "max_epochs must be an integer"),
         ("max_epochs", True, "max_epochs must be an integer"),
         ("patience", 2.5, "patience must be an integer"),
-        ("hidden_dims", (8.7,), "hidden_dims must hold integers"),
+        ("hidden_dims", (8.7,), "width in hidden_dims must be an integer"),
         ("seed", -1, "seed must be an integer >= 0"),
         ("seed", 1.5, "seed must be an integer"),
+        # a rate, exponent, smoothing, clip, dropout or l2 must be a real number, not a bool
+        ("learning_rate", True, "learning_rate must be a real number"),
+        ("wm_l", True, "wm_l must be a real number"),
+        ("wm_l", "2", "wm_l must be a real number"),
+        ("wm_smoothing", True, "wm_smoothing must be a real number"),
+        ("hinge_clip", True, "hinge_clip must be a real number"),
+        ("dropout", False, "dropout_rate must be a real number"),
+        ("l2", True, "l2_coefficient must be a real number"),
     ])
     def test_every_option_is_checked_when_built(self, option, value, named):
         # rejected here, not when the first fold trains
@@ -473,7 +481,7 @@ class TestTrainModel:
         assert all(c < best for c in history["val_c_index"][: history["best_epoch"] - 1])
         assert history["stopped_epoch"] >= history["best_epoch"]
 
-        pairs = acceptable_pairs(val, resolution="time")
+        pairs = acceptable_pairs(val)
         rescored = c_index_from_pairs(pairs, eval_scores(run, net.forward(val.features, train=False)))
         assert rescored == best
 
@@ -561,6 +569,19 @@ class TestTrainModel:
         with pytest.raises(UndefinedMetricError, match="no acceptable pairs"):
             train_model(run, tied, val)
 
+    def test_records_sharing_a_bin_never_pair_in_a_training_batch(self, monkeypatch):
+        # 1.0 and 1.5 share bin 0 at width 2 and pair only by raw time; 3.0 is in bin 1
+        data = make_dataset([1.0, 1.5, 3.0], [True, True, False], bin_width=2.0)
+        assert len(acceptable_pairs(data)) == 3
+        run = TrainRun(loss="rank-sigmoid")
+        batch = harness._FAMILIES[run.loss].batches(run, data)
+        assert batch(np.array([0, 1])) is None  # one bin: no pair, the batch is skipped
+        seen = []
+        monkeypatch.setattr(harness, "ranking_loss_with_grad",
+                            lambda out, pairs, *args: seen.append(pairs) or (0.0, out))
+        batch(np.array([0, 1, 2]))(np.zeros(3))
+        assert list(zip(seen[0].i.tolist(), seen[0].j.tolist())) == [(0, 2), (1, 2)]
+
     @pytest.mark.parametrize("loss", ["cox-efron", "rank-sigmoid", "wm"])
     def test_blown_up_training_diverges_with_the_epoch(self, fold, loss):
         train, val, _ = fold
@@ -625,7 +646,7 @@ class TestGridSearch:
 
     def test_fewer_than_one_job_rejected(self, fold):
         train, val, _ = fold
-        for n_jobs in (0, -2):
+        for n_jobs in (0, -2, 2.0):
             with pytest.raises(ValueError, match="n_jobs"):
                 grid_search([(train, val)], [(1e-2, 0.0)], TrainRun(loss="wm", **FAST),
                             n_jobs=n_jobs)

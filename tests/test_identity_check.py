@@ -83,12 +83,12 @@ def test_the_skip_commands_train_every_loss_in_small_batches(identity_check):
     synth = commands.pop("synth-censored")
     assert synth[synth.index("--censor-fraction") + 1] == "0.9"
     assert sorted(commands) == sorted([f"skip-cv-{loss}" for loss in LOSSES] + [
-        "skip-cv-wm-median-global", "skip-cv-wm-l1", "skip-cv-wm-l2",
-        "skip-cv-rank-hinge-unclipped"])
-    # every exponent branch of the wm loss, and the unclipped hinge
+        "skip-cv-wm-median-global", "skip-cv-wm-l1", "skip-cv-wm-l2", "skip-cv-wm-l3",
+        "skip-cv-wm-l2.5", "skip-cv-rank-hinge-unclipped"])
+    # every exponent that numpy's in-place power treats its own way, and the unclipped hinge
     options = [" ".join(argv) for argv in commands.values()]
-    for option in ("--loss wm --wm-l 1 ", "--loss wm --wm-l 2 ",
-                   "--loss rank-hinge --hinge-clip none "):
+    for option in ("--loss wm --wm-l 1 ", "--loss wm --wm-l 2 ", "--loss wm --wm-l 3 ",
+                   "--loss wm --wm-l 2.5 ", "--loss rank-hinge --hinge-clip none "):
         assert any(option in line for line in options), option
     for argv in commands.values():
         assert argv[0] == "cv" and argv[argv.index("--batch-size") + 1] == "8"

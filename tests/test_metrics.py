@@ -11,18 +11,22 @@ from conftest import (
     random_survival_dataset,
 )
 from censrank.errors import UndefinedMetricError
-from censrank.metrics import acceptable_pairs, c_index, c_index_from_pairs
+from censrank.metrics import _enumerate_pairs, acceptable_pairs, c_index, c_index_from_pairs
+
+
+def _listed(pairs):
+    return list(zip(pairs.i.tolist(), pairs.j.tolist()))
 
 
 class TestAcceptablePairs:
     def test_two_observed_records(self):
         data = make_dataset([1.0, 2.0], [True, True])
-        assert acceptable_pairs(data).pairs == [(0, 1)]
+        assert _listed(acceptable_pairs(data)) == [(0, 1)]
 
     def test_censored_anchor_excluded(self):
         # a censored record never anchors a pair but may terminate one
         data = make_dataset([1.0, 2.0, 3.0], [True, False, True])
-        assert set(acceptable_pairs(data).pairs) == {(0, 1), (0, 2)}
+        assert set(_listed(acceptable_pairs(data))) == {(0, 1), (0, 2)}
 
     def test_all_censored_is_empty(self):
         data = make_dataset([1.0, 2.0, 3.0], [False, False, False])
@@ -35,21 +39,26 @@ class TestAcceptablePairs:
     def test_grid_resolution_merges_same_bin_times(self):
         # 1.0 and 1.5 share a bin at width 2, so no pair survives binning
         data = make_dataset([1.0, 1.5], [True, True], bin_width=2.0)
-        assert len(acceptable_pairs(data, resolution="time")) == 1
-        assert len(acceptable_pairs(data, resolution="grid")) == 0
+        assert len(acceptable_pairs(data)) == 1
+        assert len(_enumerate_pairs(data.bins, data.observed)[0]) == 0
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
             times, observed = random_survival_dataset(rng, max_n=60)
             data = make_dataset(times, observed)
-            got = set(acceptable_pairs(data).pairs)
+            got = set(_listed(acceptable_pairs(data)))
             assert got == brute_force_acceptable_pairs(times, observed)
 
-    def test_unknown_resolution_rejected(self):
-        data = make_dataset([1.0, 2.0], [True, True])
-        with pytest.raises(ValueError):
-            acceptable_pairs(data, resolution="week")
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_batch_listing_matches_brute_force_on_tied_bins(self, n):
+        rng = np.random.default_rng(n)
+        bins = rng.integers(0, 4, size=n)  # few bins, so most records tie
+        for observed in (rng.random(n) < 0.6, np.zeros(n, dtype=bool)):
+            i, j = _enumerate_pairs(bins, observed)
+            assert i.dtype == j.dtype == np.int64
+            assert list(zip(i.tolist(), j.tolist())) == sorted(
+                brute_force_acceptable_pairs(bins, observed))
 
 
 class TestCIndex:

@@ -34,18 +34,28 @@ class TestNetworkConfig:
 
     def test_rejects_a_zero_width_layer(self):
         for input_dim, hidden_dims in ((0, (4,)), (3, (0,)), (3, (4, 0, 4)), (3, (-1,))):
-            with pytest.raises(ValueError, match="must be >= 1"):
+            with pytest.raises(ValueError, match="must be an integer >= 1, got 0|got -1"):
                 NetworkConfig(input_dim=input_dim, hidden_dims=hidden_dims)
 
     @pytest.mark.parametrize("option, value, named", [
-        ("input_dim", 2.0, "input_dim must hold integers"),
-        ("hidden_dims", (8.7,), "hidden_dims must hold integers"),
-        ("hidden_dims", (True,), "hidden_dims must hold integers"),
+        ("input_dim", 2.0, "input_dim must be an integer"),
+        ("hidden_dims", (8.7,), "width in hidden_dims must be an integer"),
+        ("hidden_dims", (True,), "width in hidden_dims must be an integer"),
         ("seed", -1, "seed must be an integer >= 0"),
         ("seed", 3.0, "seed must be an integer"),
+        ("hidden_dims", 5, "hidden_dims must be a list or tuple"),
+        ("hidden_dims", "44", "hidden_dims must be a list or tuple"),
+        ("num_outputs", 4.0, "num_outputs must be an integer"),
+        ("num_outputs", True, "num_outputs must be an integer"),
+        ("num_outputs", 0, "num_outputs must be an integer >= 1"),
+        ("dropout_rate", False, "dropout_rate must be a real number"),
+        ("dropout_rate", "0.5", "dropout_rate must be a real number"),
+        ("dropout_rate", None, "dropout_rate must be a real number"),
+        ("l2_coefficient", True, "l2_coefficient must be a real number"),
+        ("l2_coefficient", "x", "l2_coefficient must be a real number"),
     ])
-    def test_rejects_a_width_or_seed_that_is_not_an_integer(self, option, value, named):
-        options = dict(input_dim=3, hidden_dims=(4,), seed=0)
+    def test_every_field_rejects_a_wrong_type_by_name(self, option, value, named):
+        options = dict(input_dim=3, hidden_dims=(4,), head="softmax", num_outputs=4, seed=0)
         with pytest.raises(ValueError, match=named):
             NetworkConfig(**{**options, option: value})
 

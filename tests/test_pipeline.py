@@ -159,6 +159,18 @@ class TestSchema:
         with pytest.raises(ValueError, match="'delimiter' must be one character"):
             load_schema(str(path))
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"delimeter": ";"}, "unknown key 'delimeter'"),
+        ({"columns": {"grp": {"kind": "categorical", "mising": ["NA"]}}},
+         "column 'grp': unknown key 'mising'"),
+    ])
+    def test_an_unknown_key_is_named(self, tmp_path, doc, named):
+        columns = {"days": "time", "dead": "event_indicator", **doc.pop("columns", {})}
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({**doc, "columns": columns}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+            load_schema(str(path))
+
     def test_lists_of_strings_load_as_tuples(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps({
@@ -978,14 +990,23 @@ class TestKfoldSplit:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             kfold_split(4, 5, 0.2, seed=0)  # n < k
-        with pytest.raises(ValueError):
-            kfold_split(10, 1, 0.2, seed=0)
+        for k in (1, 2.0, True):
+            with pytest.raises(ValueError, match="k must be an integer >= 2"):
+                kfold_split(10, k, 0.2, seed=0)
         for vf in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 kfold_split(10, 5, vf, seed=0)
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("n, num_features, named", [
+        (0, 5, "n must be an integer >= 1"), (10.0, 5, "n must be an integer"),
+        (10, 0, "num_features must be an integer >= 1"), (10, True, "num_features must be"),
+    ])
+    def test_a_count_that_is_not_a_positive_integer_is_named(self, n, num_features, named):
+        with pytest.raises(ValueError, match=named):
+            generate_synthetic(n, num_features, censor_fraction=0.2, tie_density=0.1, seed=0)
+
     def test_zero_censoring(self):
         data = generate_synthetic(200, 5, censor_fraction=0.0, tie_density=0.1, seed=0)
         assert bool(data.observed.all())
