@@ -42,12 +42,17 @@ def _hinge_clip(text):
     return float(text)
 
 
-def _dims(text):
-    return tuple(int(part) for part in text.split(",") if part)
-
-
-def _fractions(text):
-    return [float(part) for part in text.split(",") if part]
+def _entries(option, text, convert=str):
+    """The comma-separated entries of `option`'s value `text`, each passed
+    through `convert`; an empty or unconvertible entry is a ValueError that
+    names the option and its value."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"{option} {text!r} has an empty entry")
+    try:
+        return [convert(part) for part in parts]
+    except ValueError as err:
+        raise ValueError(f"{option} {text!r}: {err}") from None
 
 
 def _emit_line(payload):
@@ -67,7 +72,7 @@ def _add_out_args(p, required=True):
 
 def _add_train_knobs(p):
     defaults = harness.TrainRun  # each option's default is its TrainRun field's
-    p.add_argument("--hidden-dims", type=_dims, default=defaults.hidden_dims,
+    p.add_argument("--hidden-dims", default=",".join(map(str, defaults.hidden_dims)),
                    help="comma-separated layer widths")
     p.add_argument("--dropout", type=float, default=defaults.dropout)
     p.add_argument("--batch-size", type=int, default=defaults.batch_size)
@@ -97,7 +102,9 @@ _TRAIN_KNOBS = ("hidden_dims", "dropout", "batch_size", "max_epochs", "patience"
 
 
 def _template_from(args, loss):
-    return harness.TrainRun(loss=loss, **{name: getattr(args, name) for name in _TRAIN_KNOBS})
+    knobs = {name: getattr(args, name) for name in _TRAIN_KNOBS}
+    knobs["hidden_dims"] = _entries("--hidden-dims", args.hidden_dims, int)
+    return harness.TrainRun(loss=loss, **knobs)
 
 
 def _experiment_args(args, loss):
@@ -283,10 +290,8 @@ def _cmd_cv(args):
 
 
 def _cmd_ablate(args):
+    losses = _entries("--losses", args.losses)
     table = _load_table(args)
-    losses = [part for part in args.losses.split(",") if part]
-    if not losses:
-        raise ValueError(f"--losses {args.losses!r} names no loss")
     result = harness.censoring_ablation(table, losses, **_experiment_args(args, losses[0]))
     harness.emit_report(result, args.out, format=args.format)
     _emit_line({"cells": len(result.cells), "out": args.out})
@@ -294,9 +299,10 @@ def _cmd_ablate(args):
 
 
 def _cmd_sweep(args):
+    fractions = _entries("--fractions", args.fractions, float)
     table = _load_table(args)
     result = harness.censoring_sweep(
-        table, args.loss, args.fractions, **_experiment_args(args, args.loss)
+        table, args.loss, fractions, **_experiment_args(args, args.loss)
     )
     harness.emit_report(result, args.out, format=args.format)
     _emit_line(
@@ -375,8 +381,7 @@ def build_parser():
     p = sub.add_parser("sweep-censoring", help="C-index vs censoring fraction")
     _add_data_args(p)
     p.add_argument("--loss", choices=harness.LOSSES, required=True)
-    p.add_argument("--fractions", type=_fractions, required=True,
-                   help="comma-separated censoring fractions")
+    p.add_argument("--fractions", required=True, help="comma-separated censoring fractions")
     _add_cv_args(p)
     _add_train_knobs(p)
     _add_out_args(p)

@@ -74,7 +74,8 @@ class TimeGrid:
 def build_time_grid(times, bin_width):
     """Build the grid covering `times`: ``floor(max/width) + 1`` bins from 0.
 
-    Raises ValueError on an empty input, a non-positive width, or any
+    Raises ValueError on an empty input, a non-positive width, a width so
+    small that the grid would hold 2^53 bins or more, or any
     negative/non-finite time.
     """
     times = np.asarray(times, dtype=np.float64)
@@ -85,7 +86,8 @@ def build_time_grid(times, bin_width):
     if not (np.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     top = float(times.max()) / float(bin_width)  # inf, with no warning, if it overflows
-    if not np.isfinite(top):
+    # from 2^53 bins on, floor(top) + 1 no longer rounds exactly and the last time falls outside
+    if not top < 2.0**53 - 1:
         raise ValueError(f"bin_width {bin_width} is too small to count the grid's bins")
     num_bins = int(np.floor(top)) + 1
     return TimeGrid(bin_width=bin_width, num_bins=num_bins)

@@ -5,15 +5,17 @@ the risk set after its own bin, all events inside one bin share a single
 multiplicative step ``1 - d_k/n_k`` with the at-risk count taken before
 any of them leave.
 
-Targets for training the CDF-matching loss: an observed record becomes a
-Dirac step at its event bin; a censored record is imputed from the curve,
-either conditionally on having survived its censoring bin (default) or as
-``1 - survival`` set to zero through the censoring bin ("global").  Either
-way a censored record's target is exactly zero at and before its censoring
-bin.  A target row depends only on the record's bin, its observed flag and
-the curve, so training builds the rows of one block of a batch at a time
-(at most 1 MiB of them, `target_cdf_matrix(rows=)`), which the loss then
-consumes, and holds O(block x T) target memory, not O(n x T).
+Targets for training the CDF-matching loss span the L + 2 outputs of the
+pmf head (`target_cdf_matrix`): the grid's bins up to the training fold's
+last observed event L, and one output for "after L".  An observed record
+becomes a Dirac step at its event bin; a censored record is imputed from
+the curve, either conditionally on having survived its censoring bin
+(default) or as ``1 - survival`` set to zero through the censoring bin
+("global").  A target row depends only on the record's bin, its observed
+flag and the curve, so training builds the rows of one block of a batch at
+a time (at most 1 MiB of them, `target_cdf_matrix(rows=)`), which the loss
+then consumes, and holds O(block x (L + 2)) target memory, not
+O(n x (L + 2)).
 """
 
 import math
@@ -23,7 +25,9 @@ import numpy as np
 
 from .core import Dataset, TimeGrid, _frozen_array
 
-__all__ = ["IMPUTE_MODES", "KaplanMeierCurve", "kaplan_meier", "target_cdf_matrix"]
+__all__ = [
+    "IMPUTE_MODES", "KaplanMeierCurve", "kaplan_meier", "last_event_bin", "target_cdf_matrix",
+]
 
 IMPUTE_MODES = ("conditional", "global")
 
@@ -89,8 +93,6 @@ def _fill_target_rows(out, bins, observed, survival, mode):
     k is 0 through k and, beyond it, 1 - S(t)/S(k) ("conditional", or 1
     when S(k) = 0) or the running maximum of 1 - S(t) from k + 1 ("global").
     """
-    if mode not in IMPUTE_MODES:
-        raise ValueError(f"unknown imputation mode {mode!r}; choose one of {IMPUTE_MODES}")
     for row, k, obs in zip(out, bins.tolist(), observed.tolist()):
         if obs:
             row[:k] = 0.0
@@ -108,18 +110,39 @@ def _fill_target_rows(out, bins, observed, survival, mode):
             np.subtract(1.0, tail, out=tail)
 
 
-def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional", rows=None):
-    """Stacked target CDFs, shape (n, num_bins); row i is record i's target.
+def last_event_bin(dataset: Dataset) -> int:
+    """L: the last grid bin holding an observed event of `dataset`, or -1 if it has none.
 
-    `km` must come from the training fold only, on `dataset`'s grid (a
-    ValueError otherwise).  With `rows` (indices into `dataset`) only those
-    records' targets are built, in that order.
+    A pmf head trained on `dataset` has L + 2 outputs: bins 0..L and one
+    more for "after L"."""
+    return int(dataset.bins[dataset.observed].max(initial=-1))
+
+
+def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional", rows=None):
+    """Stacked target CDFs over the L + 2 outputs of a pmf head trained on
+    `dataset` (L = `last_event_bin(dataset)`), shape (n, L + 2); row i is
+    record i's target.
+
+    `dataset` is the training fold and `km` its curve, on the same grid (a
+    ValueError otherwise).  Columns 0..L follow the rule of
+    `_fill_target_rows` with S(L + 1) taken as 0, so column L + 1 is 1 for
+    every record: a censored record puts S(L)/S(k) ("conditional") or S(L)
+    ("global") there, or all of its mass when it is censored at or after L.
+    With no observed event (L = -1) every row is [1].  With `rows` (indices
+    into `dataset`) only those records' targets are built, in that order.
     """
     if km.grid != dataset.grid:
         raise ValueError(f"the curve's grid {km.grid} is not the dataset's {dataset.grid}")
+    if mode not in IMPUTE_MODES:
+        raise ValueError(f"unknown imputation mode {mode!r}; choose one of {IMPUTE_MODES}")
+    last = last_event_bin(dataset)
     bins, observed = dataset.bins, dataset.observed
     if rows is not None:
         bins, observed = bins[rows], observed[rows]
-    out = np.empty((len(bins), km.grid.num_bins))
-    _fill_target_rows(out, bins, observed, km.survival, mode)
+    if last < 0:  # a one-output head: every record's mass lies "after L"
+        return np.ones((len(bins), 1))
+    out = np.empty((len(bins), last + 2))
+    # every observed bin is <= L, and a record censored past L is censored at L
+    curve = np.append(km.survival[: last + 1], 0.0)
+    _fill_target_rows(out, np.minimum(bins, last), observed, curve, mode)
     return out

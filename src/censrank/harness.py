@@ -16,7 +16,9 @@ identical reports.
 
 Each loss name is one entry of the `_FAMILIES` table (network head, score
 map, per-batch loss), so `train_model` has no per-loss branch and adding a
-loss means adding one entry.
+loss means adding one entry.  The wm head is sized from its training fold:
+L + 2 outputs, the grid's bins 0..L up to the fold's last observed event
+(`estimators.last_event_bin`) and one for "after L".
 """
 
 import json
@@ -33,7 +35,9 @@ import numpy as np
 
 from .core import Dataset, _check_int, _check_real, build_time_grid
 from .errors import ExperimentFailedError, TrainingDivergedError, UndefinedMetricError
-from .estimators import IMPUTE_MODES, KaplanMeierCurve, kaplan_meier, target_cdf_matrix
+from .estimators import (
+    IMPUTE_MODES, KaplanMeierCurve, kaplan_meier, last_event_bin, target_cdf_matrix,
+)
 from .losses import bin_weights, cox_nll_with_grad, ranking_loss_with_grad, wm_batch_with_grad
 from .metrics import AcceptablePairSet, _enumerate_pairs, c_index
 from .neural import Adam, Network, NetworkConfig
@@ -177,7 +181,7 @@ def _wm_batches(run, train):
 def _wm_step(run: TrainRun, train: Dataset, km, weights, idx, pmf):
     """The wm loss of the batch `train[idx]` with pmf `pmf`, in row blocks of at most
     `_SCORE_BLOCK_BYTES` of outputs; d(loss)/d(logits) is written over `pmf`.  Each block's
-    loss consumes that block's target rows and holds one more (block, T) array."""
+    loss consumes that block's target rows and holds one more (block, L + 2) array."""
     block = max(1, _SCORE_BLOCK_BYTES // (8 * pmf.shape[1]))
     value = 0.0
     for start in range(0, len(idx), block):
@@ -202,7 +206,7 @@ _FAMILIES = {
     "rank-logsigmoid": _Family(*_RANK, partial(_rank_batches, "log_sigmoid")),
     "rank-hinge": _Family(*_RANK, partial(_rank_batches, "hinge")),
     "rank-exp": _Family(*_RANK, partial(_rank_batches, "exponential")),
-    "wm": _Family("softmax", _pmf_scores, _wm_batches),  # a pmf over the grid's bins
+    "wm": _Family("softmax", _pmf_scores, _wm_batches),  # a pmf over bins 0..L and "after L"
 }
 LOSSES = tuple(_FAMILIES)
 
@@ -211,7 +215,7 @@ def _network_for(run: TrainRun, train: Dataset) -> Network:
     head = _FAMILIES[run.loss].head
     return Network(NetworkConfig(
         input_dim=train.n_features, hidden_dims=run.hidden_dims, head=head,
-        num_outputs=train.grid.num_bins if head == "softmax" else 1, dropout_rate=run.dropout,
+        num_outputs=last_event_bin(train) + 2 if head == "softmax" else 1, dropout_rate=run.dropout,
         l2_coefficient=run.l2, seed=derived_seed(run.seed, "init")))
 
 
@@ -219,7 +223,10 @@ def eval_scores(run: TrainRun, outputs, cdf_out=None):
     """Map network outputs to C-index scores (higher = later event).
 
     Cox outputs rank hazard, so they are negated; ranking outputs are used
-    raw; a pmf head scores by its expected bin index (or the median bin).
+    raw; a pmf head scores by its expected output index (or the median
+    output).  Its last output, L + 1, means "after L" and counts as index
+    L + 1, so the mean is a mean restricted to L + 1, and the median is
+    L + 1 when more than half of the mass lies past L.
     Each row's score depends on that row alone, so `predict_scores` can
     apply it block by block.  `outputs` is never written to unless it is
     also `cdf_out`, where a median score writes the running CDF.
@@ -228,7 +235,7 @@ def eval_scores(run: TrainRun, outputs, cdf_out=None):
 
 
 # Output bytes one scoring forward, or one block of the wm loss, may hold: 64 rows of a
-# 2,030-bin pmf head, which fit a 2 MiB L2 cache with their hidden activations.
+# 2,048-output pmf head, which fit a 2 MiB L2 cache with their hidden activations.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 
@@ -238,6 +245,10 @@ def _finite(out):
     return bool(np.isfinite(out if out.ndim == 1 else out[:, 0]).all())
 
 
+# A diverging run's overflows and NaNs reach an explicit check that names them (network
+# outputs, the loss value, the gradients), so numpy's floating-point warnings would only
+# repeat it on stderr, ahead of the CLI's one JSON error line.
+@np.errstate(all="ignore")
 def predict_scores(run: TrainRun, net: Network, features):
     """`eval_scores` of an eval-mode forward over every row of `features`.
 
@@ -266,6 +277,7 @@ def predict_scores(run: TrainRun, net: Network, features):
     return scores
 
 
+@np.errstate(all="ignore")  # as predict_scores: the checks below name every divergence
 def train_model(run: TrainRun, train: Dataset, val: Dataset):
     """Minibatch training with early stopping on the validation C-index.
 

@@ -12,6 +12,7 @@ tied.
 import numpy as np
 
 from .core import Dataset
+from .estimators import last_event_bin
 from .metrics import AcceptablePairSet
 
 __all__ = [
@@ -138,12 +139,14 @@ def ranking_loss_with_grad(scores, pairs: AcceptablePairSet, kind, hinge_clip=1.
 
 
 def bin_weights(train: Dataset, smoothing):
-    """Per-bin weights of the CDF-difference norm (the transport ground
-    distance): observed-event counts per bin of the training fold plus
-    `smoothing`, normalized to sum 1, shape (num_bins,)."""
+    """Per-output weights of the CDF-difference norm (the transport ground
+    distance) over the L + 2 outputs of a pmf head trained on `train` (see
+    `estimators.last_event_bin`): observed-event counts per output of the
+    training fold (none in output L + 1, "after L") plus `smoothing`,
+    normalized to sum 1, shape (L + 2,)."""
     if not (smoothing > 0):
         raise ValueError(f"smoothing must be positive, got {smoothing}")
-    counts = np.bincount(train.bins[train.observed], minlength=train.grid.num_bins)
+    counts = np.bincount(train.bins[train.observed], minlength=last_event_bin(train) + 2)
     counts = counts.astype(np.float64)
     counts += smoothing
     return counts / counts.sum()
@@ -158,7 +161,8 @@ def wm_batch_with_grad(pmf, target_cdf, weights, l=1.5, out=None, batch_size=Non
     pmf: symmetric, non-negative, and zero iff the CDFs agree on every
     positively weighted bin.
 
-    pmf: (rows, T) softmax outputs; target_cdf: (rows, T); weights: (T,).
+    pmf: (rows, T) softmax outputs; target_cdf: (rows, T); weights: (T,),
+    where T is the head's width (L + 2 outputs in training, see `bin_weights`).
     Returns (value, d(value)/d(logits) of pmf's shape), the softmax step
     p * (g - <g, p>) taken on the pmf gradient g.  The mean divides by
     `batch_size` (default: the rows), so one batch's row blocks, each given

@@ -102,10 +102,12 @@ class TestKm:
         assert survival == sorted(survival, reverse=True)
 
 
-    def test_a_width_too_small_for_the_grid_is_a_json_error(self, capsys, toy):
-        code, err = _error_line(capsys, ["km", *data_args(toy), "--bin-width", "1e-320"])
+    @pytest.mark.parametrize("width", ["1e-320", "1e-300"])
+    def test_a_width_too_small_for_the_grid_is_a_json_error(self, capsys, toy, width):
+        code, err = _error_line(capsys, ["km", *data_args(toy), "--bin-width", width])
         assert code == 2
-        assert err["error"] == "ValueError" and "bin_width 1e-320" in err["message"]
+        assert err == {"error": "ValueError",
+                       "message": f"bin_width {width} is too small to count the grid's bins"}
 
     def test_reads_only_times_and_events(self, capsys, tmp_path):
         # an unparseable feature cell cannot matter to Kaplan-Meier
@@ -546,6 +548,53 @@ def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, monkeypat
     assert encoded == []  # rejected before any fold is encoded
 
 
+@pytest.mark.parametrize("command, option, value, message", [
+    ("cv", "--hidden-dims", "1,,2", " has an empty entry"),
+    ("cv", "--hidden-dims", "8,", " has an empty entry"),
+    ("train", "--hidden-dims", " ,8", " has an empty entry"),
+    ("cv", "--hidden-dims", "8,x", ": invalid literal for int() with base 10: 'x'"),
+    ("ablate-censoring", "--losses", "wm,,cox", " has an empty entry"),
+    ("sweep-censoring", "--fractions", "0.5,,0.8", " has an empty entry"),
+    ("sweep-censoring", "--fractions", "0.5,half", ": could not convert string to float: 'half'"),
+])
+def test_a_list_option_with_an_empty_or_bad_entry_is_named(capsys, toy, tmp_path, monkeypatch,
+                                                            command, option, value, message):
+    encoded = []
+    monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
+    loss = [] if command == "ablate-censoring" else ["--loss", "rank-sigmoid"]
+    fractions = ["--fractions", "0.9"] if command == "sweep-censoring" else []
+    out = ["--checkpoint" if command == "train" else "--out", str(tmp_path / "x")]
+    code, err = _error_line(capsys, [
+        command, *data_args(toy), *loss, *fractions, "--bin-width", "5", *KNOBS,
+        option, value, *out,
+    ])
+    assert code == 2
+    assert err == {"error": "ValueError", "message": f"{option} {value!r}{message}"}
+    assert encoded == [] and not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("loss, option, value, code", [
+    # finite: the wm loss's power underflows to 0 with every target ending at 1
+    ("wm", "--wm-l", "1e308", 0),
+    ("wm", "--learning-rate", "1e200", 2),
+    ("cox-efron", "--learning-rate", "1e200", 2),
+    ("rank-sigmoid", "--learning-rate", "1e200", 2),
+])
+def test_a_run_that_overflows_writes_no_warning_to_stderr(toy, tmp_path, loss, option, value,
+                                                          code):
+    argv = ["train", *data_args(toy), "--loss", loss, "--bin-width", "5", *KNOBS, option, value,
+            "--checkpoint", str(tmp_path / "m.bin")]
+    cmd, env = cli_launch(argv)
+    env["PYTHONWARNINGS"] = "default"  # numpy's RuntimeWarnings reach stderr
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:  # one line, the JSON error that names the divergence
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "TrainingDivergedError"
+
+
 def test_every_training_option_sets_a_train_run_field():
     assert set(cli._TRAIN_KNOBS) <= {f.name for f in fields(harness.TrainRun)}
 
@@ -643,7 +692,7 @@ class TestCensoringCommands:
             "--k", "2", "--grid", toy["grid"], *KNOBS, "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
-        assert err == {"error": "ValueError", "message": "--losses ',' names no loss"}
+        assert err == {"error": "ValueError", "message": "--losses ',' has an empty entry"}
         assert not (tmp_path / "x.csv").exists()
 
     def test_a_sweep_without_a_fraction_fails_cleanly(self, capsys, toy, tmp_path, monkeypatch):
@@ -655,7 +704,7 @@ class TestCensoringCommands:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
-        assert err == {"error": "ValueError", "message": "no censoring fraction is listed"}
+        assert err == {"error": "ValueError", "message": "--fractions ',' has an empty entry"}
         assert encoded == [] and not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command, option, value, named", [

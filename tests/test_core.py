@@ -27,6 +27,16 @@ class TestBuildTimeGrid:
             with pytest.raises(ValueError, match=f"bin_width {width}|got {width}"):
                 build_time_grid([1.0], width)
 
+    def test_a_width_that_needs_2_53_bins_or_more_is_too_small(self):
+        # from 2^53 bins on, floor(max / width) + 1 no longer counts exactly and the
+        # grid would miss its own last time
+        for width in (1e-300, 7.25 / 2.0**53, 7.25 / (2.0**53 - 1)):
+            with pytest.raises(ValueError, match="too small to count the grid's bins"):
+                build_time_grid([1.5, 3.0, 7.25], width)
+        grid = build_time_grid([1.5, 3.0, 7.25], 7.25 / (2.0**53 - 2))
+        assert grid.num_bins < 2**53
+        assert grid.bin_indices([1.5, 3.0, 7.25])[-1] == grid.num_bins - 1
+
     @pytest.mark.parametrize("width, bins, named", [
         (1.0, 2.9, "num_bins must be an integer >= 1"),
         (1.0, True, "num_bins must be an integer >= 1"),

@@ -14,7 +14,7 @@ from censrank.losses import (
     ranking_loss_with_grad,
     wm_batch_with_grad,
 )
-from censrank.estimators import kaplan_meier, target_cdf_matrix
+from censrank.estimators import kaplan_meier, last_event_bin, target_cdf_matrix
 from censrank.metrics import AcceptablePairSet, _enumerate_pairs
 from censrank.neural import Network, NetworkConfig
 
@@ -79,7 +79,7 @@ def _build_network(name, data, seed):
             input_dim=data.n_features,
             hidden_dims=(6, 5),
             head="softmax",
-            num_outputs=data.grid.num_bins,
+            num_outputs=last_event_bin(data) + 2,  # the width the wm targets and weights take
             seed=seed,
         )
     else:

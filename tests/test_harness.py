@@ -39,7 +39,7 @@ from censrank.harness import (
     run_cv,
     train_model,
 )
-from censrank.estimators import kaplan_meier, target_cdf_matrix
+from censrank.estimators import kaplan_meier, last_event_bin, target_cdf_matrix
 from censrank.losses import bin_weights
 from censrank.metrics import acceptable_pairs, c_index, c_index_from_pairs
 from censrank.neural import Network, NetworkConfig
@@ -314,13 +314,15 @@ class TestWmStep:
             self, monkeypatch, bins, batch, blocks, l):
         rng = np.random.default_rng(bins + batch)
         n = 300
+        observed = rng.random(n) < 0.7
+        observed[-1] = True  # an event in the grid's last bin: the head has bins + 1 outputs
         train = make_dataset(np.append(rng.uniform(0.0, bins - 1.0, size=n - 1), bins - 0.5),
-                             rng.random(n) < 0.7, features=rng.normal(size=(n, 3)))
-        assert train.grid.num_bins == bins
+                             observed, features=rng.normal(size=(n, 3)))
+        assert train.grid.num_bins == bins and last_event_bin(train) == bins - 1
         run = TrainRun(loss="wm", wm_l=l, km_impute="global" if l == 2.0 else "conditional")
         km, weights = kaplan_meier(train), bin_weights(train, run.wm_smoothing)
         idx = rng.permutation(n)[:batch]
-        pmf = rng.dirichlet(np.full(bins, 0.5), size=batch)
+        pmf = rng.dirichlet(np.full(bins + 1, 0.5), size=batch)
         targets = target_cdf_matrix(train, km, mode=run.km_impute, rows=idx)
         want_value, want = _whole_batch_reference(pmf, targets, weights, l)
 
@@ -363,14 +365,14 @@ class TestTrainModel:
         assert np.array_equal(returned_scores, recorded[1])
 
     def test_wm_target_memory_is_per_batch_not_per_record(self):
-        # n >> batch size: an n x T target matrix alone would be
+        # n >> batch size: an n x (L + 2) target matrix alone would be
         # 4,000 x ~400 x 8 bytes = 12.8 MB; per-batch rows need ~0.2 MB
         rng = np.random.default_rng(21)
         n = 4200
         data = make_dataset(rng.uniform(0.0, 400.0, size=n), rng.random(n) < 0.7,
                             features=rng.normal(size=(n, 4)))
         train, val = data.subset(np.arange(4000)), data.subset(np.arange(4000, n))
-        assert data.grid.num_bins >= 390
+        assert last_event_bin(train) + 2 >= 390  # the head's outputs
         run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=64,
                        max_epochs=1, patience=1, seed=5)
         tracemalloc.start()
@@ -382,14 +384,16 @@ class TestTrainModel:
         assert peak < 6 * 2**20
 
     def test_wm_validation_runs_with_no_batch_wide_array_alive(self, monkeypatch):
-        # T ~ 1,000 bins, batch 64 and 8 hidden units: each (batch, T) array
-        # (0.5 MB) outweighs every other array of the run
+        # a head of ~1,000 outputs, batch 64 and 8 hidden units: each (batch, outputs)
+        # array (0.5 MB) outweighs every other array of the run
         rng = np.random.default_rng(22)
         n = 680
         data = make_dataset(rng.uniform(0.0, 1000.0, size=n), rng.random(n) < 0.7,
                             features=rng.normal(size=(n, 4)))
         train, val = data.subset(np.arange(640)), data.subset(np.arange(640, n))
-        wide = 64 * data.grid.num_bins * 8  # bytes of one (batch, T) float64 array
+        outputs = last_event_bin(train) + 2
+        assert outputs >= 990
+        wide = 64 * outputs * 8  # bytes of one (batch, outputs) float64 array
         run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=64,
                        max_epochs=2, patience=2, seed=5)
         predict_scores, alive = harness.predict_scores, []
@@ -414,15 +418,16 @@ class TestTrainModel:
         assert peak < 4.5 * wide
 
     def test_a_wm_step_holds_one_batch_wide_array(self, monkeypatch):
-        # T = 2,048 bins and batch 256: the loss takes blocks of 64 rows, and with
-        # 8 hidden units each (batch, T) array (4 MiB) outweighs all the rest
+        # a head of ~2,040 outputs and batch 256: the loss takes blocks of 64 rows, and
+        # with 8 hidden units each (batch, outputs) array (4 MiB) outweighs all the rest
         rng = np.random.default_rng(23)
         n = 560
         times = np.append(rng.uniform(0.0, 2047.0, size=n - 1), 2047.5)
         data = make_dataset(times, rng.random(n) < 0.7, features=rng.normal(size=(n, 4)))
         train, val = data.subset(np.arange(512)), data.subset(np.arange(512, n))
-        assert data.grid.num_bins == 2048
-        wide = 256 * 2048 * 8  # bytes of one (batch, T) float64 array
+        outputs = last_event_bin(train) + 2
+        assert 2030 <= outputs <= 2048  # 64 rows a block
+        wide = 256 * outputs * 8  # bytes of one (batch, outputs) float64 array
         run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=256,
                        max_epochs=1, patience=1, seed=5)
         loss, alive = harness.wm_batch_with_grad, []
@@ -444,6 +449,28 @@ class TestTrainModel:
         # measured: 1.66 arrays' worth (the pmf, a block's targets and the loss's one scratch);
         # 3.26, and 3 such arrays alive in the loss, with (batch, T) scratch
         assert peak < 2 * wide
+
+    def test_the_wm_head_ends_one_output_after_the_last_training_event(self):
+        rng = np.random.default_rng(24)
+        n = 300
+        times = rng.uniform(0.0, 100.0, size=n)
+        observed = (rng.random(n) < 0.7) & (times < 60.0)  # no event past bin 59
+        data = make_dataset(times, observed, features=rng.normal(size=(n, 3)))
+        train, val = data.subset(np.arange(240)), data.subset(np.arange(240, n))
+        last = max(int(k) for k, obs in zip(train.bins, train.observed) if obs)
+        run = TrainRun(loss="wm", seed=3, **{**FAST, "max_epochs": 2})
+        net, _ = train_model(run, train, val)
+        assert net.config.num_outputs == last + 2 < train.grid.num_bins
+
+    def test_a_fold_with_no_observed_event_trains_one_output_at_loss_zero(self, fold):
+        train, val, _ = fold
+        censored = Dataset(train.features, train.times, np.zeros(len(train), dtype=bool),
+                           train.grid)
+        run = TrainRun(loss="wm", seed=3, **{**FAST, "max_epochs": 3, "patience": 3})
+        net, history = train_model(run, censored, val)
+        assert net.config.num_outputs == 1
+        assert history["train_loss"] == [0.0, 0.0, 0.0]
+        assert np.array_equal(predict_scores(run, net, val.features), np.zeros(len(val)))
 
     @pytest.mark.parametrize("logits", ["nan", "+inf", "all -inf"])
     def test_a_non_finite_softmax_row_diverges_in_training_and_scoring(self, fold, monkeypatch,

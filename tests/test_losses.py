@@ -404,20 +404,34 @@ class TestRankingLoss:
 
 class TestBinWeights:
     def test_smoothing_one_hand_example(self):
-        # two events in bin 0, one in bin 1, a censored record stretches
-        # the grid to three bins
+        # two events in bin 0 and one in bin 1 (L = 1); the record censored in
+        # bin 2 lies in the third output, "after bin 1", which holds no event
         data = make_dataset([0.2, 0.5, 1.0, 2.0], [True, True, True, False])
         got = bin_weights(data, 1.0)
         assert np.allclose(got, [0.5, 1.0 / 3.0, 1.0 / 6.0], atol=1e-15)
 
-    def test_pure_smoothing_is_uniform(self):
+    def test_no_observed_event_gives_one_output(self):
         data = make_dataset([0.5, 1.5], [False, False])
-        assert np.array_equal(bin_weights(data, 1.0), [0.5, 0.5])
+        assert np.array_equal(bin_weights(data, 1.0), [1.0])
 
     def test_large_smoothing_hand_example(self):
         data = make_dataset([1.0], [True])
         got = bin_weights(data, 10.0)
-        assert np.allclose(got, [10.0 / 21.0, 11.0 / 21.0], atol=1e-15)
+        assert np.allclose(got, [10.0 / 31.0, 11.0 / 31.0, 10.0 / 31.0], atol=1e-15)
+
+    def test_weights_span_the_outputs_up_to_the_last_event_plus_one(self):
+        # brute force: one weight per bin 0..L, where L is the last bin with an
+        # observed event, then one for "after L"; bins past L add no output
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            times, observed = random_survival_dataset(rng, max_n=60)
+            data = make_dataset(times, observed)
+            smoothing = float(rng.uniform(0.1, 20.0))
+            last = max((int(k) for k, obs in zip(data.bins, data.observed) if obs), default=-1)
+            counts = [sum(1 for k, obs in zip(data.bins, data.observed) if obs and k == b)
+                      for b in range(last + 1)] + [0]
+            want = (np.array(counts, dtype=float) + smoothing) / (sum(counts) + smoothing * len(counts))
+            np.testing.assert_allclose(bin_weights(data, smoothing), want, rtol=1e-14, atol=0.0)
 
     def test_nonpositive_smoothing_rejected(self):
         data = make_dataset([1.0], [True])
