@@ -120,16 +120,14 @@ def last_event_bin(dataset: Dataset) -> int:
 
 def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional", rows=None):
     """Stacked target CDFs over the L + 2 outputs of a pmf head trained on
-    `dataset` (L = `last_event_bin(dataset)`), shape (n, L + 2); row i is
-    record i's target.
+    `dataset` (L = `last_event_bin(dataset)`), shape (n, L + 2).
 
     `dataset` is the training fold and `km` its curve, on the same grid (a
-    ValueError otherwise).  Columns 0..L follow the rule of
-    `_fill_target_rows` with S(L + 1) taken as 0, so column L + 1 is 1 for
-    every record: a censored record puts S(L)/S(k) ("conditional") or S(L)
-    ("global") there, or all of its mass when it is censored at or after L.
-    With no observed event (L = -1) every row is [1].  With `rows` (indices
-    into `dataset`) only those records' targets are built, in that order.
+    ValueError otherwise).  Columns 0..L follow `_fill_target_rows`, with a
+    record censored past L taken as censored at L and S(L + 1) as 0, so
+    every row ends at 1; with no observed event every row is [1].  With
+    `rows` (indices into `dataset`) only those records' targets are built,
+    in that order.
     """
     if km.grid != dataset.grid:
         raise ValueError(f"the curve's grid {km.grid} is not the dataset's {dataset.grid}")
@@ -142,7 +140,7 @@ def target_cdf_matrix(dataset: Dataset, km: KaplanMeierCurve, mode="conditional"
     if last < 0:  # a one-output head: every record's mass lies "after L"
         return np.ones((len(bins), 1))
     out = np.empty((len(bins), last + 2))
-    # every observed bin is <= L, and a record censored past L is censored at L
+    # every observed bin is <= L, so the clip moves only records censored past L
     curve = np.append(km.survival[: last + 1], 0.0)
     _fill_target_rows(out, np.minimum(bins, last), observed, curve, mode)
     return out

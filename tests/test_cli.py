@@ -555,7 +555,7 @@ def test_cv_rejects_an_option_that_cannot_train(capsys, toy, tmp_path, monkeypat
     ("cv", "--hidden-dims", "8,x", ": invalid literal for int() with base 10: 'x'"),
     ("ablate-censoring", "--losses", "wm,,cox", " has an empty entry"),
     ("sweep-censoring", "--fractions", "0.5,,0.8", " has an empty entry"),
-    ("sweep-censoring", "--fractions", "0.5,half", ": could not convert string to float: 'half'"),
+    ("sweep-censoring", "--fractions", "0.5,x", ": could not convert string to float: 'x'"),
 ])
 def test_a_list_option_with_an_empty_or_bad_entry_is_named(capsys, toy, tmp_path, monkeypatch,
                                                             command, option, value, message):

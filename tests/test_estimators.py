@@ -162,7 +162,8 @@ class TestImputeTargetCdf:
     def test_a_fold_with_no_observed_event_has_one_output(self):
         data = make_dataset([0.5, 3.0, 1.0], [False, False, False])
         for mode in ("conditional", "global"):
-            assert np.array_equal(target_cdf_matrix(data, kaplan_meier(data), mode), np.ones((3, 1)))
+            targets = target_cdf_matrix(data, kaplan_meier(data), mode)
+            assert np.array_equal(targets, np.ones((3, 1)))
 
     def test_zero_mass_at_or_before_censoring_bin(self):
         rng = np.random.default_rng(13)

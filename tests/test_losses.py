@@ -430,7 +430,8 @@ class TestBinWeights:
             last = max((int(k) for k, obs in zip(data.bins, data.observed) if obs), default=-1)
             counts = [sum(1 for k, obs in zip(data.bins, data.observed) if obs and k == b)
                       for b in range(last + 1)] + [0]
-            want = (np.array(counts, dtype=float) + smoothing) / (sum(counts) + smoothing * len(counts))
+            want = np.array(counts, dtype=float) + smoothing
+            want /= sum(counts) + smoothing * len(counts)
             np.testing.assert_allclose(bin_weights(data, smoothing), want, rtol=1e-14, atol=0.0)
 
     def test_nonpositive_smoothing_rejected(self):
