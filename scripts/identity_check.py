@@ -14,8 +14,10 @@ pinned to one thread:
   and one quoted cell that spans two lines, `km --on-bad-rows drop` and
   `evaluate --checkpoint --on-bad-rows drop`, so the CSV loader's parse,
   its dropped rows and its feature columns are compared end to end;
-- on a `censrank synth` table, `ablate-censoring` and a wm
-  `sweep-censoring`, each at `--n-jobs 1` and `--n-jobs 2`;
+- on a `censrank synth` table, `ablate-censoring`, a wm `sweep-censoring`,
+  and a rank-sigmoid and a wm `cv` whose grid's first point, a learning rate
+  of 1e200, diverges beside two that train, each at `--n-jobs 1` and
+  `--n-jobs 2`;
 - on a 90%-censored `censrank synth` table, one `cv` per loss at
   `--batch-size 8`, so batches with no event or no acceptable pair are
   skipped, plus wm scored by its median bin with global Kaplan-Meier
@@ -96,18 +98,25 @@ def bench_commands(inputs):
 
 def synth_commands(grid, n=500):
     """(label, argv) of a synth table of `n` rows and the experiments on it,
-    with the two-point grid file `grid`."""
+    with the two-point grid file `grid`; the rank-sigmoid and wm `cv` runs use
+    a grid whose first point diverges, written beside `grid`."""
+    diverge = os.path.join(os.path.dirname(grid), "diverge-grid.json")
+    with open(diverge, "w", encoding="utf-8") as fh:
+        json.dump([[1e200, 0.0], [1e-2, 0.0], [1e-2, 1e-4]], fh)
     data = ["--dataset", "synth.csv", "--schema", "synth.schema.json"]
     knobs = ["--bin-width", "5", "--k", "3", "--epochs", "2", "--patience", "2",
-             "--hidden-dims", "16", "--grid", grid, "--seed", "3"]
+             "--hidden-dims", "16", "--seed", "3"]
     commands = [("synth", ["synth", "--n", str(n), "--seed", "3", "--out", "synth"])]
     for jobs in ("1", "2"):
         commands.append((f"ablate-censoring-{jobs}", [
-            "ablate-censoring", *data, *knobs, "--n-jobs", jobs,
+            "ablate-censoring", *data, *knobs, "--grid", grid, "--n-jobs", jobs,
             "--out", f"ablate-{jobs}.csv"]))
         commands.append((f"sweep-censoring-{jobs}", [
             "sweep-censoring", *data, "--loss", "wm", "--fractions", "0.5,0.8", *knobs,
-            "--n-jobs", jobs, "--format", "json", "--out", f"sweep-{jobs}.json"]))
+            "--grid", grid, "--n-jobs", jobs, "--format", "json", "--out", f"sweep-{jobs}.json"]))
+        commands += [(f"diverge-cv-{loss}-{jobs}", [
+            "cv", *data, "--loss", loss, *knobs, "--grid", diverge, "--n-jobs", jobs,
+            "--out", f"diverge-cv-{loss}-{jobs}.csv"]) for loss in ("rank-sigmoid", "wm")]
     return commands
 
 

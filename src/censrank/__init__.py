@@ -26,7 +26,6 @@ from .harness import (
     censoring_ablation,
     censoring_sweep,
     emit_report,
-    grid_search,
     run_cv,
     train_model,
 )
@@ -47,7 +46,6 @@ from .pipeline import (
     kfold_split,
     load_csv,
     load_schema,
-    oracle_scores,
     preprocess,
 )
 

@@ -47,7 +47,6 @@ __all__ = [
     "LOSSES",
     "CENSORING_MODES",
     "TrainRun",
-    "FoldSelection",
     "FoldResult",
     "ExperimentReport",
     "AblationCell",
@@ -59,7 +58,6 @@ __all__ = [
     "fold_encoder",
     "train_model",
     "predict_scores",
-    "grid_search",
     "run_cv",
     "apply_censoring_mode",
     "censoring_ablation",
@@ -357,61 +355,51 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
 # Grid search over (learning rate, l2)
 
 
-@dataclass(frozen=True)
-class FoldSelection:
-    fold: int
-    learning_rate: float
-    l2: float
-    val_c_index: float
-    network: Network
-    history: dict
-    diverged: tuple  # (learning_rate, l2) pairs that diverged on this fold
-
-
 def _fit_job(args):
+    """(network, history) of one grid point's `train_model`, or the
+    TrainingDivergedError it raised."""
     run, train, val = args
     try:
-        net, history = train_model(run, train, val)
+        return train_model(run, train, val)
     except TrainingDivergedError as err:
-        return {"diverged": True, "error": str(err), "epoch": err.epoch}
-    return {
-        "diverged": False,
-        "val_c": history["best_val_c_index"],
-        "history": history,
-        "network": net,
-    }
+        return err
 
 
 def _checked_grid(grid, n_jobs, runs):
-    """`grid` as (lr, l2) floats, once every point's TrainRun from each of
-    `runs` passes TrainRun's checks, so a bad point fails before any fold
-    is built."""
-    grid = [(float(lr), float(l2)) for lr, l2 in grid]
-    if not grid:
+    """`grid` as (lr, l2) floats, once each point is a pair of real numbers (not bools) and
+    its TrainRun from each of `runs` passes TrainRun's checks, so none fails mid-run."""
+    points = []
+    for point in grid:
+        try:
+            lr, l2 = point
+            _check_real("learning_rate", lr)
+            _check_real("l2", l2)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"grid point {point!r} is not a (learning_rate, l2) pair of "
+                             f"real numbers: {err}") from None
+        points.append((float(lr), float(l2)))
+    if not points:
         raise ValueError("the grid must contain at least one point")
     _check_int("n_jobs", n_jobs, 1)
     for run in runs:
-        for lr, l2 in grid:
+        for lr, l2 in points:
             replace(run, learning_rate=lr, l2=l2)
-    return grid
+    return points
 
 
 def _select(name, fi, grid, results):
-    """The FoldSelection of one fold's results, one per grid point: best
-    validation C-index, ties broken by lower l2 then lower learning rate."""
-    alive = [(gi, r) for gi, r in enumerate(results) if not r["diverged"]]
+    """(grid index, network, history) of the best of one fold's `_fit_job` results, one
+    per grid point: best validation C-index, ties broken by lower l2 then lower rate.
+    Diverged points are skipped; if all diverged, ExperimentFailedError names each."""
+    alive = [gi for gi, r in enumerate(results) if not isinstance(r, TrainingDivergedError)]
     if not alive:
-        reasons = "; ".join(f"(lr, l2) = {point} at epoch {r['epoch']}: {r['error']}"
-                            for point, r in zip(grid, results))
+        reasons = "; ".join(f"(lr, l2) = {point} at epoch {err.epoch}: {err}"
+                            for point, err in zip(grid, results))
         raise ExperimentFailedError(
             f"{name} fold {fi}: all {len(grid)} grid points diverged: {reasons}"
         )
-    gi, best = min(alive, key=lambda item: (-item[1]["val_c"], grid[item[0]][1], grid[item[0]][0]))
-    return FoldSelection(
-        fold=fi, learning_rate=grid[gi][0], l2=grid[gi][1], val_c_index=best["val_c"],
-        network=best["network"], history=best["history"],
-        diverged=tuple(grid[gj] for gj, r in enumerate(results) if r["diverged"]),
-    )
+    gi = min(alive, key=lambda gi: (-results[gi][1]["best_val_c_index"], grid[gi][1], grid[gi][0]))
+    return (gi, *results[gi])
 
 
 def _fit_all(jobs, n_jobs):
@@ -433,50 +421,6 @@ def _fit_all(jobs, n_jobs):
         finally:  # after a failure, start none of the jobs still queued
             for future in ahead:
                 future.cancel()
-
-
-def _search(folds, grid, n_jobs, reduce):
-    """`reduce(selection, template, fi, fold)` of every (name, template,
-    fold index, fold) of `folds`, in order; `fold` starts with (train, val)
-    and `name` labels the (cell, fold) in a divergence error.
-
-    Grid point gi of fold fi is seeded `derived_seed(template.seed, "fold",
-    fi, "grid", gi)`.  `folds` is drawn as its jobs are queued and each is
-    reduced once its last point is in, so only folds in flight hold networks
-    (and, when `folds` is lazy, data).
-    """
-    queued = deque()
-
-    def jobs():
-        for name, template, fi, fold in folds:
-            queued.append((name, template, fi, fold))
-            for gi, (lr, l2) in enumerate(grid):
-                seed = derived_seed(template.seed, "fold", fi, "grid", gi)
-                yield replace(template, learning_rate=lr, l2=l2, seed=seed), fold[0], fold[1]
-            del fold  # a lazy `folds` can then release it before drawing the next
-
-    results = _fit_all(jobs(), n_jobs)
-    reduced = []
-    for first in results:
-        name, template, fi, fold = queued.popleft()
-        points = [first, *islice(results, len(grid) - 1)]
-        reduced.append(reduce(_select(name, fi, grid, points), template, fi, fold))
-        del first, points, fold  # free this fold's networks and data before the next trains
-    return reduced
-
-
-def grid_search(folds, grid, template: TrainRun, n_jobs=1):
-    """Train every (learning rate, l2) point on every fold; pick per fold.
-
-    `folds` is a sequence of (train, val) or (train, val, test) tuples;
-    extra members are ignored.  Selection is by best validation C-index,
-    ties broken by lower l2 then lower learning rate.  Diverged points are
-    skipped; a fold where every point diverged raises ExperimentFailedError
-    naming the loss and each point's epoch and reason.
-    """
-    tasks = [(template.loss, template, fi, fold) for fi, fold in enumerate(folds)]
-    grid = _checked_grid(grid, n_jobs, [template])
-    return _search(tasks, grid, n_jobs, lambda selection, *task: selection)
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +484,6 @@ def _cell_run(template, loss, seed):
     return replace(template or TrainRun(loss=loss), loss=loss, seed=seed)
 
 
-def _score_fold(selection, run, fi, fold):
-    test_c = c_index(fold[2], predict_scores(run, selection.network, fold[2].features))
-    return FoldResult(fold=fi, learning_rate=selection.learning_rate, l2=selection.l2,
-                      val_c_index=selection.val_c_index, test_c_index=test_c)
-
-
 def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs):
     """k-fold cross-validation of every cell on one set of folds: one
     ExperimentReport per cell, in cell order.
@@ -554,27 +492,43 @@ def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     labels its errors, a modifier maps (train Dataset, fold rng) to a
     replacement training set, and validation and test folds are never
     modified.  Every (cell, fold, grid point) runs from one job list in
-    fold-major order: each fold is encoded once, when its first job is
-    queued, and released once its last (cell, fold) is reduced, so only
-    folds in flight are alive (one when serial).  Each (cell, fold) is
-    scored on its test fold as soon as it is reduced.
+    fold-major order, grid point gi of fold fi seeded `derived_seed(run.seed,
+    "fold", fi, "grid", gi)`.  Each fold is encoded once, when its first job
+    is queued.  Each (cell, fold) is reduced by `_select` once its last point
+    is in and its pick scored on the test fold, so only folds in flight hold
+    data or networks (one when serial).
     """
     grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs,
                          [run for _, run, _ in cells])
     encode = fold_encoder(data, bin_width)
+    queued = deque()  # (name, run, fold index, test fold) of each (cell, fold) in flight
 
-    def fold_cells():
+    def jobs():
         for fi, split in enumerate(cv_splits(len(data), k, val_fraction, seed)):
             (train, val, test), _ = encode(split)
             for name, run, modify in cells:
                 rng = np.random.default_rng(derived_seed(seed, "modify", fi))
-                yield name, run, fi, (train if modify is None else modify(train, rng), val, test)
+                cell_train = train if modify is None else modify(train, rng)
+                queued.append((name, run, fi, test))
+                for gi, (lr, l2) in enumerate(grid):
+                    job_seed = derived_seed(run.seed, "fold", fi, "grid", gi)
+                    yield replace(run, learning_rate=lr, l2=l2, seed=job_seed), cell_train, val
+                del cell_train
             del train, val, test  # so this fold is released before the next is encoded
 
-    results = _search(fold_cells(), grid, n_jobs, _score_fold)
+    results = _fit_all(jobs(), n_jobs)
+    folds = []
+    for first in results:
+        name, run, fi, test = queued.popleft()
+        gi, net, history = _select(name, fi, grid, [first, *islice(results, len(grid) - 1)])
+        folds.append(FoldResult(
+            fold=fi, learning_rate=grid[gi][0], l2=grid[gi][1],
+            val_c_index=history["best_val_c_index"],
+            test_c_index=c_index(test, predict_scores(run, net, test.features))))
+        del first, net, test  # free this fold's networks and data before the next trains
     reports = []
     for ci, (_, run, _) in enumerate(cells):
-        own = results[ci :: len(cells)]  # fold-major: (cell ci, fold fi) is result fi * cells + ci
+        own = folds[ci :: len(cells)]  # fold-major: (cell ci, fold fi) is result fi * cells + ci
         tests = np.array([f.test_c_index for f in own])
         reports.append(ExperimentReport(
             loss=run.loss, k=k, seed=seed, folds=own, mean_test_c_index=float(tests.mean()),
@@ -588,7 +542,11 @@ def run_cv(data, loss, k=5, grid=None, seed=0, val_fraction=0.2, bin_width=None,
     """k-fold cross-validation of one loss; returns an ExperimentReport.
 
     `data` is a Dataset (used as-is) or a RawTable (encoded per fold with
-    training-fold statistics; requires bin_width).
+    training-fold statistics; requires bin_width).  `template` (default
+    `TrainRun(loss=loss)`) gives every training option, except that `loss`
+    and `seed` replace its own.  Each fold picks its (learning_rate, l2)
+    point of `grid` (default DEFAULT_GRID) by validation C-index; diverged
+    points are skipped.
     """
     cell = (loss, _cell_run(template, loss, seed), None)
     return _run_experiment(data, [cell], k, grid, seed, val_fraction, bin_width, n_jobs)[0]
@@ -652,6 +610,7 @@ def censoring_ablation(data, losses=("wm", "rank-sigmoid", "cox-efron"), modes=C
     before any fold is built.  Jobs run fold-major (every cell on fold 0,
     then on fold 1, ...), so if several cells diverge on every grid point,
     the ExperimentFailedError names the first such (cell, fold) in that order.
+    As in `run_cv`, each loss and `seed` replace the template's own.
     """
     if not np.any(~data.observed):
         raise ValueError("the censoring comparison needs a dataset with censored records")
@@ -709,7 +668,8 @@ def censoring_sweep(data, loss, fractions, k=5, grid=None, seed=0, val_fraction=
     or below the dataset's native fraction leave the data untouched.  A
     fraction below the native one or above 1 (or NaN) is rejected before
     any fold is built, as is a fraction listed twice.  Validation and test
-    folds are never modified.
+    folds are never modified.  As in `run_cv`, `loss` and `seed` replace
+    the template's own.
     """
     native = float(np.count_nonzero(~data.observed)) / len(data.observed)
     fractions = _listed_once("censoring fraction", [float(fraction) for fraction in fractions])

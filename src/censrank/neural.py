@@ -2,10 +2,11 @@
 
 Layout per hidden layer i: W{i} -> batch norm (gamma{i}, beta{i}; running mean{i},
 var{i}) -> ReLU -> inverted dropout.  The head W_out is one linear unit (risk or
-ranking scores) or T units plus per-bin biases b_out under a row softmax (event-time
-pmfs).  No other bias exists, as no loss could move it: batch norm subtracts a hidden
-bias again, and every scalar loss sees only score differences.  Gradients are exact
-for loss + l2 * sum ||W||^2, with the l2 penalty on weight matrices only.
+ranking scores) or `num_outputs` units plus per-output biases b_out under a row
+softmax (event-time pmfs; the wm head has L + 2 outputs, see `harness`).  No other
+bias exists, as no loss could move it: batch norm subtracts a hidden bias again, and
+every scalar loss sees only score differences.  Gradients are exact for
+loss + l2 * sum ||W||^2, with the l2 penalty on weight matrices only.
 
 There is no autodiff here: `backward` consumes d(loss)/d(outputs) of the
 scalar head or d(loss)/d(logits) of the softmax head (the wm loss takes the

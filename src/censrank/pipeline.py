@@ -54,7 +54,6 @@ __all__ = [
     "preprocess",
     "kfold_split",
     "generate_synthetic",
-    "oracle_scores",
     "save_csv",
     "schema_for_features",
 ]
@@ -450,6 +449,7 @@ _RISK_PATTERN = np.array([2.0, -1.5, 1.0])
 _RISK_SCALE = 9.0 / np.linalg.norm(_RISK_PATTERN)  # log-hazard spread, sets pair separability
 _HORIZON = 100.0
 _EULER = 0.5772156649015329
+_SQUASH_SLOPE = 1.7  # logistic slope of the re-clock onto (0, _HORIZON)
 _MIN_BIN_FRACTION = 1.0 / 256.0
 
 
@@ -505,16 +505,10 @@ def generate_synthetic(n, num_features, censor_fraction, tie_density, seed) -> D
     # log raw ~ roughly normal with var ||beta||^2 + pi^2/6; squash to (0, horizon)
     spread = math.sqrt(float(beta @ beta) + math.pi**2 / 6.0)
     z = (np.log(raw) + _EULER) / spread
-    times = _HORIZON / (1.0 + np.exp(-1.7 * z))
+    times = _HORIZON / (1.0 + np.exp(-_SQUASH_SLOPE * z))
     bin_width = _HORIZON * max(tie_density, _MIN_BIN_FRACTION)
     grid = build_time_grid(times, bin_width)
     return Dataset(features, times, observed, grid)
-
-
-def oracle_scores(dataset: Dataset) -> np.ndarray:
-    """Negated true log hazard of `generate_synthetic` data (higher = later)."""
-    beta = _RISK_PATTERN[: min(3, dataset.n_features)] * _RISK_SCALE
-    return -(dataset.features[:, : len(beta)] @ beta)
 
 
 # ---------------------------------------------------------------------------

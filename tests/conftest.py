@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import censrank
+from censrank import pipeline
 from censrank.core import Dataset, build_time_grid
 
 # directory holding the imported censrank package
@@ -124,6 +125,41 @@ def brute_force_cox(scores, bins, observed, ties="breslow"):
         for r in range(m):
             nll += math.log(risk - (r / m) * tied_sum)
     return nll
+
+
+def _true_beta(dataset):
+    """The log-hazard coefficients `generate_synthetic` drew `dataset` with."""
+    return pipeline._RISK_PATTERN[: min(3, dataset.n_features)] * pipeline._RISK_SCALE
+
+
+def oracle_scores(dataset):
+    """Negated true log hazard of `generate_synthetic` data (higher = later)."""
+    beta = _true_beta(dataset)
+    return -(dataset.features[:, : len(beta)] @ beta)
+
+
+def oracle_pmf(dataset):
+    """True event-time pmf of `generate_synthetic` data on its grid, shape
+    (n, num_bins).
+
+    A raw event time is exponential at rate exp(x.beta) and re-clocked to
+    t = 100 / (1 + exp(-1.7 z)), z = (ln raw + gamma) / spread.  So the CDF
+    at a bin's right edge t is 1 - exp(-exp(x.beta) exp(spread z(t) - gamma))
+    with z(t) = -ln(100/t - 1) / 1.7, and the last bin takes the mass past
+    its left edge (an edge at or past 100 has CDF 1).
+    """
+    beta = _true_beta(dataset)
+    spread = math.sqrt(float(beta @ beta) + math.pi**2 / 6.0)
+    cdf = np.ones((len(dataset), dataset.grid.num_bins + 1))
+    cdf[:, 0] = 0.0
+    for k in range(1, dataset.grid.num_bins):
+        t = k * dataset.grid.bin_width
+        if t >= pipeline._HORIZON:
+            continue
+        z = -math.log(pipeline._HORIZON / t - 1.0) / pipeline._SQUASH_SLOPE
+        raw = math.exp(spread * z - pipeline._EULER)
+        cdf[:, k] = 1.0 - np.exp(-np.exp(dataset.features[:, : len(beta)] @ beta) * raw)
+    return np.diff(cdf, axis=1)
 
 
 def make_dataset(times, observed, bin_width=1.0, features=None, seed=0):

@@ -34,7 +34,6 @@ from censrank.harness import (
     derived_seed,
     emit_report,
     eval_scores,
-    grid_search,
     predict_scores,
     run_cv,
     train_model,
@@ -630,103 +629,115 @@ class TestTrainModel:
 
 
 class TestGridSearch:
-    def test_singleton_grid_matches_train_model(self, fold):
-        train, val, _ = fold
-        template = TrainRun(loss="rank-sigmoid", seed=5, **FAST)
-        (sel,) = grid_search([(train, val)], [(1e-2, 1e-4)], template)
+    """The per-fold (learning rate, l2) search inside `run_cv`."""
 
-        direct_run = replace(
-            template, learning_rate=1e-2, l2=1e-4, seed=derived_seed(5, "fold", 0, "grid", 0)
-        )
-        direct_net, direct_hist = train_model(direct_run, train, val)
+    def test_each_fold_picks_what_train_model_gives_at_the_derived_seed(self, synth):
+        template = TrainRun(loss="rank-sigmoid", **FAST)
+        report = run_cv(synth, "rank-sigmoid", k=2, grid=[(1e-2, 1e-4)], seed=5,
+                        template=template)
+        for fi, (tr, va, te) in enumerate(cv_splits(len(synth), 2, 0.2, 5)):
+            direct_run = replace(template, learning_rate=1e-2, l2=1e-4,
+                                 seed=derived_seed(5, "fold", fi, "grid", 0))
+            net, history = train_model(direct_run, synth.subset(tr), synth.subset(va))
+            test = synth.subset(te)
+            assert report.folds[fi] == FoldResult(
+                fold=fi, learning_rate=1e-2, l2=1e-4, val_c_index=history["best_val_c_index"],
+                test_c_index=c_index(test, predict_scores(direct_run, net, test.features)))
 
-        assert sel.fold == 0
-        assert (sel.learning_rate, sel.l2) == (1e-2, 1e-4)
-        assert sel.val_c_index == direct_hist["best_val_c_index"]
-        assert sel.history == direct_hist
-        assert np.array_equal(
-            sel.network.forward(val.features, train=False),
-            direct_net.forward(val.features, train=False),
-        )
-
-    def test_absurd_learning_rate_loses_to_a_sane_one(self, fold):
-        train, val, _ = fold
-        template = TrainRun(loss="rank-sigmoid", seed=3, **FAST)
+    def test_absurd_learning_rate_loses_to_a_sane_one(self, synth):
+        template = TrainRun(loss="rank-sigmoid", **FAST)
         with np.errstate(all="ignore"):
-            (sel,) = grid_search([(train, val)], [(1e3, 0.0), (1e-2, 1e-4)], template)
-        assert (sel.learning_rate, sel.l2) == (1e-2, 1e-4)
+            report = run_cv(synth, "rank-sigmoid", k=2, grid=[(1e3, 0.0), (1e-2, 1e-4)],
+                            seed=3, template=template)
+        assert [(f.learning_rate, f.l2) for f in report.folds] == [(1e-2, 1e-4)] * 2
 
-    def test_empty_grid_rejected(self, fold):
-        train, val, _ = fold
-        with pytest.raises(ValueError, match="at least one point"):
-            grid_search([(train, val)], [], TrainRun(loss="wm", **FAST))
-
-    @pytest.mark.parametrize("point, named", [
-        ((1e-2, -1.0), "l2_coefficient must be >= 0"),
-        ((0.0, 0.0), "learning_rate must be positive"),
-    ])
-    def test_a_point_that_cannot_train_trains_nothing(self, fold, trainings, point, named):
-        train, val, _ = fold
+    @pytest.mark.parametrize("grid, n_jobs, named", [
+        ([], 1, "at least one point"),
+        ([(1e-2, 0.0)], 0, "n_jobs"),
+        ([(1e-2, 0.0)], -2, "n_jobs"),
+        ([(1e-2, 0.0)], 2.0, "n_jobs"),
+        ([(1e-2, 0.0), (1e-2, -1.0)], 1, "l2_coefficient must be >= 0"),
+        ([(1e-2, 0.0), (0.0, 0.0)], 1, "learning_rate must be positive"),
+        ([(1e-2, 0.0), (True, "0")], 1,
+         r"grid point \(True, '0'\) .*learning_rate must be a real number, got True"),
+        ([(1e-2, False)], 1, r"grid point \(0.01, False\) .*l2 must be a real number"),
+        ([(1e-2, "0")], 1, r"grid point \(0.01, '0'\) .*l2 must be a real number"),
+        ([(1e-2, 0.0, 3)], 1, r"grid point \(0.01, 0.0, 3\) is not a \(learning_rate, l2\)"),
+        ([1e-2], 1, r"grid point 0.01 is not a \(learning_rate, l2\) pair"),
+    ], ids=["empty", "no-jobs", "negative-jobs", "float-jobs", "negative-l2", "zero-rate",
+            "bool-and-string", "bool-l2", "string-l2", "triple", "bare-number"])
+    def test_a_grid_that_cannot_run_encodes_and_trains_nothing(self, synth, tmp_path,
+                                                              monkeypatch, trainings,
+                                                              grid, n_jobs, named):
+        table = _raw_table(synth, tmp_path)
+        encoded = []
+        monkeypatch.setattr(harness, "preprocess", lambda *a, **kw: encoded.append(a))
         with pytest.raises(ValueError, match=named):
-            grid_search([(train, val)], [(1e-2, 0.0), point], TrainRun(loss="wm", **FAST))
-        assert trainings == []
+            run_cv(table, "wm", k=2, grid=grid, bin_width=5.0, n_jobs=n_jobs,
+                   template=TrainRun(loss="wm", **FAST))
+        assert encoded == [] and trainings == []
 
-    def test_fewer_than_one_job_rejected(self, fold):
-        train, val, _ = fold
-        for n_jobs in (0, -2, 2.0):
-            with pytest.raises(ValueError, match="n_jobs"):
-                grid_search([(train, val)], [(1e-2, 0.0)], TrainRun(loss="wm", **FAST),
-                            n_jobs=n_jobs)
+    def test_grid_values_are_taken_as_floats(self):
+        grid = harness._checked_grid([(np.float64(1e-2), 0), [1, np.int64(0)]], 1, [])
+        assert grid == [(1e-2, 0.0), (1.0, 0.0)]
+        assert all(type(v) is float for point in grid for v in point)
 
-    def test_diverged_point_is_skipped_and_recorded(self, fold):
-        train, val, _ = fold
-        template = TrainRun(loss="cox-efron", seed=3, **FAST)
-        with np.errstate(all="ignore"):
-            (sel,) = grid_search(
-                [(train, val)], [(1e200, 0.0), (1e-2, 1e-4)], template
-            )
-        assert (sel.learning_rate, sel.l2) == (1e-2, 1e-4)
-        assert sel.diverged == ((1e200, 0.0),)
-
-    def test_every_point_diverging_fails_the_experiment(self, fold):
-        train, val, _ = fold
-        template = TrainRun(loss="rank-sigmoid", seed=3, **FAST)
+    def test_every_point_diverging_fails_the_experiment(self, synth):
+        template = TrainRun(loss="rank-sigmoid", **FAST)
         with np.errstate(all="ignore"):
             with pytest.raises(ExperimentFailedError, match="all 1 grid points") as err:
-                grid_search([(train, val)], [(1e200, 0.0)], template)
+                run_cv(synth, "rank-sigmoid", k=2, grid=[(1e200, 0.0)], seed=3,
+                       template=template)
         # the message names the loss, and each point with its epoch and reason
         assert str(err.value) == (
             "rank-sigmoid fold 0: all 1 grid points diverged: "
             "(lr, l2) = (1e+200, 0.0) at epoch 1: non-finite network outputs"
         )
 
-    def test_ties_break_toward_lower_l2_then_lower_rate(self, monkeypatch):
-        cfg = NetworkConfig(
-            input_dim=2, hidden_dims=(3,), head="scalar_linear", num_outputs=1,
-            dropout_rate=0.0, l2_coefficient=0.0, seed=1,
-        )
-        net = Network(cfg)
-        template = TrainRun(loss="rank-sigmoid", seed=5, **FAST)
-        calls = []
+    @pytest.mark.parametrize("loss", ["cox-efron", "wm"])
+    def test_a_diverging_point_is_skipped_alike_in_a_pool(self, synth, loss):
+        kwargs = dict(k=2, grid=[(1e200, 0.0), (1e-2, 1e-4)], seed=3,
+                      template=TrainRun(loss=loss, **FAST))
+        with np.errstate(all="ignore"):
+            serial = run_cv(synth, loss, **kwargs)
+            parallel = run_cv(synth, loss, n_jobs=2, **kwargs)
+        assert [(f.learning_rate, f.l2) for f in serial.folds] == [(1e-2, 1e-4)] * 2
+        assert parallel == serial
 
-        def fake_fit(args):
-            run, _, _ = args
-            calls.append((run.learning_rate, run.l2, run.seed))
-            return {
-                "diverged": False,
-                "val_c": 0.7,
-                "history": {"best_val_c_index": 0.7},
-                "network": net,
-            }
+    def test_every_point_diverging_fails_alike_in_a_pool(self, synth):
+        kwargs = dict(fractions=[0.6], k=2, grid=[(1e200, 0.0), (1e300, 1e-4)], seed=3,
+                      template=TrainRun(loss="rank-sigmoid", **FAST))
+        messages = []
+        for n_jobs in (1, 2):
+            with np.errstate(all="ignore"), pytest.raises(ExperimentFailedError) as err:
+                censoring_sweep(synth, "rank-sigmoid", n_jobs=n_jobs, **kwargs)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        # a TrainingDivergedError pickled back from a worker keeps its epoch
+        assert messages[1].startswith(
+            "rank-sigmoid (censoring fraction 0.6) fold 0: all 2 grid points diverged: "
+            "(lr, l2) = (1e+200, 0.0) at epoch 1: ")
+        assert messages[1].count(" at epoch 1: ") == 2
 
-        monkeypatch.setattr(harness, "_fit_job", fake_fit)
-        grid = [(1e-2, 1e-3), (1e-3, 1e-4), (1e-2, 1e-4)]
-        (sel,) = grid_search([(None, None)], grid, template)
+    def test_ties_break_toward_lower_l2_then_lower_rate(self):
+        net = Network(NetworkConfig(input_dim=2, hidden_dims=(3,), head="scalar_linear",
+                                    num_outputs=1, dropout_rate=0.0, l2_coefficient=0.0, seed=1))
+        grid = [(1e-2, 1e-3), (1e-4, 0.0), (1e-3, 1e-4), (1e-2, 1e-4)]
+        results = [(net, {"best_val_c_index": 0.7}), TrainingDivergedError("x", epoch=2),
+                   (net, {"best_val_c_index": 0.7}), (net, {"best_val_c_index": 0.7})]
+        gi, picked, history = harness._select("rank-sigmoid", 0, grid, results)
+        # (1e-4, 0.0) has the lowest l2 but diverged; (1e-3, 1e-4) beats (1e-2, 1e-4)
+        assert (gi, picked, history) == (2, net, {"best_val_c_index": 0.7})
+        results[1] = (net, {"best_val_c_index": 0.7 - 1e-12})
+        assert harness._select("rank-sigmoid", 0, grid, results)[0] == 2
 
-        assert (sel.learning_rate, sel.l2) == (1e-3, 1e-4)
-        assert sel.val_c_index == 0.7
-        # jobs were seeded per grid position off the template seed
-        assert [c[2] for c in calls] == [derived_seed(5, "fold", 0, "grid", gi) for gi in range(3)]
+    def test_jobs_are_seeded_per_fold_and_grid_position(self, synth, trainings):
+        run_cv(synth, "rank-sigmoid", k=2, grid=[(1e-2, 1e-4), (1e-3, 0.0)], seed=5,
+               template=TrainRun(loss="rank-sigmoid", **FAST))
+        assert [(r.learning_rate, r.l2, r.seed) for r in trainings] == [
+            (lr, l2, derived_seed(5, "fold", fi, "grid", gi))
+            for fi in range(2) for gi, (lr, l2) in enumerate([(1e-2, 1e-4), (1e-3, 0.0)])
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -1024,7 +1035,7 @@ class TestCensoringAblation:
             task = len(live) // len(grid)
             assert {t for t, ref in live if ref() is not None} <= {task}
             result = real(job)
-            live.append((task, weakref.ref(result["network"])))
+            live.append((task, weakref.ref(result[0])))  # result is (network, history)
             return result
 
         monkeypatch.setattr(harness, "_fit_job", spy)

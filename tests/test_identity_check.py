@@ -1,7 +1,8 @@
 """`scripts/identity_check.py` finds the working tree's outputs byte-equal
 to HEAD's on a tiny synth table, names an output that differs, and writes
 a corrupted table copy whose bad rows follow a multi-line cell; its
-small-batch commands cv every loss."""
+small-batch commands cv every loss, and its synth commands cv past a
+diverging grid point."""
 
 import importlib.util
 import json
@@ -45,7 +46,8 @@ def test_the_working_tree_matches_head(identity_check, outputs):
     rows, same = identity_check.compare(*outputs)
     names = {name for name, _, _ in rows}
     assert {"synth.csv", "ablate-1.csv", "ablate-2.csv", "sweep-1.json", "sweep-2.json",
-            "sweep-censoring-2.stdout"} <= names
+            "sweep-censoring-2.stdout", "diverge-cv-rank-sigmoid-1.csv",
+            "diverge-cv-rank-sigmoid-2.csv", "diverge-cv-wm-1.csv", "diverge-cv-wm-2.csv"} <= names
     assert same and all(base == change != "missing" for _, base, change in rows)
 
 

@@ -21,12 +21,13 @@ from censrank.pipeline import (
     kfold_split,
     load_csv,
     load_schema,
-    oracle_scores,
     preprocess,
     save_csv,
     save_schema,
     schema_for_features,
 )
+
+from conftest import oracle_pmf, oracle_scores
 
 
 def _toy_schema(**kwargs):
@@ -1032,6 +1033,19 @@ class TestGenerateSynthetic:
     def test_oracle_scores_are_strongly_concordant(self):
         data = generate_synthetic(5000, 10, censor_fraction=0.3, tie_density=0.0, seed=4)
         assert c_index(data, oracle_scores(data)) > 0.95
+
+    def test_oracle_pmf_matches_the_uncensored_bin_histogram(self):
+        data = generate_synthetic(20000, 3, censor_fraction=0.0, tie_density=1 / 64, seed=3)
+        pmf = oracle_pmf(data)
+        assert pmf.shape == (20000, 64) and pmf.min() >= 0.0
+        assert np.allclose(pmf.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        expected = pmf.sum(axis=0)
+        assert expected.min() > 100  # large enough for the chi-square approximation
+        observed = np.bincount(data.bins, minlength=64)
+        chi_square = float(((observed - expected) ** 2 / expected).sum())
+        # 103.44 is the 0.999 quantile of chi-square on 63 degrees of freedom; records
+        # with different features have different pmfs, which only shrinks the statistic
+        assert chi_square < 103.44
 
     def test_round_trip_through_csv(self, tmp_path):
         data = generate_synthetic(50, 4, censor_fraction=0.25, tie_density=0.1, seed=5)
