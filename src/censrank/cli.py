@@ -15,6 +15,7 @@ Every failure exits nonzero after printing one JSON object
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -151,6 +152,24 @@ def _load_table(args, outcome_only=False):
     if outcome_only:
         schema = replace(schema, columns=(schema.time_column, schema.event_column))
     return pipeline.load_csv(args.dataset, schema, on_bad_rows=args.on_bad_rows)
+
+
+def _check_destinations(args):
+    """Raise naming the first file the command writes (the synth prefix's CSV and schema,
+    a checkpoint and its sidecar, or the --out file) whose directory does not exist or
+    that is a directory, so that a bad output path fails before any table is loaded."""
+    if args.command == "synth":
+        paths = [args.out + ".csv", args.out + ".schema.json"]
+    elif args.command == "train":
+        paths = [args.checkpoint, args.checkpoint + ".meta.json"]
+    else:
+        paths = [args.out] if args.out else []
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"output path {path!r}: no directory {folder!r}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path!r} is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +412,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_destinations(args)
         return args.func(args)
     except (CensrankError, ValueError, TypeError, OSError) as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}), file=sys.stderr)

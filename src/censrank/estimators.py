@@ -13,8 +13,8 @@ the curve, either conditionally on having survived its censoring bin
 (default) or as ``1 - survival`` set to zero through the censoring bin
 ("global").  A target row depends only on the record's bin, its observed
 flag and the curve, so training builds the rows of one block of a batch at
-a time (at most 1 MiB of them, `target_cdf_matrix(rows=)`), which the loss
-then consumes, and holds O(block x (L + 2)) target memory, not
+a time (at most 256 KiB of them, `target_cdf_matrix(rows=)`), which the
+loss then consumes, and holds O(block x (L + 2)) target memory, not
 O(n x (L + 2)).
 """
 

@@ -9,10 +9,11 @@ isolation and a full run is reproducible byte for byte.
 An experiment (one cv run, a censoring ablation or a sweep) splits its
 folds once and trains every (cell, fold, grid point) from one fold-major
 job list, where a cell is a loss plus a training-set modifier; each fold
-is encoded once, just before its first job.  With n_jobs > 1 that list
-runs in a single process pool; each (cell, fold) is reduced in job order
-as soon as its grid points are in, so serial and parallel runs emit
-identical reports.
+is encoded once, just before its first job.  A job trains one grid point
+and scores its network on the test fold, returning only numbers.  With
+n_jobs > 1 that list runs in a single process pool; each (cell, fold) is
+reduced in job order as soon as its grid points are in, so serial and
+parallel runs emit identical reports.
 
 Each loss name is one entry of the `_FAMILIES` table (network head, score
 map, per-batch loss), so `train_model` has no per-loss branch and adding a
@@ -25,7 +26,6 @@ import json
 import math
 import sys
 from collections import deque, namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
@@ -177,10 +177,11 @@ def _wm_batches(run, train):
 
 
 def _wm_step(run: TrainRun, train: Dataset, km, weights, idx, pmf):
-    """The wm loss of the batch `train[idx]` with pmf `pmf`, in row blocks of at most
-    `_SCORE_BLOCK_BYTES` of outputs; d(loss)/d(logits) is written over `pmf`.  Each block's
-    loss consumes that block's target rows and holds one more (block, L + 2) array."""
-    block = max(1, _SCORE_BLOCK_BYTES // (8 * pmf.shape[1]))
+    """The wm loss of the batch `train[idx]` with pmf `pmf`, in row blocks of at most a
+    quarter of `_SCORE_BLOCK_BYTES` of outputs; d(loss)/d(logits) is written over `pmf`.
+    Each block's loss consumes that block's target rows and holds one more (block, L + 2)
+    array, so the two fresh arrays of a block stay well inside an L2 cache."""
+    block = max(1, _SCORE_BLOCK_BYTES // (4 * 8 * pmf.shape[1]))
     value = 0.0
     for start in range(0, len(idx), block):
         rows = slice(start, start + block)
@@ -232,8 +233,9 @@ def eval_scores(run: TrainRun, outputs, cdf_out=None):
     return _FAMILIES[run.loss].scores(run, outputs, cdf_out)
 
 
-# Output bytes one scoring forward, or one block of the wm loss, may hold: 64 rows of a
-# 2,048-output pmf head, which fit a 2 MiB L2 cache with their hidden activations.
+# Output bytes one scoring forward may hold: 64 rows of a 2,048-output pmf head, which fit
+# a 2 MiB L2 cache with their hidden activations.  A block of the wm loss holds a quarter
+# of it (16 rows of that head) in each of its two fresh arrays: targets and scratch.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 
@@ -356,13 +358,21 @@ def train_model(run: TrainRun, train: Dataset, val: Dataset):
 
 
 def _fit_job(args):
-    """(network, history) of one grid point's `train_model`, or the
-    TrainingDivergedError it raised."""
-    run, train, val = args
+    """(history, test C-index) of one grid point: `train_model` on the train and validation
+    folds, then its network scored on the test fold, so no network outlives the job.
+
+    A TrainingDivergedError of training is returned in place of the pair, and one of test
+    scoring in place of the C-index (raised only if the point is picked); each is a fresh
+    error of the same message and epoch, with no traceback that would hold the network."""
+    run, train, val, test = args
     try:
-        return train_model(run, train, val)
+        net, history = train_model(run, train, val)
     except TrainingDivergedError as err:
-        return err
+        return TrainingDivergedError(str(err), epoch=err.epoch)
+    try:
+        return history, c_index(test, predict_scores(run, net, test.features))
+    except TrainingDivergedError as err:
+        return history, TrainingDivergedError(str(err), epoch=err.epoch)
 
 
 def _checked_grid(grid, n_jobs, runs):
@@ -377,7 +387,10 @@ def _checked_grid(grid, n_jobs, runs):
         except (TypeError, ValueError) as err:
             raise ValueError(f"grid point {point!r} is not a (learning_rate, l2) pair of "
                              f"real numbers: {err}") from None
-        points.append((float(lr), float(l2)))
+        try:
+            points.append((float(lr), float(l2)))
+        except OverflowError as err:  # an int past the float range, such as 10**400
+            raise ValueError(f"grid point {point!r} does not fit a float: {err}") from None
     if not points:
         raise ValueError("the grid must contain at least one point")
     _check_int("n_jobs", n_jobs, 1)
@@ -388,7 +401,7 @@ def _checked_grid(grid, n_jobs, runs):
 
 
 def _select(name, fi, grid, results):
-    """(grid index, network, history) of the best of one fold's `_fit_job` results, one
+    """(grid index, history, test C-index) of the best of one fold's `_fit_job` results, one
     per grid point: best validation C-index, ties broken by lower l2 then lower rate.
     Diverged points are skipped; if all diverged, ExperimentFailedError names each."""
     alive = [gi for gi, r in enumerate(results) if not isinstance(r, TrainingDivergedError)]
@@ -398,7 +411,7 @@ def _select(name, fi, grid, results):
         raise ExperimentFailedError(
             f"{name} fold {fi}: all {len(grid)} grid points diverged: {reasons}"
         )
-    gi = min(alive, key=lambda gi: (-results[gi][1]["best_val_c_index"], grid[gi][1], grid[gi][0]))
+    gi = min(alive, key=lambda gi: (-results[gi][0]["best_val_c_index"], grid[gi][1], grid[gi][0]))
     return (gi, *results[gi])
 
 
@@ -409,6 +422,8 @@ def _fit_all(jobs, n_jobs):
     if n_jobs == 1:
         yield from map(_fit_job, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # so a serial run never loads a pool
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         ahead = deque()
         try:
@@ -494,14 +509,15 @@ def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
     modified.  Every (cell, fold, grid point) runs from one job list in
     fold-major order, grid point gi of fold fi seeded `derived_seed(run.seed,
     "fold", fi, "grid", gi)`.  Each fold is encoded once, when its first job
-    is queued.  Each (cell, fold) is reduced by `_select` once its last point
-    is in and its pick scored on the test fold, so only folds in flight hold
-    data or networks (one when serial).
+    is queued, and only folds in flight hold data (one when serial).  A job
+    scores its own network on the test fold (`_fit_job`), so no network
+    outlives its job, and each (cell, fold) is reduced by `_select` over
+    numbers once its last point is in.
     """
     grid = _checked_grid(DEFAULT_GRID if grid is None else grid, n_jobs,
                          [run for _, run, _ in cells])
     encode = fold_encoder(data, bin_width)
-    queued = deque()  # (name, run, fold index, test fold) of each (cell, fold) in flight
+    queued = deque()  # (name, fold index) of each (cell, fold) in flight
 
     def jobs():
         for fi, split in enumerate(cv_splits(len(data), k, val_fraction, seed)):
@@ -509,23 +525,23 @@ def _run_experiment(data, cells, k, grid, seed, val_fraction, bin_width, n_jobs)
             for name, run, modify in cells:
                 rng = np.random.default_rng(derived_seed(seed, "modify", fi))
                 cell_train = train if modify is None else modify(train, rng)
-                queued.append((name, run, fi, test))
+                queued.append((name, fi))
                 for gi, (lr, l2) in enumerate(grid):
                     job_seed = derived_seed(run.seed, "fold", fi, "grid", gi)
-                    yield replace(run, learning_rate=lr, l2=l2, seed=job_seed), cell_train, val
+                    yield (replace(run, learning_rate=lr, l2=l2, seed=job_seed),
+                           cell_train, val, test)
                 del cell_train
             del train, val, test  # so this fold is released before the next is encoded
 
     results = _fit_all(jobs(), n_jobs)
     folds = []
     for first in results:
-        name, run, fi, test = queued.popleft()
-        gi, net, history = _select(name, fi, grid, [first, *islice(results, len(grid) - 1)])
-        folds.append(FoldResult(
-            fold=fi, learning_rate=grid[gi][0], l2=grid[gi][1],
-            val_c_index=history["best_val_c_index"],
-            test_c_index=c_index(test, predict_scores(run, net, test.features))))
-        del first, net, test  # free this fold's networks and data before the next trains
+        name, fi = queued.popleft()
+        gi, history, test_c = _select(name, fi, grid, [first, *islice(results, len(grid) - 1)])
+        if isinstance(test_c, TrainingDivergedError):
+            raise test_c
+        folds.append(FoldResult(fold=fi, learning_rate=grid[gi][0], l2=grid[gi][1],
+                                val_c_index=history["best_val_c_index"], test_c_index=test_c))
     reports = []
     for ci, (_, run, _) in enumerate(cells):
         own = folds[ci :: len(cells)]  # fold-major: (cell ci, fold fi) is result fi * cells + ci
@@ -666,18 +682,20 @@ def censoring_sweep(data, loss, fractions, k=5, grid=None, seed=0, val_fraction=
     Observed training records are converted to censored-at-a-uniform-time-
     before-their-event until each requested fraction is met; fractions at
     or below the dataset's native fraction leave the data untouched.  A
-    fraction below the native one or above 1 (or NaN) is rejected before
-    any fold is built, as is a fraction listed twice.  Validation and test
-    folds are never modified.  As in `run_cv`, `loss` and `seed` replace
-    the template's own.
+    fraction that is not a real number (a bool or a string), below the
+    native one or above 1 (or NaN) is rejected before any fold is built, as
+    is a fraction listed twice.  Validation and test folds are never
+    modified.  As in `run_cv`, `loss` and `seed` replace the template's own.
     """
     native = float(np.count_nonzero(~data.observed)) / len(data.observed)
-    fractions = _listed_once("censoring fraction", [float(fraction) for fraction in fractions])
-    for fraction in fractions:
+    fractions = list(fractions)
+    for fraction in fractions:  # compared before float(), which a huge int would overflow
+        _check_real("censoring fraction", fraction)
         if not (native - 1e-12 <= fraction <= 1.0):
             raise ValueError(
                 f"censoring fraction {fraction} must be <= 1 and not below the native {native:.4f}"
             )
+    fractions = _listed_once("censoring fraction", [float(fraction) for fraction in fractions])
     run = _cell_run(template, loss, seed)
     cells = [(f"{loss} (censoring fraction {f})", run,
               None if f <= native + 1e-12 else _sweep_modifier(f)) for f in fractions]

@@ -218,10 +218,10 @@ class Network:
             if i > 0:  # nothing consumes the gradient of the network's input
                 da = dz @ p[f"W{i}"].T
 
-        if self.config.l2_coefficient > 0.0:
+        if self.config.l2_coefficient > 0.0:  # in place: each W gradient is a fresh matmul
             for name in grads:
                 if name.startswith("W"):
-                    grads[name] = grads[name] + 2.0 * self.config.l2_coefficient * p[name]
+                    grads[name] += 2.0 * self.config.l2_coefficient * p[name]
         return grads
 
     # -- state management ----------------------------------------------------

@@ -484,6 +484,7 @@ def generate_synthetic(n, num_features, censor_fraction, tie_density, seed) -> D
     """
     _check_int("n", n, 1)
     _check_int("num_features", num_features, 1)
+    _check_int("seed", seed, 0)
     if not (0.0 <= censor_fraction < 1.0):
         raise ValueError(f"censor_fraction must be in [0, 1), got {censor_fraction}")
     if not (0.0 <= tie_density <= 1.0):

@@ -885,6 +885,71 @@ class TestGridFiles:
         assert encoded == [] and not (tmp_path / "r.csv").exists()
 
 
+def _writing_commands(toy, tmp_path):
+    """(argv before its output option, that option) of every command that writes a file."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text("score\n" + "0\n" * 120)
+    cv = ["--bin-width", "5", "--k", "2", "--grid", toy["grid"], *KNOBS]
+    return {
+        "synth": (["synth", "--n", "30"], "--out"),
+        "km": (["km", *data_args(toy), "--bin-width", "5"], "--out"),
+        "train": (["train", *data_args(toy), "--loss", "cox", "--bin-width", "5", *KNOBS],
+                  "--checkpoint"),
+        "evaluate": (["evaluate", *data_args(toy), "--scores", str(scores)], "--out"),
+        "cv": (["cv", *data_args(toy), "--loss", "rank-sigmoid", *cv], "--out"),
+        "ablate-censoring": (["ablate-censoring", *data_args(toy), "--losses", "cox", *cv],
+                             "--out"),
+        "sweep-censoring": (["sweep-censoring", *data_args(toy), "--loss", "cox",
+                             "--fractions", "0.5", *cv], "--out"),
+    }
+
+
+@pytest.mark.parametrize("bad", ["no-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["synth", "km", "train", "evaluate", "cv",
+                                     "ablate-censoring", "sweep-censoring"])
+def test_a_bad_output_path_fails_before_any_work(capsys, toy, tmp_path, monkeypatch,
+                                                 command, bad):
+    argv, option = _writing_commands(toy, tmp_path)[command]
+    # the file the check names: synth writes PREFIX.csv first, and train's directory case
+    # is its sidecar, so a checkpoint that could be written does not hide it
+    suffix = {"synth": ".csv", "train": ".meta.json" if bad == "a-directory" else ""}
+    dest = tmp_path / "missing" / "out" if bad == "no-directory" else tmp_path / "out"
+    named = str(dest) + suffix.get(command, "")
+    if bad == "a-directory":
+        (tmp_path / named).mkdir()
+    calls = []
+    for module, name in ((harness, "train_model"), (pipeline, "preprocess"),
+                         (pipeline, "load_csv"), (pipeline, "generate_synthetic")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **kw: calls.append(_name))
+    code, err = _error_line(capsys, [*argv, option, str(dest)])
+    assert code == 2
+    assert err["error"] == ("FileNotFoundError" if bad == "no-directory" else "IsADirectoryError")
+    assert repr(named) in err["message"]
+    assert calls == []
+
+
+def test_synth_names_a_negative_seed(capsys, tmp_path):
+    code, err = _error_line(capsys, ["synth", "--n", "30", "--seed", "-1",
+                                     "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert err == {"error": "ValueError", "message": "seed must be an integer >= 0, got -1"}
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_serial_run_never_loads_the_process_pool(toy, tmp_path):
+    argv = ["cv", *data_args(toy), "--loss", "wm", "--bin-width", "5", "--k", "2",
+            "--grid", toy["grid"], *KNOBS, "--n-jobs", "1", "--out", str(tmp_path / "r.csv")]
+    cmd, env = cli_launch(argv)
+    script = ("import sys\nimport censrank.cli\n"
+              "pool = lambda: ['concurrent.futures' in sys.modules, "
+              "'multiprocessing' in sys.modules]\n"
+              f"imported = pool()\ncode = censrank.cli.main({argv!r})\n"
+              "print(imported, code, pool())")
+    proc = subprocess.run([cmd[0], "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[False, False] 0 [False, False]", proc.stderr
+
+
 def test_installed_entry_point_runs(tmp_path):
     argv = ["synth", "--n", "30", "--num-features", "2", "--seed", "0",
             "--out", str(tmp_path / "s")]

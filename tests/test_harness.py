@@ -304,8 +304,8 @@ def _whole_batch_reference(pmf, target, weights, l):
 
 class TestWmStep:
     @pytest.mark.parametrize("bins, batch, blocks", [
-        (2030, 256, [64] * 4),  # the bench table's bins: the batch splits evenly
-        (2030, 195, [64, 64, 64, 3]),  # the short last batch of each bench fold
+        (2030, 256, [16] * 16),  # the bench table's bins: the batch splits evenly
+        (2030, 195, [16] * 12 + [3]),  # the short last batch of each bench fold
         (37, 256, [256]),  # a small T: one block
     ], ids=["even", "short-last", "one-block"])
     @pytest.mark.parametrize("l", [1.5, 1.0, 2.0])
@@ -417,7 +417,7 @@ class TestTrainModel:
         assert peak < 4.5 * wide
 
     def test_a_wm_step_holds_one_batch_wide_array(self, monkeypatch):
-        # a head of ~2,040 outputs and batch 256: the loss takes blocks of 64 rows, and
+        # a head of ~2,040 outputs and batch 256: the loss takes blocks of 16 rows, and
         # with 8 hidden units each (batch, outputs) array (4 MiB) outweighs all the rest
         rng = np.random.default_rng(23)
         n = 560
@@ -425,7 +425,7 @@ class TestTrainModel:
         data = make_dataset(times, rng.random(n) < 0.7, features=rng.normal(size=(n, 4)))
         train, val = data.subset(np.arange(512)), data.subset(np.arange(512, n))
         outputs = last_event_bin(train) + 2
-        assert 2030 <= outputs <= 2048  # 64 rows a block
+        assert 2030 <= outputs <= 2048  # 16 rows a block
         wide = 256 * outputs * 8  # bytes of one (batch, outputs) float64 array
         run = TrainRun(loss="wm", hidden_dims=(8,), dropout=0.0, batch_size=256,
                        max_epochs=1, patience=1, seed=5)
@@ -444,7 +444,7 @@ class TestTrainModel:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert alive == [1] * 8  # the pmf alone, in each of 4 blocks of 2 batches
+        assert alive == [1] * 32  # the pmf alone, in each of 16 blocks of 2 batches
         # measured: 1.66 arrays' worth (the pmf, a block's targets and the loss's one scratch);
         # 3.26, and 3 such arrays alive in the loss, with (batch, T) scratch
         assert peak < 2 * wide
@@ -664,8 +664,11 @@ class TestGridSearch:
         ([(1e-2, "0")], 1, r"grid point \(0.01, '0'\) .*l2 must be a real number"),
         ([(1e-2, 0.0, 3)], 1, r"grid point \(0.01, 0.0, 3\) is not a \(learning_rate, l2\)"),
         ([1e-2], 1, r"grid point 0.01 is not a \(learning_rate, l2\) pair"),
+        ([(1e-2, 0.0), (10**400, 0.0)], 1, r"grid point \(1000.* 0.0\) does not fit a float"),
+        ([(1e-2, -(10**400))], 1, r"grid point \(0.01, -1000.*\) does not fit a float"),
     ], ids=["empty", "no-jobs", "negative-jobs", "float-jobs", "negative-l2", "zero-rate",
-            "bool-and-string", "bool-l2", "string-l2", "triple", "bare-number"])
+            "bool-and-string", "bool-l2", "string-l2", "triple", "bare-number",
+            "rate-past-the-float-range", "l2-past-the-float-range"])
     def test_a_grid_that_cannot_run_encodes_and_trains_nothing(self, synth, tmp_path,
                                                               monkeypatch, trainings,
                                                               grid, n_jobs, named):
@@ -720,15 +723,13 @@ class TestGridSearch:
         assert messages[1].count(" at epoch 1: ") == 2
 
     def test_ties_break_toward_lower_l2_then_lower_rate(self):
-        net = Network(NetworkConfig(input_dim=2, hidden_dims=(3,), head="scalar_linear",
-                                    num_outputs=1, dropout_rate=0.0, l2_coefficient=0.0, seed=1))
         grid = [(1e-2, 1e-3), (1e-4, 0.0), (1e-3, 1e-4), (1e-2, 1e-4)]
-        results = [(net, {"best_val_c_index": 0.7}), TrainingDivergedError("x", epoch=2),
-                   (net, {"best_val_c_index": 0.7}), (net, {"best_val_c_index": 0.7})]
-        gi, picked, history = harness._select("rank-sigmoid", 0, grid, results)
+        results = [({"best_val_c_index": 0.7}, 0.61), TrainingDivergedError("x", epoch=2),
+                   ({"best_val_c_index": 0.7}, 0.63), ({"best_val_c_index": 0.7}, 0.64)]
+        gi, history, test_c = harness._select("rank-sigmoid", 0, grid, results)
         # (1e-4, 0.0) has the lowest l2 but diverged; (1e-3, 1e-4) beats (1e-2, 1e-4)
-        assert (gi, picked, history) == (2, net, {"best_val_c_index": 0.7})
-        results[1] = (net, {"best_val_c_index": 0.7 - 1e-12})
+        assert (gi, history, test_c) == (2, {"best_val_c_index": 0.7}, 0.63)
+        results[1] = ({"best_val_c_index": 0.7 - 1e-12}, 0.9)
         assert harness._select("rank-sigmoid", 0, grid, results)[0] == 2
 
     def test_jobs_are_seeded_per_fold_and_grid_position(self, synth, trainings):
@@ -1015,7 +1016,12 @@ class TestCensoringAblation:
          "no censoring fraction is listed"),
         (lambda table, **kw: run_cv(table, "wm", grid=[(1e-2, 0.0), (0.0, 0.0)], **kw),
          "learning_rate must be positive"),
-    ], ids=["no-loss", "no-mode", "no-fraction", "bad-grid-point"])
+        (lambda table, **kw: censoring_sweep(table, "wm", fractions=["0.6", True], **kw),
+         "censoring fraction must be a real number, got '0.6'"),
+        (lambda table, **kw: censoring_sweep(table, "wm", fractions=[0.6, True], **kw),
+         "censoring fraction must be a real number, got True"),
+    ], ids=["no-loss", "no-mode", "no-fraction", "bad-grid-point", "string-fraction",
+            "bool-fraction"])
     def test_an_experiment_that_cannot_run_encodes_no_fold(self, synth, tmp_path, monkeypatch,
                                                            experiment, named):
         table = _raw_table(synth, tmp_path)
@@ -1026,24 +1032,32 @@ class TestCensoringAblation:
         assert encoded == []
 
     def test_at_most_one_fold_holds_trained_networks(self, synth, monkeypatch):
-        grid = [(1e-2, 1e-4), (1e-2, 0.0)]
-        live = []  # (job's (cell, fold) position, weak reference to its network)
-        real = harness._fit_job
+        # stronger than its name: no trained network is alive when the next job starts, as
+        # each job scores its own network; the first point diverges at epoch 1, so its
+        # returned error must not hold its network either
+        grid = [(1e200, 0.0), (1e-2, 1e-4), (1e-2, 0.0)]
+        networks, alive_at_job = [], []  # weak references to every network train_model built
+        real_network_for, real_fit = harness._network_for, harness._fit_job
 
-        def spy(job):
+        def network_for(*args):
+            net = real_network_for(*args)
+            networks.append(weakref.ref(net))
+            return net
+
+        def fit(job):
             gc.collect()
-            task = len(live) // len(grid)
-            assert {t for t, ref in live if ref() is not None} <= {task}
-            result = real(job)
-            live.append((task, weakref.ref(result[0])))  # result is (network, history)
-            return result
+            alive_at_job.append(sum(ref() is not None for ref in networks))
+            return real_fit(job)
 
-        monkeypatch.setattr(harness, "_fit_job", spy)
-        result = censoring_ablation(
-            synth, losses=("wm",), modes=("with_censored", "no_censored"), k=2, grid=grid,
-            seed=7, template=TrainRun(loss="wm", **FAST),
-        )
-        assert len(result.cells) == 2 and len(live) == 2 * 2 * len(grid)
+        monkeypatch.setattr(harness, "_network_for", network_for)
+        monkeypatch.setattr(harness, "_fit_job", fit)
+        with np.errstate(all="ignore"):
+            result = censoring_ablation(
+                synth, losses=("wm",), modes=("with_censored", "no_censored"), k=2, grid=grid,
+                seed=7, template=TrainRun(loss="wm", **FAST),
+            )
+        assert len(result.cells) == 2 and len(networks) == 2 * 2 * len(grid)
+        assert alive_at_job == [0] * len(networks)
 
     def test_parallel_equals_serial(self, synth, tmp_path):
         kwargs = dict(losses=("wm", "rank-sigmoid"), k=2, grid=[(1e-2, 1e-4), (1e-2, 0.0)],

@@ -1008,6 +1008,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=named):
             generate_synthetic(n, num_features, censor_fraction=0.2, tie_density=0.1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+            generate_synthetic(10, 2, censor_fraction=0.2, tie_density=0.1, seed=seed)
+
     def test_zero_censoring(self):
         data = generate_synthetic(200, 5, censor_fraction=0.0, tie_density=0.1, seed=0)
         assert bool(data.observed.all())
